@@ -1,11 +1,13 @@
 """Sequential vs batched ensemble execution (the §4.1/§4.3 replica studies).
 
-:func:`repro.stats.run_ensemble` can advance all R replicas of an ensemble
-as one ``(R, n)`` multi-vector (:class:`repro.core.BatchedAsyncEngine`)
-instead of running R scalar solves.  This benchmark times both paths on the
-paper's fv1 system for the async-(5) configuration of the convergence
-studies and checks they agree bitwise — the batched path is an execution
-strategy, not an approximation.
+Given a *config*, :func:`repro.stats.run_ensemble` advances all R replicas
+of an ensemble as one ``(R, n)`` multi-vector
+(:class:`repro.core.BatchedAsyncEngine`); given a per-seed *factory* it
+runs R scalar solves.  This benchmark times both on the paper's fv1 system
+for the async-(5) configuration of the convergence studies, the factory
+building plain :class:`repro.core.BlockAsyncSolver` solves of the same
+config, and checks they agree bitwise — batching is an execution strategy,
+not an approximation.
 
 Ensemble sizes: R ∈ {10, 100} by default, plus the paper-scale R = 1000
 under ``REPRO_FULL=1``.  The acceptance bar is a ≥ 3× wall-clock speedup at
@@ -18,6 +20,7 @@ smaller systems.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import time
@@ -25,8 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core import AsyncConfig
+from repro.core import AsyncConfig, BlockAsyncSolver
 from repro.matrices import default_rhs, get_matrix
+from repro.solvers import StoppingCriterion
 from repro.stats import run_ensemble
 
 #: Global iterations per replica (enough sweeps that per-sweep costs, not
@@ -57,15 +61,20 @@ def compare_ensemble_paths(
     *,
     seed0: int = 0,
 ) -> dict:
-    """Time both :func:`run_ensemble` paths and verify they agree bitwise.
+    """Time a per-seed factory against a config-driven :func:`run_ensemble`.
 
-    Returns ``{"nruns", "iterations", "sequential_s", "batched_s",
+    Verifies the two agree bitwise.  Returns ``{"nruns", "iterations", "sequential_s", "batched_s",
     "speedup", "identical"}``.
     """
+    stopping = StoppingCriterion(tol=0.0, maxiter=iterations)
+
+    def factory(seed: int) -> BlockAsyncSolver:
+        return BlockAsyncSolver(dataclasses.replace(config, seed=seed), stopping=stopping)
+
     t0 = time.perf_counter()
-    seq = run_ensemble(A, b, nruns, iterations, config=config, seed0=seed0, batched=False)
+    seq = run_ensemble(A, b, nruns, iterations, factory=factory, seed0=seed0)
     t1 = time.perf_counter()
-    bat = run_ensemble(A, b, nruns, iterations, config=config, seed0=seed0, batched=True)
+    bat = run_ensemble(A, b, nruns, iterations, config=config, seed0=seed0)
     t2 = time.perf_counter()
     identical = all(
         np.array_equal(getattr(seq, f), getattr(bat, f))

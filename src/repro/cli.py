@@ -277,7 +277,6 @@ def _cmd_serve(args) -> int:
 
 def _cmd_experiment(args) -> int:
     from .experiments import EXPERIMENTS, run_experiment
-    from .experiments.registry import supports_batched
 
     if args.id == "list":
         seen = set()
@@ -304,9 +303,7 @@ def _cmd_experiment(args) -> int:
                 continue
             seen.add(e.id)
             print(f"running {e.id}: {e.title} ...", flush=True)
-            # Forward the execution-path choice only where one exists.
-            batched = args.batched if supports_batched(e) else None
-            result = run_experiment(e.id, quick=not args.full, batched=batched)
+            result = run_experiment(e.id, quick=not args.full)
             path = outdir / f"{e.id.replace('/', '_')}.txt"
             path.write_text(result.render() + "\n")
             if args.json:
@@ -317,7 +314,6 @@ def _cmd_experiment(args) -> int:
         result = run_experiment(
             args.id,
             quick=not args.full,
-            batched=args.batched,
             telemetry_path=args.telemetry_json,
         )
     except ValueError as exc:
@@ -488,19 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--outdir", default=None, help="output directory for 'all'")
     pe.add_argument("--full", action="store_true", help="paper-scale parameters")
     pe.add_argument("--json", action="store_true", help="emit JSON instead of tables")
-    pe.add_argument(
-        "--batched",
-        dest="batched",
-        action="store_true",
-        default=None,
-        help="run replica ensembles through the batched multi-vector engine",
-    )
-    pe.add_argument(
-        "--no-batched",
-        dest="batched",
-        action="store_false",
-        help="force the sequential per-seed ensemble loop",
-    )
     pe.add_argument(
         "--telemetry-json",
         metavar="PATH",

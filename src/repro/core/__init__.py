@@ -21,21 +21,21 @@
   ρ(|B|) < 1 condition, well-posedness checks, rate predictions.
 """
 
-from .schedules import AsyncConfig, WaveScheduler, UPDATE_ORDERS, replica_rngs
-from .engine import AsyncEngine, BatchedAsyncEngine
 from .block_async import BlockAsyncSolver
-from .fault import FAULT_KINDS, FaultScenario
-from .detection import Alert, SilentErrorDetector
-from .threaded import ThreadedAsyncSolver
-from .localize import BlockResidualProfile, FaultLocalizer
-from .recovery import SelfHealingSolver
 from .convergence import (
-    is_diagonally_dominant,
     async_convergence_guaranteed,
+    check_well_posedness,
+    is_diagonally_dominant,
     jacobi_convergence_guaranteed,
     predicted_iterations,
-    check_well_posedness,
 )
+from .detection import Alert, SilentErrorDetector
+from .engine import AsyncEngine, BatchedAsyncEngine
+from .fault import FAULT_KINDS, FaultScenario
+from .localize import BlockResidualProfile, FaultLocalizer
+from .recovery import SelfHealingSolver
+from .schedules import UPDATE_ORDERS, AsyncConfig, WaveScheduler, replica_rngs
+from .threaded import ThreadedAsyncSolver
 
 __all__ = [
     "AsyncConfig",

@@ -22,8 +22,8 @@ import numpy as np
 from .._util import check_square, check_vector
 from ..partition import Partition, make_partition
 from ..runtime.recorder import RunRecorder
-from ..sparse import BlockRowView, CSRMatrix
 from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
+from ..sparse import BlockRowView, CSRMatrix
 from .engine import AsyncEngine
 from .fault import FaultScenario
 from .schedules import AsyncConfig

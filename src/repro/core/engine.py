@@ -50,7 +50,65 @@ from .schedules import AsyncConfig, WaveScheduler, replica_rngs
 __all__ = ["AsyncEngine", "BatchedAsyncEngine"]
 
 
-class AsyncEngine:
+class _SweepLanes:
+    """Lane state and backend dispatch shared by both engines.
+
+    A *lane* is one replica's schedule state — its generator and its
+    scheduler — advanced through the shared sweep index.  The executors of
+    :mod:`repro.perf.backends` are stateless across sweeps and read the
+    lanes at every call (``rngs``, ``schedulers``, ``sweep_index``,
+    :meth:`rhs`, ``fold_safe``, ``fault``, :meth:`frozen_blocks`), so one
+    executor object serves :class:`AsyncEngine` (R = 1) and
+    :class:`BatchedAsyncEngine` alike.  Backend resolution — including the
+    overlapped Schwarz modes' ``"ras"`` — is one call for both engines.
+    """
+
+    def __init__(
+        self,
+        view: BlockRowView,
+        b: np.ndarray,
+        config: AsyncConfig,
+        rngs: List[np.random.Generator],
+        fault: Optional[FaultScenario] = None,
+    ):
+        if len(rngs) < 1:
+            raise ValueError("nreplicas must be >= 1")
+        self.view = view
+        self.b = b
+        self.config = config
+        self.fault = fault
+        self.rngs = rngs
+        # Scheduler construction consumes RNG ("gpu" pattern pools) from
+        # each lane's own stream, exactly as a sequential engine does.
+        self.schedulers = [WaveScheduler(view.partition, config, rng) for rng in rngs]
+        self.sweep_index = 0
+        # The compiled sweep plan is shared with every engine built on this
+        # view — index structures are compiled once per decomposition, not
+        # per engine (repro.perf).
+        self.plan = compile_sweep_plan(view)
+        # The segment-sum scatter flips -0.0 bases to +0.0; where that
+        # could reach the iterate (b carrying -0.0 entries) the executors
+        # fall back to np.add.at and the mixed-γ collapse stays off.
+        self.fold_safe = rhs_preserves_fold(b)
+        self.backend = resolve_backend(
+            config,
+            self.schedulers[0],
+            has_fault=fault is not None,
+            rhs_fold_safe=self.fold_safe,
+            plan=self.plan,
+        )
+        self._executor = make_executor(self.backend, self.plan, config)
+
+    def rhs(self, r: int) -> np.ndarray:
+        """Right-hand side of lane *r* (shared, or its row of a multi-rhs stack)."""
+        return self.b[r] if self.b.ndim == 2 else self.b
+
+    def frozen_blocks(self) -> Optional[List[np.ndarray]]:
+        """Per-block local indices of fault-frozen rows, or ``None``."""
+        return None
+
+
+class AsyncEngine(_SweepLanes):
     """Executes block-asynchronous sweeps over a shared iterate.
 
     Parameters
@@ -58,7 +116,8 @@ class AsyncEngine:
     view:
         Precomputed block decomposition of the system matrix.
     b:
-        Right-hand side.
+        Right-hand side.  Kept by reference: executors read it at every
+        sweep, so callers may update it in place between sweeps.
     config:
         Asynchronism configuration (ordering, staleness, local iterations).
     fault:
@@ -74,12 +133,13 @@ class AsyncEngine:
     sweep_index:
         Number of completed global sweeps.
     backend:
-        Resolved sweep-execution backend (``"fused"`` or ``"reference"``,
-        see :mod:`repro.perf`): ``config.backend="auto"`` fuses the whole
-        sweep into stacked whole-system kernels wherever that is bitwise
-        the reference loop — snapshot-read regimes (γ ≡ 0) and
-        all-deferred writes, with no fault — and runs the per-block loop
-        everywhere else.
+        Resolved sweep-execution backend (see :mod:`repro.perf`):
+        ``"ras"`` in an overlapped Schwarz mode; otherwise, with
+        ``config.backend="auto"``, ``"stencil"`` or ``"fused"`` wherever a
+        whole-sweep executor is bitwise the reference loop — snapshot-read
+        regimes (γ ≡ 0) and all-deferred writes, with no fault; stencil
+        where structure detection succeeds — and ``"reference"`` (the
+        per-block loop) everywhere else.
     plan:
         The compiled :class:`repro.perf.SweepPlan`, shared by every engine
         built on the same :class:`~repro.sparse.BlockRowView`.
@@ -94,14 +154,7 @@ class AsyncEngine:
         fault: Optional[FaultScenario] = None,
         rng: Optional[np.random.Generator] = None,
     ):
-        self.view = view
-        self.b = check_vector(b, view.n, "b")
-        self.config = config
-        self.fault = fault
         self.rng = rng if rng is not None else as_rng(config.seed)
-        self.scheduler = WaveScheduler(view.partition, config, self.rng)
-        self.update_counts = np.zeros(view.nblocks, dtype=np.int64)
-        self.sweep_index = 0
         #: Optional telemetry sink (:class:`repro.runtime.RunRecorder`):
         #: fault activation/clearing and healing are reported as events.
         self.recorder: Optional[RunRecorder] = None
@@ -113,38 +166,9 @@ class AsyncEngine:
         # Healed components: reassigned to healthy cores (self-healing
         # recovery, repro.core.recovery) — exempt from any future fault.
         self._healed = np.zeros(view.n, dtype=bool)
-        # Compile (or reuse) the view's sweep plan and dispatch the sweep
-        # executor: the extended-block RAS loop when an overlapped Schwarz
-        # mode is active, otherwise matrix-free stencil kernels where
-        # structure detection succeeds, fused whole-system kernels where
-        # exact, and the per-block reference loop everywhere else
-        # (repro.perf).  With schwarz="none" or a zero-overlap partition
-        # the dispatch below is untouched — bitwise the historical engine.
-        self.plan = compile_sweep_plan(view)
-        if config.schwarz != "none" and view.partition.overlap > 0:
-            if fault is not None:
-                raise ValueError(
-                    "Schwarz modes do not support fault scenarios; use "
-                    "schwarz='none' for fault experiments"
-                )
-            if config.backend in ("fused", "stencil"):
-                raise ValueError(
-                    f"backend={config.backend!r} cannot execute async-RAS sweeps; "
-                    "use backend='auto' or 'reference' with schwarz modes"
-                )
-            from ..perf.ras import RASSweepExecutor
-
-            self.backend = "ras"
-            self._executor = RASSweepExecutor(self)
-        else:
-            self.backend = resolve_backend(
-                config,
-                self.scheduler,
-                has_fault=fault is not None,
-                rhs_fold_safe=rhs_preserves_fold(self.b),
-                plan=self.plan,
-            )
-            self._executor = make_executor(self.backend, self)
+        super().__init__(view, check_vector(b, view.n, "b"), config, [self.rng], fault)
+        self.scheduler = self.schedulers[0]
+        self.update_counts = np.zeros(view.nblocks, dtype=np.int64)
 
     # ------------------------------------------------------------------ #
 
@@ -181,6 +205,10 @@ class AsyncEngine:
                     )
                 self._frozen_reported = frozen > 0
 
+    def frozen_blocks(self) -> Optional[List[np.ndarray]]:
+        self._refresh_fault_state()
+        return self._frozen_local if self._frozen_mask is not None else None
+
     def sweep(self, x: np.ndarray) -> np.ndarray:
         """One global iteration: every block updated once, in schedule order.
 
@@ -192,13 +220,15 @@ class AsyncEngine:
         block Gauss-Seidel sweep in schedule order; the GPU reality is in
         between.
 
-        Execution is delegated to the backend resolved at construction
-        (:attr:`backend`): the fused whole-system kernel path where it is
-        bitwise-exact for this regime, the per-block reference loop
-        everywhere else.  Both live in :mod:`repro.perf.backends`; the
-        semantics described above are backend-independent.
+        Execution is delegated to the shared executor of the backend
+        resolved at construction (:attr:`backend`), called with this
+        engine as its single lane; the semantics described above are
+        backend-independent.
         """
-        return self._executor.sweep(x)
+        self._executor.sweep(x[None], self, (0,))
+        self.update_counts += 1
+        self.sweep_index += 1
+        return x
 
     # ------------------------------------------------------------------ #
 
@@ -271,15 +301,18 @@ class AsyncEngine:
         return int(self.update_counts.min()) if len(self.update_counts) else 0
 
 
-class BatchedAsyncEngine:
+
+
+class BatchedAsyncEngine(_SweepLanes):
     """Advances R independent async-(k) replicas through each sweep at once.
 
     The §4.1/§4.3 ensemble experiments run the *same* configuration many
     times, varying only the schedule seed.  This engine stacks the R
     replica iterates as an ``(R, n)`` multi-vector and advances every
-    replica through each global sweep with a handful of vectorized kernel
-    calls, instead of R scalar solves — the same per-sweep amortisation
-    batched asynchronous Richardson/Schwarz solvers use on GPUs.
+    replica through each global sweep, sharing one decomposition, one
+    compiled plan and one executor across all of them — the same per-sweep
+    amortisation batched asynchronous Richardson/Schwarz solvers use on
+    GPUs.
 
     **Exactness contract**: replica *r* reproduces, bitwise, the iterates
     the sequential :class:`AsyncEngine` produces for
@@ -287,23 +320,21 @@ class BatchedAsyncEngine:
     private generator (:func:`repro.core.schedules.replica_rngs`) and
     consumes it in exactly the sequential order — scheduler construction,
     per-sweep order jitter, per-block freshness masks, deferred-write
-    draws — while the numerical kernels run batched:
+    draws.  Backend resolution is the sequential engine's, and every
+    backend runs the sequential engine's executor over the replica lanes
+    (:mod:`repro.perf.backends`), with one exception: for R > 1 in the
+    mixed-γ reference regime the per-block loop is replaced by a
+    position-grouped multi-replica kernel, which amortises the
+    interpreter cost of the loop over the replicas:
 
     * the snapshot ("stale") part of every block's off-block gather is one
-      multi-vector SpMV against the restacked external matrix
-      (:meth:`repro.sparse.BlockRowView.external_matrix`);
+      cache-resident SpMV per replica against the restacked external
+      matrix (:meth:`repro.sparse.BlockRowView.external_matrix`);
     * per-entry race corrections and local Jacobi sweeps are grouped by
       (schedule position, block): replicas updating the same block at the
       same position advance together.  The position barrier preserves the
       sequential data flow — a block reads live values only of blocks
-      earlier in *its replica's* order;
-    * in the fused-exact regimes of :mod:`repro.perf` — every block reads
-      the pure sweep-start snapshot (γ ≡ 0, e.g. the ``"synchronous"``
-      order), or every write is deferred to the sweep end — block updates
-      are order-independent and the whole sweep collapses to one global
-      multi-vector two-stage update with no position loop at all
-      (``config.backend`` gates this exactly as it does the sequential
-      engine's fused executor).
+      earlier in *its replica's* order.
 
     All 2-D kernels are bitwise identical to their stacked 1-D
     counterparts (the CSR length-class packing sums each row the same way
@@ -311,8 +342,9 @@ class BatchedAsyncEngine:
     :func:`repro.sparse.scatter_add_fold` accumulate per accumulator in
     listed order), which the test suite asserts directly.
 
-    Fault scenarios are not supported — :func:`repro.stats.run_ensemble`
-    falls back to the sequential path for those.
+    Fault scenarios are not supported — a fault run is a per-seed
+    :class:`repro.core.BlockAsyncSolver` solve (e.g. a
+    :func:`repro.stats.run_ensemble` *factory*).
 
     Parameters
     ----------
@@ -331,7 +363,7 @@ class BatchedAsyncEngine:
         Asynchronism configuration.  ``config.seed`` is ignored — replica
         *r* runs with seed ``seed0 + r`` (or ``seeds[r]``).
     nreplicas:
-        Ensemble size R.
+        Ensemble size R (at least 1).
     seed0:
         First replica seed.
     seeds:
@@ -346,9 +378,8 @@ class BatchedAsyncEngine:
     sweep_index:
         Number of completed global sweeps.
     backend:
-        Resolved sweep-execution backend (:mod:`repro.perf`): ``"fused"``
-        means whole sweeps collapse to global multi-vector updates,
-        ``"reference"`` means the position-grouped loop runs every sweep.
+        Resolved sweep-execution backend, exactly as
+        :attr:`AsyncEngine.backend`.
     plan:
         The compiled :class:`repro.perf.SweepPlan` shared with every
         engine built on the same view.
@@ -364,22 +395,17 @@ class BatchedAsyncEngine:
         seed0: int = 0,
         seeds: Optional[List[int]] = None,
     ):
-        self.view = view
         self.nreplicas = int(nreplicas)
         b_arr = np.asarray(b, dtype=np.float64)
-        self.multi_rhs = b_arr.ndim == 2
-        if self.multi_rhs:
+        if b_arr.ndim == 2:
             if b_arr.shape != (self.nreplicas, view.n):
                 raise ValueError(
                     f"multi-rhs b must have shape ({self.nreplicas}, {view.n}), "
                     f"got {b_arr.shape}"
                 )
-            self.B: Optional[np.ndarray] = np.ascontiguousarray(b_arr)
-            self.b = self.B
+            b = np.ascontiguousarray(b_arr)
         else:
-            self.B = None
-            self.b = check_vector(b, view.n, "b")
-        self.config = config
+            b = check_vector(b, view.n, "b")
         self.seed0 = int(seed0)
         if seeds is not None:
             if len(seeds) != self.nreplicas:
@@ -387,150 +413,48 @@ class BatchedAsyncEngine:
                     f"seeds must list one seed per replica "
                     f"({self.nreplicas}), got {len(seeds)}"
                 )
-            self.rngs = [as_rng(s) for s in seeds]
+            rngs = [as_rng(s) for s in seeds]
         else:
-            self.rngs = replica_rngs(self.seed0, self.nreplicas)
-        # Scheduler construction consumes RNG ("gpu" pattern pools) exactly
-        # as the sequential engine's __init__ does.
-        self.schedulers = [
-            WaveScheduler(view.partition, config, rng) for rng in self.rngs
-        ]
+            rngs = replica_rngs(self.seed0, self.nreplicas)
+        super().__init__(view, b, config, rngs)
         self.update_counts = np.zeros((self.nreplicas, view.nblocks), dtype=np.int64)
-        self.sweep_index = 0
-        # The compiled sweep plan is shared with every sequential engine
-        # built on this view — index structures are compiled once per
-        # decomposition, not per engine (repro.perf).
-        self.plan = compile_sweep_plan(view)
-        # Per-block rhs slices: (block_rows,) shared across replicas, or
-        # (R, block_rows) when each replica owns its right-hand side.
-        if self.multi_rhs:
-            self._b_blocks = [
-                np.ascontiguousarray(self.B[:, blk.rows]) for blk in view.blocks
-            ]
-            self._Bflat = self.B.reshape(-1)
+        # R selects the reference kernel: one lane is the shared per-block
+        # executor, several share the position-grouped loop below.
+        self._grouped = self.backend == "reference" and self.nreplicas > 1
+        if self._grouped:
+            self._build_grouped()
+
+    #: Groups smaller than this are folded into one concatenated
+    #: per-position update instead of getting their own kernel calls.  With
+    #: the "gpu" order every replica jitters the same base pattern, so each
+    #: position has one large group plus a tail of near-singleton outliers
+    #: — the tail dominates the call count, not the flops.
+    _FUSE_MIN = 16
+
+    def _build_grouped(self) -> None:
+        """Per-block structures of the position-grouped reference loop."""
+        view = self.view
+        self._E = view.external_matrix()
+        self._E.warm_plan()
+        self._ext_buf: Optional[np.ndarray] = None
+        if self.b.ndim == 2:
+            self._b_blocks = [np.ascontiguousarray(self.b[:, blk.rows]) for blk in view.blocks]
         else:
             self._b_blocks = [self.b[blk.rows] for blk in view.blocks]
-            self._Bflat = None
-        self._ext_rows = self.plan.ext_rows
-        self._local_c = self.plan.local_c
-        self._E = view.external_matrix()
-        self._ext_buf: Optional[np.ndarray] = None
-        # Fused-path precomputes (see _sweep_fused).
         self._bs = np.array([blk.nrows for blk in view.blocks], dtype=np.int64)
         self._arange_rows = [
             np.arange(blk.start, blk.stop, dtype=np.int64) for blk in view.blocks
         ]
-        self._ennz = self.plan.ennz
         self._e_indices = [blk.external.indices for blk in view.blocks]
         self._e_data = [blk.external.data for blk in view.blocks]
         self._diag_blocks = [blk.diag for blk in view.blocks]
-        self._fold_safe = rhs_preserves_fold(self.b)
-        if config.schwarz != "none" and view.partition.overlap > 0:
-            # Overlapped Schwarz mode: every replica advances through the
-            # shared extended-block workspace (repro.perf.ras), consuming
-            # its own generator exactly as a sequential RAS engine would —
-            # batched/sequential parity holds by construction because both
-            # call the same sweep kernel.  None of the disjoint-path
-            # machinery below (padded plans, fused collapse, stencil) is
-            # built.
-            if config.backend in ("fused", "stencil"):
-                raise ValueError(
-                    f"backend={config.backend!r} cannot execute async-RAS sweeps; "
-                    "use backend='auto' or 'reference' with schwarz modes"
-                )
-            from ..perf.ras import RASWorkspace
-
-            self.backend = "ras"
-            self._ras = RASWorkspace(view, config)
-            self._stencil_kernels = None
-            return
-        self._ras = None
-        self._build_padded_plans()
-        # Backend resolution mirrors the sequential engine: the whole-sweep
-        # collapse (one global multi-vector two-stage update, no position
-        # loop) engages exactly where AsyncEngine's fused executor would —
-        # snapshot-read and all-deferred regimes — so replica r stays
-        # bitwise the sequential run regardless of which engine fused.
-        self.backend = resolve_backend(
-            config, self.schedulers[0], rhs_fold_safe=self._fold_safe, plan=self.plan
-        )
-        self._stencil_kernels = (
-            self.plan.stencil_kernels() if self.backend == "stencil" else None
-        )
-        if self.backend != "stencil":
-            self.plan.warm_fused()
-        if self.backend == "reference":
-            self.plan.warm_reference()
-
-    #: Groups smaller than this are folded into one fused per-position
-    #: update instead of getting their own kernel calls.  With the "gpu"
-    #: order every replica jitters the same base pattern, so each position
-    #: has one large group plus a tail of near-singleton outliers — the
-    #: tail dominates the call count, not the flops.
-    _FUSE_MIN = 16
-
-    #: Column sentinel for pad entries of the padded-ELL local plans;
-    #: clipped to the shared zero slot at product time.
-    _PAD_SENTINEL = np.int64(1) << 48
-
-    def _build_padded_plans(self) -> None:
-        """Uniform-width (padded ELL) layout of every block's local part.
-
-        Each block's in-block off-diagonal rows are laid out as a dense
-        ``(block_rows, W)`` panel, W the widest local row over *all*
-        blocks.  Pad entries hold the value ``-0.0`` and a sentinel column
-        that resolves to a shared ``+0.0`` operand slot, so every pad
-        contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
-        addition of ``-0.0`` is the identity for every float (signed
-        zeros, infinities and NaNs included).  A padded row therefore sums
-        bitwise identically to the unpadded left-to-right sum of
-        :meth:`repro.sparse.CSRMatrix._packed_product`, while giving all
-        blocks one common rectangular shape that concatenates across
-        blocks with no per-length-class bookkeeping.
-
-        The one exception is an *empty* row: the packed kernel writes it
-        as ``+0.0`` while an all-pad row would sum to ``-0.0``, so empty
-        rows get ``+0.0`` as their first pad.  Rows wider than the packed
-        kernel's panel cap would be summed by ``reduceat`` (a different
-        order), so such blocks disable the fused path entirely.
-        """
-        from ..sparse.csr import CSRMatrix
-
-        self._pad_cols: Optional[List[np.ndarray]] = None
-        self._pad_data: List[np.ndarray] = []
-        self._padW = 0
-        widths = []
-        for blk in self.view.blocks:
-            lengths = np.diff(blk.local_off.indptr)
-            w = int(lengths.max()) if len(lengths) else 0
-            if w > CSRMatrix._ELL_MAX_WIDTH:
-                return
-            widths.append(w)
-        W = max(1, max(widths, default=1))
-        pad_cols = []
-        for blk in self.view.blocks:
-            lc = blk.local_off_compressed()
-            lengths = np.diff(lc.indptr)
-            cols = np.full((blk.nrows, W), self._PAD_SENTINEL, dtype=np.int64)
-            data = np.full((blk.nrows, W), -0.0)
-            r = lc._expanded_rows()
-            p = np.arange(lc.nnz, dtype=np.int64) - lc.indptr[r]
-            cols[r, p] = lc.indices
-            data[r, p] = lc.data
-            data[lengths == 0, 0] = 0.0
-            # Lane-major (W, rows) storage: the product then runs one
-            # contiguous gather-multiply-add per lane instead of strided
-            # column reductions over a (rows, W) panel.
-            pad_cols.append(np.ascontiguousarray(cols.T))
-            self._pad_data.append(np.ascontiguousarray(data.T))
-        self._padW = W
-        self._pad_cols = pad_cols
+        self._pad_cols, self._pad_data, self._padW = self.plan.padded_local
 
     # ------------------------------------------------------------------ #
 
     def staleness_bound(self) -> int:
         """Shift-function bound of the schedules (condition (2) of §2.2)."""
-        return self.schedulers[0].staleness_bound() if self.schedulers else 0
+        return self.schedulers[0].staleness_bound()
 
     def _base_external(self, S: np.ndarray, reps: np.ndarray) -> np.ndarray:
         """Snapshot off-block gather ``E @ S[r]`` for every replica in *reps*.
@@ -544,12 +468,8 @@ class BatchedAsyncEngine:
         if out is None or out.shape[0] < len(reps):
             out = self._ext_buf = np.empty((len(reps), self.view.n))
         out = out[: len(reps)]
-        if self._stencil_kernels is not None:
-            for i, r in enumerate(reps):
-                self._stencil_kernels.apply_external(S[r], out[i])
-        else:
-            for i, r in enumerate(reps):
-                self._E.matvec(S[r], out=out[i])
+        for i, r in enumerate(reps):
+            self._E.matvec(S[r], out=out[i])
         return out
 
     def sweep(self, X: np.ndarray, replicas: Optional[np.ndarray] = None) -> np.ndarray:
@@ -560,37 +480,31 @@ class BatchedAsyncEngine:
         frozen rows are neither read nor written, and their generators are
         not consumed, exactly as a sequential run that stopped early.
         """
-        cfg = self.config
-        view = self.view
-        nb = view.nblocks
-        if X.shape != (self.nreplicas, view.n):
+        if X.shape != (self.nreplicas, self.view.n):
             raise ValueError(
-                f"X must have shape ({self.nreplicas}, {view.n}), got {X.shape}"
+                f"X must have shape ({self.nreplicas}, {self.view.n}), got {X.shape}"
             )
         reps = (
             np.arange(self.nreplicas, dtype=np.int64)
             if replicas is None
             else np.asarray(replicas, dtype=np.int64)
         )
-        if len(reps) == 0:
-            self.sweep_index += 1
-            return X
-        if self._ras is not None:
-            # Async-RAS: each replica runs the shared extended-block sweep
-            # kernel on its own iterate row, generator and scheduler —
-            # literally the sequential executor's call, once per replica.
-            for r in reps:
-                self._ras.sweep(
-                    X[r],
-                    self.B[r] if self.multi_rhs else self.b,
-                    self.rngs[r],
-                    self.schedulers[r],
-                    self.sweep_index,
-                    self.update_counts[r],
-                    fold_safe=self._fold_safe,
-                )
-            self.sweep_index += 1
-            return X
+        if len(reps):
+            if self._grouped:
+                self._sweep_grouped(X, reps)
+            else:
+                self._executor.sweep(X, self, reps)
+            self.update_counts[reps] += 1
+        self.sweep_index += 1
+        return X
+
+    def _sweep_grouped(self, X: np.ndarray, reps: np.ndarray) -> None:
+        """The position-grouped mixed-γ reference sweep of replicas *reps*."""
+        cfg = self.config
+        view = self.view
+        nb = view.nblocks
+        ennz = self.plan.ennz
+        multi_rhs = self.b.ndim == 2
 
         # 1. Per-replica schedule plans.  γ is a deterministic device
         # property — identical for every replica — but the orders differ.
@@ -618,7 +532,7 @@ class BatchedAsyncEngine:
             mpos = np.flatnonzero(mixed)
             gmix = float(gamma[mpos[0]])
             for i, r in enumerate(reps):
-                sizes = self._ennz[orders[i][mpos]]
+                sizes = ennz[orders[i][mpos]]
                 offs = np.zeros(len(sizes) + 1, dtype=np.int64)
                 np.cumsum(sizes, out=offs[1:])
                 fm = self.rngs[r].random(int(offs[-1])) < gmix
@@ -632,46 +546,13 @@ class BatchedAsyncEngine:
                 for pos in range(nb):
                     if mixed[pos]:
                         g = gamma[pos]
-                        fresh[i][pos] = rng.random(self._ennz[row[pos]]) < g
+                        fresh[i][pos] = rng.random(ennz[row[pos]]) < g
                     if draw_defer:
                         defer[i, pos] = rng.random() < cfg.deferred_write_prob
 
         all_live = bool(np.all(gamma >= 1.0))
-        collapse = self.backend in ("fused", "stencil")
         S = X if all_live else X.copy()
-        EXT = self._base_external(S, reps) if (collapse or not all_live) else None
-
-        if collapse:
-            # Fused whole-sweep collapse, in the exact regimes of
-            # repro.perf: with snapshot reads (γ ≡ 0) no block observes
-            # another's current-sweep writes; with all-deferred writes
-            # every write lands at the sweep end, so live reads — any γ —
-            # observe pre-sweep values and race corrections are exact
-            # signed zeros.  Either way the whole sweep is one global
-            # multi-vector two-stage update with no position loop at all
-            # (deferred writes land by sweep end on disjoint rows — the
-            # final state is identical).
-            s_all = (self.B[reps] if self.multi_rhs else self.b) - EXT
-            if self._stencil_kernels is not None:
-                # Stacked stencil variant: the weight planes broadcast over
-                # the replica axis, so the (R, n) update is the 1-D slice
-                # arithmetic per replica row — bitwise the CSR collapse.
-                Z = self._stencil_kernels.local_sweeps(
-                    s_all, X[reps], cfg.local_iterations, omega=cfg.omega
-                )
-            else:
-                Z = local_jacobi_sweeps(
-                    view.local_offdiag_matrix(),
-                    view.diagonal_vector(),
-                    s_all,
-                    X[reps],
-                    cfg.local_iterations,
-                    omega=cfg.omega,
-                )
-            X[reps] = Z
-            self.update_counts[reps] += 1
-            self.sweep_index += 1
-            return X
+        EXT = None if all_live else self._base_external(S, reps)
 
         # 3. Position loop with (position, block) grouping.  Replicas at
         # the same position update disjoint rows and read only their own
@@ -680,27 +561,26 @@ class BatchedAsyncEngine:
         # earlier-blocks-are-live data flow.  Large groups (many replicas
         # on the same block — the "gpu" order's shared base pattern) run
         # as rectangular per-block kernels; the tail of small outlier
-        # groups is folded into one fused concatenated update per
-        # position.
+        # groups is folded into one concatenated update per position.
         deferred: List[Tuple[int, slice, np.ndarray]] = []
         Xflat = X.reshape(-1) if X.flags["C_CONTIGUOUS"] else None
-        fused_ok = self._pad_cols is not None and Xflat is not None
+        concat_ok = self._pad_cols is not None and Xflat is not None
         for pos in range(nb):
             bids = orders[:, pos]
             g = float(gamma[pos])
             ubids, inv, counts = np.unique(bids, return_inverse=True, return_counts=True)
-            fuse = fused_ok and g < 1.0 and bool((counts < self._FUSE_MIN).any())
-            if fuse:
+            concat = concat_ok and g < 1.0 and bool((counts < self._FUSE_MIN).any())
+            if concat:
                 small = np.flatnonzero(counts[inv] < self._FUSE_MIN)
                 mem_s = small[np.argsort(bids[small], kind="stable")]
-                self._sweep_fused(
+                self._sweep_concatenated(
                     X, Xflat, S, EXT, pos, mem_s, bids[mem_s], g, reps,
                     fresh, defer, draw_defer, deferred,
                 )
                 if len(small) == len(bids):
                     continue
             for k, bid in enumerate(ubids):
-                if fuse and counts[k] < self._FUSE_MIN:
+                if concat and counts[k] < self._FUSE_MIN:
                     continue
                 mem = np.flatnonzero(inv == k)
                 rows_g = reps[mem]
@@ -725,23 +605,23 @@ class BatchedAsyncEngine:
                             cols = e.indices[ei]
                             rg = rows_g[mi]
                             delta = e.data[ei] * (X[rg, cols] - S[rg, cols])
-                            if self._fold_safe:
+                            if self.fold_safe:
                                 # Segment-sum scatter (one bincount) in
                                 # place of np.add.at; per accumulator the
                                 # fold order is identical (base first,
                                 # then deltas in entry order).
                                 ext = scatter_add_fold(
                                     ext,
-                                    mi * blk.nrows + self._ext_rows[bid][ei],
+                                    mi * blk.nrows + self.plan.ext_rows[bid][ei],
                                     delta,
                                 )
                             else:
-                                np.add.at(ext, (mi, self._ext_rows[bid][ei]), delta)
+                                np.add.at(ext, (mi, self.plan.ext_rows[bid][ei]), delta)
                 s = (
-                    self._b_blocks[bid][rows_g] if self.multi_rhs else self._b_blocks[bid]
+                    self._b_blocks[bid][rows_g] if multi_rhs else self._b_blocks[bid]
                 ) - ext
                 z = local_jacobi_sweeps(
-                    self._local_c[bid],
+                    self.plan.local_c[bid],
                     blk.diag,
                     s,
                     X[rows_g, blk.start : blk.stop],
@@ -760,11 +640,8 @@ class BatchedAsyncEngine:
 
         for r, rows, vals in deferred:
             X[r, rows] = vals
-        self.update_counts[reps] += 1
-        self.sweep_index += 1
-        return X
 
-    def _sweep_fused(
+    def _sweep_concatenated(
         self,
         X: np.ndarray,
         Xflat: np.ndarray,
@@ -786,9 +663,9 @@ class BatchedAsyncEngine:
         id so same-block pairs sit in contiguous sections.  All pairs'
         block rows are laid out back to back in one work vector and every
         step of the block update — snapshot gather, per-entry race
-        corrections, the k local Jacobi sweeps over the padded-ELL local
-        plans (:meth:`_build_padded_plans`), the write-back — runs as a
-        single kernel call over the concatenation.  Pairs touch disjoint
+        corrections, the k local Jacobi sweeps over the plan's padded-ELL
+        local panels (:attr:`repro.perf.SweepPlan.padded_local`), the
+        write-back — runs as a single kernel call over the concatenation.  Pairs touch disjoint
         replica rows, so this is bitwise the same as updating them one
         group at a time: concatenation never mixes two pairs' terms into
         one accumulator (``np.add.at`` accumulates per listed index, and
@@ -797,6 +674,7 @@ class BatchedAsyncEngine:
         cfg = self.config
         view = self.view
         n = view.n
+        ennz = self.plan.ennz
         rows_g = reps[mem]
         bs = self._bs[bids]
         m = len(mem)
@@ -817,19 +695,19 @@ class BatchedAsyncEngine:
                 ecols = np.concatenate([self._e_indices[b] for b in bids])[sel]
                 edata = np.concatenate([self._e_data[b] for b in bids])[sel]
                 epos = (
-                    np.concatenate([self._ext_rows[b] for b in bids])
-                    + np.repeat(row_off, self._ennz[bids])
+                    np.concatenate([self.plan.ext_rows[b] for b in bids])
+                    + np.repeat(row_off, ennz[bids])
                 )[sel]
-                erep = np.repeat(rows_g, self._ennz[bids])[sel]
+                erep = np.repeat(rows_g, ennz[bids])[sel]
                 delta = edata * (X[erep, ecols] - S[erep, ecols])
-                if self._fold_safe:
+                if self.fold_safe:
                     ext = scatter_add_fold(ext, epos, delta)
                 else:
                     np.add.at(ext, epos, delta)
-        if self.multi_rhs:
+        if self.b.ndim == 2:
             # Same flat gather as the iterate: each pair's section takes
             # its own replica's rhs rows.
-            s = self._Bflat[flat]
+            s = self.b.reshape(-1)[flat]
         else:
             s = np.concatenate([self._b_blocks[b] for b in bids])
         np.subtract(s, ext, out=s)
@@ -904,17 +782,14 @@ class BatchedAsyncEngine:
         X = np.zeros((R, n))
         res_row = np.empty(n)
 
-        def rhs_row(r: int) -> np.ndarray:
-            return self.B[r] if self.multi_rhs else self.b
-
         # x0 = 0 for every replica: the initial residual is shared for a
         # shared rhs and per-replica otherwise.
-        if self.multi_rhs:
+        if self.b.ndim == 2:
             zero = np.zeros(n)
             r0 = np.array(
-                [float(np.linalg.norm(A.residual(zero, self.B[r]))) for r in range(R)]
+                [float(np.linalg.norm(A.residual(zero, self.b[r]))) for r in range(R)]
             )
-            b_norm = np.array([float(np.linalg.norm(self.B[r])) for r in range(R)])
+            b_norm = np.array([float(np.linalg.norm(self.b[r])) for r in range(R)])
         else:
             r0 = np.full(R, float(np.linalg.norm(A.residual(np.zeros(n), self.b))))
             b_norm = float(np.linalg.norm(self.b))
@@ -923,7 +798,7 @@ class BatchedAsyncEngine:
             out = np.empty(len(reps))
             for i, r in enumerate(reps):
                 A.matvec(X[r], out=res_row)
-                np.subtract(rhs_row(r), res_row, out=res_row)
+                np.subtract(self.rhs(r), res_row, out=res_row)
                 out[i] = float(np.linalg.norm(res_row))
             return out
 

@@ -119,8 +119,8 @@ class _LocalShard:
         # components this sweep (two-stage outer asynchronism).
         np.copyto(self._snapshot, self.state.x)
         self.halo.matvec(self._snapshot, out=self._halo_buf)
-        # In place: the engine's executors hold views into engine.b, so
-        # the fold is visible to fused and reference paths alike.  With an
+        # In place: the shared executors read engine.b at every sweep, so
+        # the fold is visible to every backend alike.  With an
         # empty halo the product is +0.0 everywhere and the subtraction
         # reproduces b bitwise (IEEE: v − (+0.0) == v for every v, signed
         # zeros included).

@@ -18,7 +18,6 @@ from ..core import BlockAsyncSolver
 from ..matrices import default_rhs, get_matrix
 from ..runtime import RunRecorder
 from ..solvers import GaussSeidelSolver, JacobiSolver, StoppingCriterion
-from ..solvers.base import SolveResult
 from .report import ExperimentResult, TableArtifact, series_table
 from .runner import FIG6_ITERS, iterations_to_tolerance, paper_async_config
 
@@ -28,98 +27,19 @@ __all__ = ["run", "convergence_histories"]
 SUMMARY_TOL = 1e-9
 
 
-def _batched_async_solve(A, b, solver: BlockAsyncSolver, stopping: StoppingCriterion) -> SolveResult:
-    """``solver.solve(A, b)`` executed through the batched engine (R = 1).
-
-    Drives one replica of :class:`repro.core.BatchedAsyncEngine` with the
-    solver's own seed and stopping rule — bitwise the sequential solve (the
-    engine's exactness contract), so ``--batched`` changes the execution
-    path of the figure's async curves without changing the figures.  The
-    iteration itself is :class:`repro.runtime.RunLoop` with the ``(1, n)``
-    multi-vector as the iterate.
-
-    The solver's partition spec is honoured: permuting strategies advance
-    the permuted system (histories in partition order, like the
-    sequential path) and report the solution in original row order.
-    """
-    from ..core.engine import BatchedAsyncEngine
-    from ..partition import make_partition
-    from ..runtime import RunLoop
-    from ..sparse import BlockRowView
-
-    cfg = solver.config
-    part = make_partition(A, solver.partition, block_size=cfg.block_size)
-    view = BlockRowView(A, partition=part)
-    Ap, bp = view.matrix, view.permute_vector(b)
-    engine = BatchedAsyncEngine(view, bp, cfg, 1, seed0=int(cfg.seed))
-    X = np.zeros((1, A.shape[0]))
-    b_norm = float(np.linalg.norm(bp))
-    loop = RunLoop(
-        stopping,
-        residual_every=solver.residual_every,
-        recorder=solver.recorder,
-    )
-
-    def step(X, it):
-        engine.sweep(X)
-
-    outcome = loop.run(
-        X,
-        step,
-        lambda X: float(np.linalg.norm(Ap.residual(X[0], bp))),
-        b_norm=b_norm,
-        method=f"batched-{cfg.method_name}",
-    )
-    if solver.recorder is not None:
-        solver.recorder.annotate(
-            backend=engine.backend, partition=view.partition_telemetry()
-        )
-    result = SolveResult(
-        x=view.unpermute_vector(X[0].copy()),
-        residuals=outcome.residuals,
-        converged=outcome.converged,
-        method=cfg.method_name,
-        b_norm=b_norm,
-        info={"diverged": outcome.diverged, "batched": True},
-    )
-    if solver.residual_every != 1:
-        result.residual_iters = outcome.residual_iters
-        result.info["sweeps"] = outcome.sweeps
-    return result
-
-
-def convergence_histories(
-    name: str,
-    methods: Dict[str, object],
-    maxiter: int,
-    *,
-    batched: Optional[bool] = None,
-):
-    """Residual histories of the given solvers on one suite system.
-
-    ``batched=True`` routes the async solvers through the batched engine
-    (:func:`_batched_async_solve`); the synchronous baselines always solve
-    sequentially.
-    """
+def convergence_histories(name: str, methods: Dict[str, object], maxiter: int):
+    """Residual histories of the given solvers on one suite system."""
     A = get_matrix(name)
     b = default_rhs(A)
     out = {}
     for label, solver in methods.items():
         stopping = StoppingCriterion(tol=0.0, maxiter=maxiter, divergence_limit=1e40)
         solver.stopping = stopping
-        if batched and isinstance(solver, BlockAsyncSolver) and solver.fault is None:
-            out[label] = _batched_async_solve(A, b, solver, stopping)
-        else:
-            out[label] = solver.solve(A, b)
+        out[label] = solver.solve(A, b)
     return out
 
 
-def run(
-    quick: bool = True,
-    *,
-    batched: Optional[bool] = None,
-    telemetry_path: Optional[str] = None,
-) -> ExperimentResult:
+def run(quick: bool = True, *, telemetry_path: Optional[str] = None) -> ExperimentResult:
     """Generate all six panels of Figure 6.
 
     ``telemetry_path`` writes a :class:`repro.runtime.RunRecorder` JSON
@@ -142,7 +62,6 @@ def run(
                 ),
             },
             maxiter,
-            batched=batched,
         )
         if recorder is not None:
             # The async solve just closed its run; tag it with the matrix.
@@ -175,8 +94,6 @@ def run(
         "Expected shape: Gauss-Seidel ~2x faster per iteration than Jacobi; "
         "async-(1) tracks Jacobi; s1rmt3m1 diverges for all methods.",
     ]
-    if batched:
-        notes.append("async curves computed via the batched engine (bitwise the sequential path).")
     if quick:
         notes.append("quick mode caps fv3 at 2000 iterations (paper plots 25000); set quick=False / REPRO_FULL=1.")
     if recorder is not None:

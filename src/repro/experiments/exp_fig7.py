@@ -12,8 +12,6 @@ sweeps per block, the block-asynchronous method
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..core import BlockAsyncSolver
@@ -27,7 +25,7 @@ from .exp_fig6 import SUMMARY_TOL, convergence_histories
 __all__ = ["run"]
 
 
-def run(quick: bool = True, *, batched: Optional[bool] = None) -> ExperimentResult:
+def run(quick: bool = True) -> ExperimentResult:
     """Generate all six panels of Figure 7."""
     tables = []
     series = {}
@@ -41,7 +39,6 @@ def run(quick: bool = True, *, batched: Optional[bool] = None) -> ExperimentResu
                 "async-(5)": BlockAsyncSolver(paper_async_config(5, seed=1)),
             },
             maxiter,
-            batched=batched,
         )
         npts = min(len(r.residuals) for r in results.values())
         ys = {label: r.relative_residuals()[:npts] for label, r in results.items()}
@@ -79,6 +76,4 @@ def run(quick: bool = True, *, batched: Optional[bool] = None) -> ExperimentResu
         "~1 or below for Chem97ZtZ/Trefethen (local iterations add little), "
         "divergence for s1rmt3m1.",
     ]
-    if batched:
-        notes.append("async curves computed via the batched engine (bitwise the sequential path).")
     return ExperimentResult("F7", "Convergence of async-(5) vs Gauss-Seidel", tables, series, notes)

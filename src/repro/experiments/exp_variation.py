@@ -15,7 +15,7 @@ Trefethen_2000, reproducing
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -53,30 +53,23 @@ def _stats_table(tag: str, name: str, stats) -> TableArtifact:
     )
 
 
-def run(quick: bool = True, *, batched: Optional[bool] = None) -> ExperimentResult:
+def run(quick: bool = True) -> ExperimentResult:
     """Run both ensembles and the block-size ablation.
 
-    *batched* selects :func:`repro.stats.run_ensemble`'s execution path
-    (``None`` = its default, the batched multi-vector engine); both paths
-    produce bitwise-identical statistics.
+    Every ensemble is config-driven, so :func:`repro.stats.run_ensemble`
+    advances all its runs as one batched multi-vector solve.
     """
     nruns = ensemble_runs(quick)
     tables = []
     series: Dict[str, Dict[str, np.ndarray]] = {}
     notes = [f"ensemble size: {nruns} runs (paper: 1000; set REPRO_RUNS to change)"]
-    if batched is not None:
-        notes.append(
-            f"ensemble path: {'batched multi-vector engine' if batched else 'sequential per-seed loop'}"
-        )
 
     for tag, (name, iters, stride) in _CASES.items():
         A = get_matrix(name)
         b = default_rhs(A)
         cfg = paper_async_config(5, block_size=VARIATION_BLOCK_SIZE)
         checkpoints = list(range(stride, iters + 1, stride))
-        stats = run_ensemble(
-            A, b, nruns, iters, config=cfg, checkpoints=checkpoints, batched=batched
-        )
+        stats = run_ensemble(A, b, nruns, iters, config=cfg, checkpoints=checkpoints)
         tables.append(_stats_table(tag, name, stats))
         notes.append(
             f"{name}: relative-variation growth slope "
@@ -98,7 +91,7 @@ def run(quick: bool = True, *, batched: Optional[bool] = None) -> ExperimentResu
     for bs in (64, 128, 448):
         view = BlockRowView(A, block_size=bs)
         cfg = paper_async_config(5, block_size=bs)
-        st = run_ensemble(A, b, abl_runs, 60, config=cfg, checkpoints=[40], batched=batched)
+        st = run_ensemble(A, b, abl_runs, 60, config=cfg, checkpoints=[40])
         abl_rows.append([bs, view.off_block_fraction(), float(st.rel_variation[0])])
     tables.append(
         TableArtifact(

@@ -19,7 +19,6 @@ __all__ = [
     "EXPERIMENTS",
     "get_experiment",
     "run_experiment",
-    "supports_batched",
     "supports_telemetry",
 ]
 
@@ -101,11 +100,6 @@ def get_experiment(experiment_id: str) -> Experiment:
     return EXPERIMENTS[key]
 
 
-def supports_batched(experiment: Experiment) -> bool:
-    """Whether the experiment's runner takes a ``batched`` keyword."""
-    return "batched" in inspect.signature(experiment.runner).parameters
-
-
 def supports_telemetry(experiment: Experiment) -> bool:
     """Whether the experiment's runner takes a ``telemetry_path`` keyword."""
     return "telemetry_path" in inspect.signature(experiment.runner).parameters
@@ -115,27 +109,16 @@ def run_experiment(
     experiment_id: str,
     *,
     quick: bool = True,
-    batched: Optional[bool] = None,
     telemetry_path: Optional[str] = None,
 ) -> ExperimentResult:
     """Run one experiment and return its result.
 
-    *batched* selects the ensemble execution path (``--batched`` /
-    ``--no-batched`` on the CLI) for the experiments that run replica
-    ensembles or async convergence histories; ``None`` keeps each
-    experiment's default.  *telemetry_path* asks the experiment to write
-    its :class:`repro.runtime.RunRecorder` JSON there.  Passing an
-    explicit value to an experiment without the corresponding capability
-    is an error, not a silent no-op.
+    *telemetry_path* asks the experiment to write its
+    :class:`repro.runtime.RunRecorder` JSON there.  Passing it to an
+    experiment that emits no telemetry is an error, not a silent no-op.
     """
     exp = get_experiment(experiment_id)
     kwargs = {}
-    if batched is not None:
-        if not supports_batched(exp):
-            raise ValueError(
-                f"experiment {exp.id} has no batched/sequential execution choice"
-            )
-        kwargs["batched"] = batched
     if telemetry_path is not None:
         if not supports_telemetry(exp):
             raise ValueError(f"experiment {exp.id} does not emit run telemetry")

@@ -7,11 +7,11 @@ are implemented here:
 * :mod:`repro.extensions.multigrid` — a geometric multigrid V-cycle for the
   2-D Poisson problem with pluggable smoothers (Jacobi / Gauss-Seidel /
   async-(k)), benchmarked in the X1 extension experiment.
-* :mod:`repro.extensions.precond` — async-(k) sweeps as a (frozen-schedule)
-  preconditioner for CG, benchmarked in X2.
+* async-(k) sweeps as a (frozen-schedule) preconditioner for CG,
+  benchmarked in X2, grew into the :mod:`repro.krylov` subsystem
+  (:class:`repro.krylov.AsyncSweepPreconditioner`).
 """
 
 from .multigrid import MultigridPoisson, SmootherSpec
-from .precond import AsyncPreconditioner
 
-__all__ = ["MultigridPoisson", "SmootherSpec", "AsyncPreconditioner"]
+__all__ = ["MultigridPoisson", "SmootherSpec"]

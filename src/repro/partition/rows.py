@@ -1,8 +1,7 @@
 """Contiguous row-partition boundary builders.
 
-Canonical home of the boundary helpers that used to live in
-``repro.sparse.blocked`` (which still re-exports them behind a
-:class:`DeprecationWarning`).  Both builders validate their inputs up
+Home of the boundary helpers that used to live in
+``repro.sparse.blocked``.  Both builders validate their inputs up
 front — in particular ``nblocks`` outside ``[1, n]`` raises a clear
 :class:`ValueError` instead of silently emitting empty blocks — and both
 guarantee a strictly increasing ``[0, ..., n]`` boundary array, i.e. a

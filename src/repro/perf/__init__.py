@@ -10,11 +10,13 @@ sweep computes; this subpackage decides *how* it executes:
   outcome;
 * :mod:`repro.perf.stencil` detects stencil-regular systems and compiles
   their matrix-free offset-shifted sweep kernels;
-* :mod:`repro.perf.backends` dispatches each engine to the matrix-free
-  stencil executor where detection succeeds, to a fused whole-system
-  executor wherever that is bitwise-exact for the configured asynchronism
-  regime, and to the (plan-accelerated) per-block reference loop
-  everywhere else.
+* :mod:`repro.perf.backends` dispatches each engine — sequential and
+  batched alike — to one shared executor: the extended-block RAS loop in
+  overlapped Schwarz modes, the whole-sweep executor over the matrix-free
+  stencil kernels where detection succeeds or over the stacked CSR
+  kernels wherever that is bitwise-exact for the configured asynchronism
+  regime, and the (plan-accelerated) per-block reference loop everywhere
+  else.
 
 This mirrors how production asynchronous-solver stacks are organised
 (e.g. the backend-dispatched executors over precompiled per-subdomain
@@ -28,16 +30,15 @@ seam that is observable only through timing.
 # `import repro.perf` works standalone in either import order.
 from ..core.schedules import BACKENDS
 from .backends import (
-    FusedSweepExecutor,
     ReferenceSweepExecutor,
-    StencilSweepExecutor,
+    WholeSweepExecutor,
     consume_schedule_draws,
     fused_sweep_exact,
     make_executor,
     resolve_backend,
 )
 from .plan import SweepPlan, compile_sweep_plan, plan_compile_count, rhs_preserves_fold
-from .ras import RASSweepExecutor, RASWorkspace
+from .ras import RASWorkspace
 from .stencil import StencilDescriptor, StencilKernels, detect_stencil
 
 __all__ = [
@@ -50,11 +51,9 @@ __all__ = [
     "resolve_backend",
     "consume_schedule_draws",
     "make_executor",
-    "FusedSweepExecutor",
-    "RASSweepExecutor",
     "RASWorkspace",
     "ReferenceSweepExecutor",
-    "StencilSweepExecutor",
+    "WholeSweepExecutor",
     "StencilDescriptor",
     "StencilKernels",
     "detect_stencil",

@@ -26,7 +26,7 @@ batched, preconditioner-internal — shares a single compilation.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -101,6 +101,7 @@ class SweepPlan:
         self._ras_ennz: Optional[np.ndarray] = None
         self._stencil = None
         self._stencil_kernels = None
+        self._padded: Optional[Tuple[Optional[List[np.ndarray]], List[np.ndarray], int]] = None
 
     # ------------------------------------------------------------------ #
     # reference-loop structures
@@ -167,6 +168,64 @@ class SweepPlan:
             self.view.warm_stacked_kernels()
             self._warmed_fused = True
         return self
+
+    # ------------------------------------------------------------------ #
+    # padded-ELL local panels (the batched engine's position-grouped loop)
+    # ------------------------------------------------------------------ #
+
+    #: Column sentinel for pad entries of the padded-ELL local panels;
+    #: clipped to the shared zero slot at product time.
+    PAD_SENTINEL = np.int64(1) << 48
+
+    @property
+    def padded_local(self) -> Tuple[Optional[List[np.ndarray]], List[np.ndarray], int]:
+        """Uniform-width (padded ELL) layout of every block's local part (cached).
+
+        Returns ``(cols, data, W)``: per block, lane-major ``(W, block_rows)``
+        column and value panels, W the widest local row over *all* blocks.
+        Pad entries hold the value ``-0.0`` and the :attr:`PAD_SENTINEL`
+        column that resolves to a shared ``+0.0`` operand slot, so every pad
+        contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
+        addition of ``-0.0`` is the identity for every float (signed zeros,
+        infinities and NaNs included).  A padded row therefore sums bitwise
+        identically to the unpadded left-to-right sum of
+        :meth:`repro.sparse.CSRMatrix._packed_product`, while giving all
+        blocks one common rectangular shape that concatenates across blocks
+        with no per-length-class bookkeeping.
+
+        The one exception is an *empty* row: the packed kernel writes it as
+        ``+0.0`` while an all-pad row would sum to ``-0.0``, so empty rows
+        get ``+0.0`` as their first pad.  Rows wider than the packed
+        kernel's panel cap would be summed by ``reduceat`` (a different
+        order), so such decompositions get ``cols = None`` and the
+        concatenated path stays off.
+        """
+        if self._padded is None:
+            self._padded = self._build_padded()
+        return self._padded
+
+    def _build_padded(self):
+        blocks = self.view.blocks
+        widths = [int(np.diff(blk.local_off.indptr).max(initial=0)) for blk in blocks]
+        if max(widths, default=0) > CSRMatrix._ELL_MAX_WIDTH:
+            return None, [], 0
+        W = max(1, max(widths, default=1))
+        pad_cols, pad_data = [], []
+        for blk, lc in zip(blocks, self.local_c):
+            lengths = np.diff(lc.indptr)
+            cols = np.full((blk.nrows, W), self.PAD_SENTINEL, dtype=np.int64)
+            data = np.full((blk.nrows, W), -0.0)
+            r = lc._expanded_rows()
+            p = np.arange(lc.nnz, dtype=np.int64) - lc.indptr[r]
+            cols[r, p] = lc.indices
+            data[r, p] = lc.data
+            data[lengths == 0, 0] = 0.0
+            # Lane-major (W, rows) storage: the product then runs one
+            # contiguous gather-multiply-add per lane instead of strided
+            # column reductions over a (rows, W) panel.
+            pad_cols.append(np.ascontiguousarray(cols.T))
+            pad_data.append(np.ascontiguousarray(data.T))
+        return pad_cols, pad_data, W
 
     # ------------------------------------------------------------------ #
     # restricted-Schwarz extended-block structures

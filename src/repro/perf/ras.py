@@ -20,11 +20,10 @@ boundary values at every inner sweep — and then restricts the fold-back:
     freshness or defer draws exist to consume — the mode ignores
     ``stale_read_prob`` / ``deferred_write_prob`` by construction.
 
-:class:`RASWorkspace` is the single sweep kernel; the sequential
-:class:`RASSweepExecutor` and :class:`repro.core.BatchedAsyncEngine`'s
-per-replica loop both call it, so replica *r* of a batched RAS run is
-bitwise the sequential run for seed ``seed0 + r`` *by construction*, not
-by parallel re-implementation.  None of this code runs at ``overlap=0``
+:class:`RASWorkspace` is the single sweep executor (backend ``"ras"``)
+both engines call, so replica *r* of a batched RAS run is bitwise the
+sequential run for seed ``seed0 + r`` *by construction*, not by parallel
+re-implementation.  None of this code runs at ``overlap=0``
 — the engines dispatch here only for ``schwarz != "none"`` with a
 positive ``+oK`` partition suffix, which is what keeps the zero-overlap
 configuration bitwise the historical engines.
@@ -32,31 +31,30 @@ configuration bitwise the historical engines.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
 from ..sparse.csr import scatter_add_fold
-from .plan import compile_sweep_plan, rhs_preserves_fold
+from .plan import compile_sweep_plan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..core.engine import AsyncEngine
     from ..core.schedules import AsyncConfig, WaveScheduler
     from ..sparse import BlockRowView
 
-__all__ = ["RASWorkspace", "RASSweepExecutor"]
+__all__ = ["RASWorkspace"]
 
 
 class RASWorkspace:
-    """Compiled extended-block sweep kernel shared by both engines.
+    """Compiled extended-block sweep executor shared by both engines.
 
     Construction warms the plan's RAS structures
     (:meth:`repro.perf.SweepPlan.warm_ras`) so the first timed sweep does
-    no compilation.  The workspace is stateless across sweeps: schedule
-    state (generator, scheduler, sweep index, update counts) is passed in
-    per call, which is what lets R batched replicas share one workspace
-    while each consumes its own stream exactly as a sequential engine
-    would.
+    no compilation.  Like every executor of :mod:`repro.perf.backends` the
+    workspace is stateless across sweeps: each call receives the engine's
+    lane state (generators, schedulers, sweep index, right-hand side), which
+    is what lets R batched replicas share one workspace while each
+    consumes its own stream exactly as a sequential engine would.
     """
 
     def __init__(self, view: "BlockRowView", config: "AsyncConfig"):
@@ -84,26 +82,24 @@ class RASWorkspace:
             for blk in self.blocks
         ]
 
-    def sweep(
+    def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
+        """One global async-RAS sweep of every lane in *reps*, in place."""
+        for r in reps:
+            lane = (X[r], lanes.rhs(r), lanes.rngs[r], lanes.schedulers[r], lanes.sweep_index)
+            if self.weighted:
+                self._sweep_wras(*lane)
+            else:
+                self._sweep_ras(*lane, fold_safe=lanes.fold_safe)
+
+    def _sweep_ras(
         self,
         x: np.ndarray,
         b: np.ndarray,
         rng: np.random.Generator,
         scheduler: "WaveScheduler",
         sweep_index: int,
-        update_counts: np.ndarray,
-        *,
-        fold_safe: bool = True,
-    ) -> np.ndarray:
-        """One global async-RAS sweep of *x* in place.
-
-        *update_counts* is the caller's per-block counter (a row of the
-        batched engine's matrix, or the sequential engine's vector);
-        *fold_safe* is :func:`repro.perf.rhs_preserves_fold` of *b*,
-        computed once by the caller.
-        """
-        if self.weighted:
-            return self._sweep_wras(x, b, rng, scheduler, sweep_index, update_counts)
+        fold_safe: bool,
+    ) -> None:
         cfg = self.config
         order, gamma = scheduler.plan_for_sweep(sweep_index, rng)
         snapshot = x if np.all(gamma >= 1.0) else x.copy()
@@ -149,11 +145,9 @@ class RASWorkspace:
                 deferred.append((slice(blk.start, blk.stop), owned))
             else:
                 x[blk.start : blk.stop] = owned
-            update_counts[bid] += 1
 
         for rows, vals in deferred:
             x[rows] = vals
-        return x
 
     def _sweep_wras(
         self,
@@ -162,8 +156,7 @@ class RASWorkspace:
         rng: np.random.Generator,
         scheduler: "WaveScheduler",
         sweep_index: int,
-        update_counts: np.ndarray,
-    ) -> np.ndarray:
+    ) -> None:
         """Weighted-RAS sweep: partition-of-unity fold at the sweep end.
 
         Every block reads the pre-sweep iterate (*x* is untouched until
@@ -184,36 +177,5 @@ class RASWorkspace:
                     new = (1.0 - cfg.omega) * z + cfg.omega * new
                 z = new
             acc[blk.elo : blk.ehi] += self.weights[bid] * z
-            update_counts[bid] += 1
         x[:] = acc
-        return x
 
-
-class RASSweepExecutor:
-    """Sequential async-RAS executor, wrapping the shared workspace.
-
-    Plays the role :class:`repro.perf.backends.ReferenceSweepExecutor`
-    plays for the disjoint decomposition; the resolved backend name of a
-    Schwarz engine is ``"ras"``.
-    """
-
-    name = "ras"
-
-    def __init__(self, engine: "AsyncEngine"):
-        self.engine = engine
-        self.workspace = RASWorkspace(engine.view, engine.config)
-        self._fold_safe = rhs_preserves_fold(engine.b)
-
-    def sweep(self, x: np.ndarray) -> np.ndarray:
-        eng = self.engine
-        self.workspace.sweep(
-            x,
-            eng.b,
-            eng.rng,
-            eng.scheduler,
-            eng.sweep_index,
-            eng.update_counts,
-            fold_safe=self._fold_safe,
-        )
-        eng.sweep_index += 1
-        return x

@@ -14,7 +14,7 @@ convenience.
 from .coo import COOMatrix
 from .csr import CSRMatrix, scatter_add_fold
 from .ell import ELLMatrix, SlicedELLMatrix
-from .blocked import BlockRowView, RASBlock, RowBlock, partition_rows, partition_rows_by_work
+from .blocked import BlockRowView, RASBlock, RowBlock
 from .linalg import (
     gershgorin_bounds,
     power_method,
@@ -32,8 +32,6 @@ __all__ = [
     "BlockRowView",
     "RASBlock",
     "RowBlock",
-    "partition_rows",
-    "partition_rows_by_work",
     "gershgorin_bounds",
     "power_method",
     "spectral_radius",

@@ -16,7 +16,6 @@ asynchronous engine's hot loop is nothing but slim vectorized kernels.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence
 
@@ -25,31 +24,10 @@ import numpy as np
 from .._util import as_index_array, check_square
 from ..partition.core import Partition
 from ..partition.halo import extract_block_system, split_block_diagonal
-from ..partition.rows import partition_rows as _partition_rows
-from ..partition.rows import partition_rows_by_work as _partition_rows_by_work
+from ..partition.rows import partition_rows
 from .csr import CSRMatrix
 
-__all__ = ["RASBlock", "RowBlock", "BlockRowView", "partition_rows", "partition_rows_by_work"]
-
-
-def partition_rows(n: int, block_size: Optional[int] = None, *, nblocks: Optional[int] = None) -> np.ndarray:
-    """Deprecated alias for :func:`repro.partition.partition_rows`."""
-    warnings.warn(
-        "partition_rows moved to repro.partition; import it from there",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _partition_rows(n, block_size, nblocks=nblocks)
-
-
-def partition_rows_by_work(A: "CSRMatrix", nblocks: int) -> np.ndarray:
-    """Deprecated alias for :func:`repro.partition.partition_rows_by_work`."""
-    warnings.warn(
-        "partition_rows_by_work moved to repro.partition; import it from there",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _partition_rows_by_work(A, nblocks)
+__all__ = ["RASBlock", "RowBlock", "BlockRowView"]
 
 
 @dataclass
@@ -214,7 +192,7 @@ class BlockRowView:
             self.partition = Partition(boundaries=b, strategy="explicit")
         else:
             self.partition = Partition(
-                boundaries=_partition_rows(n, block_size, nblocks=nblocks), strategy="uniform"
+                boundaries=partition_rows(n, block_size, nblocks=nblocks), strategy="uniform"
             )
         self.original_matrix = A
         # In partition order; identical object to A when unpermuted.

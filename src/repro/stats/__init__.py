@@ -8,7 +8,7 @@ absolute and relative variation, variance, standard deviation and standard
 error, all per global-iteration checkpoint.
 """
 
-from .runstats import EnsembleStats
 from .ensembles import run_ensemble
+from .runstats import EnsembleStats
 
 __all__ = ["EnsembleStats", "run_ensemble"]

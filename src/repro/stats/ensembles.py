@@ -5,17 +5,17 @@ software analogue of re-launching the same CUDA binary and letting the
 hardware scheduler pick a different interleaving each time — and aggregates
 the residual histories into :class:`repro.stats.EnsembleStats`.
 
-Two execution paths produce bitwise-identical statistics:
+What is passed decides the execution path:
 
-* **batched** (default for config-driven ensembles) — the R replica
-  iterates are stacked as an ``(R, n)`` multi-vector and advanced together
-  by :class:`repro.core.BatchedAsyncEngine`: the block decomposition is
-  built once instead of R times, and every sweep runs a handful of
-  multi-vector kernels instead of R scalar solves;
-* **sequential** (fallback) — one :class:`repro.core.BlockAsyncSolver`
-  solve per seed.  Used automatically whenever a custom *factory* is given
-  (the factory may configure faults, custom stopping rules, or an entirely
-  different solver — none of which the batched engine models).
+* a *config* — the R replica iterates are stacked as an ``(R, n)``
+  multi-vector and advanced together by
+  :class:`repro.core.BatchedAsyncEngine`: the block decomposition is built
+  once instead of R times, and every sweep shares one executor;
+* a *factory* — one solve per seed of whatever solver it builds (faults,
+  custom stopping rules, or an entirely different solver — none of which
+  the batched engine models).  A factory returning plain
+  :class:`repro.core.BlockAsyncSolver` instances of the same config with
+  ``tol=0`` stopping reproduces the config-driven statistics bitwise.
 """
 
 from __future__ import annotations
@@ -112,7 +112,6 @@ def run_ensemble(
     checkpoints: Sequence[int] = (),
     relative: bool = True,
     seed0: int = 0,
-    batched: Optional[bool] = None,
     recorder: Optional[RunRecorder] = None,
 ) -> EnsembleStats:
     """Run *nruns* fixed-length solves and aggregate their histories.
@@ -121,8 +120,8 @@ def run_ensemble(
     exactly ``iterations + 1`` residuals (the initial residual plus one per
     global iteration).  Config-driven runs are executed with ``tol=0`` so
     they never stop early; factory-built solvers keep their own tolerance
-    and divergence limit but have their ``maxiter`` capped at *iterations*,
-    and any run that stops early (exact-zero residual, factory tolerance
+    and divergence limit but have their ``maxiter`` capped at *iterations*
+    and their residual cadence set to every sweep, and any run that stops early (exact-zero residual, factory tolerance
     met, divergence) is padded by holding its final value.  A history
     *longer* than the contract raises :class:`ValueError`.
 
@@ -136,9 +135,10 @@ def run_ensemble(
     iterations:
         Global iterations per run.
     factory:
-        Seed → solver mapping; defaults to :class:`BlockAsyncSolver` with
-        *config* (which then must be given) re-seeded per run.  The
-        factory's stopping rule is preserved except for ``maxiter``.
+        Seed → solver mapping, run once per seed.  The factory's stopping
+        rule is preserved except for ``maxiter``.  Without a factory,
+        *config* (which then must be given) drives one batched solve of
+        all runs.
     checkpoints:
         Iteration indices to aggregate at (default: all).
     relative:
@@ -146,19 +146,11 @@ def run_ensemble(
         instead of absolute ones.
     seed0:
         First seed; runs use ``seed0, seed0+1, ...``.
-    batched:
-        Execution path.  ``None`` (default) picks the batched multi-vector
-        engine for config-driven ensembles and the sequential per-seed
-        loop whenever *factory* is given — custom factories may install
-        faults or non-default solvers the batched engine does not model.
-        ``True`` forces the batched path (an error with *factory*);
-        ``False`` forces the sequential path.  Both paths are bitwise
-        identical for config-driven ensembles.
     recorder:
-        Optional :class:`repro.runtime.RunRecorder` telemetry sink.  The
-        batched path records one run covering all replicas; the sequential
-        path attaches the recorder to each solver that has none (one run
-        per seed).
+        Optional :class:`repro.runtime.RunRecorder` telemetry sink.  A
+        config-driven ensemble records one run covering all replicas; a
+        factory ensemble attaches the recorder to each solver that has
+        none (one run per seed).
     """
     if nruns < 1:
         raise ValueError("nruns must be >= 1")
@@ -166,27 +158,11 @@ def run_ensemble(
         raise ValueError("iterations must be >= 1")
     if factory is None and config is None:
         raise ValueError("pass either factory or config")
-    if batched is None:
-        batched = factory is None
-    if batched:
-        if factory is not None:
-            raise ValueError(
-                "batched=True requires a config-driven ensemble; custom "
-                "factories (faults, custom solvers) run sequentially"
-            )
+    if factory is None:
         histories = _batched_histories(
             A, b, nruns, iterations, config, seed0, relative, recorder
         )
         return EnsembleStats.from_histories(histories, checkpoints)
-
-    if factory is None:
-        base = config
-        stopping = StoppingCriterion(tol=0.0, maxiter=iterations)
-
-        def factory(seed: int) -> BlockAsyncSolver:
-            return BlockAsyncSolver(
-                dataclasses.replace(base, seed=seed), stopping=stopping
-            )
 
     histories = []
     for r in range(nruns):
@@ -196,6 +172,9 @@ def run_ensemble(
         # deliberately configured stopping behaviour.
         if solver.stopping.maxiter != iterations:
             solver.stopping = dataclasses.replace(solver.stopping, maxiter=iterations)
+        # Record every sweep: histories are aggregated entry j = sweep j,
+        # so a coarser residual cadence would misalign every checkpoint.
+        solver.residual_every = 1
         if recorder is not None and getattr(solver, "recorder", None) is None:
             solver.recorder = recorder
         result: SolveResult = solver.solve(A, b)

@@ -16,8 +16,6 @@ import pytest
 from repro.core import AsyncConfig, AsyncEngine, FaultScenario
 from repro.perf import (
     BACKENDS,
-    FusedSweepExecutor,
-    ReferenceSweepExecutor,
     compile_sweep_plan,
     rhs_preserves_fold,
 )
@@ -98,8 +96,8 @@ def test_fused_bitwise_matches_reference(trefethen_small, regime):
     eng_f, iters_f, probe_f = _run(A, b, dataclasses.replace(cfg, backend="fused"))
     eng_r, iters_r, probe_r = _run(A, b, dataclasses.replace(cfg, backend="reference"))
     assert eng_f.backend == "fused" and eng_r.backend == "reference"
-    assert isinstance(eng_f._executor, FusedSweepExecutor)
-    assert isinstance(eng_r._executor, ReferenceSweepExecutor)
+    assert eng_f.backend == "fused"
+    assert eng_r.backend == "reference"
     for t, (xf, xr) in enumerate(zip(iters_f, iters_r)):
         assert np.array_equal(xf, xr), f"backends diverged at sweep {t + 1}"
     assert np.array_equal(probe_f, probe_r), "generator states diverged"
@@ -198,9 +196,18 @@ def test_ell_plans_built_once_across_sweeps(trefethen_small, backend):
         for blk, lc in zip(view.blocks, engine.plan.local_c):
             assert blk.external._ell_builds == 1
             assert lc._ell_builds == 1
+        # Nothing of the other backends: no stencil detection, no stacked
+        # whole-system kernels, no padded-ELL panels of the batched loop.
+        assert not engine.plan.stencil_attempted
+        assert not engine.plan._warmed_fused
+        assert view._ext_matrix is None and view._local_matrix is None
+        assert engine.plan._padded is None
     else:
         assert engine.plan.external._ell_builds == 1
         assert engine.plan.local_off._ell_builds == 1
+        # ... and no per-block ELL plans of the reference loop.
+        assert engine.plan._local_c is None
+        assert all(blk.external._ell_builds == 0 for blk in view.blocks)
 
 
 def test_sweep_plan_shared_across_engines(trefethen_small):

@@ -162,6 +162,25 @@ def test_batched_rejects_bad_shape(trefethen_small):
         engine.sweep(np.zeros((3, trefethen_small.shape[0])))
 
 
+@pytest.mark.parametrize("kwargs", [{}, {"seeds": []}], ids=["seed0", "seeds"])
+def test_batched_rejects_empty_ensemble(trefethen_small, kwargs):
+    view = BlockRowView(trefethen_small, block_size=32)
+    with pytest.raises(ValueError, match="nreplicas must be >= 1"):
+        BatchedAsyncEngine(view, _rhs(trefethen_small), AsyncConfig(block_size=32), 0, **kwargs)
+
+
+@pytest.mark.parametrize("regime", ["gpu-k1", "deferred-writes", "synchronous"])
+def test_single_replica_runs_the_sequential_executor(trefethen_small, regime):
+    # R = 1 selects the shared per-block executor (no position-grouped
+    # loop, no padded-ELL panels) and is bitwise the sequential engine.
+    cfg = REGIMES[regime]
+    assert_batched_equivalent(trefethen_small, _rhs(trefethen_small), cfg, nreplicas=1)
+    view = BlockRowView(trefethen_small, block_size=cfg.block_size)
+    engine = BatchedAsyncEngine(view, _rhs(trefethen_small), cfg, 1)
+    assert engine.backend == AsyncEngine(view, _rhs(trefethen_small), cfg).backend
+    assert engine.plan._padded is None
+
+
 def test_replica_rngs_match_sequential_seeds():
     streams = replica_rngs(10, 3)
     for r, rng in enumerate(streams):

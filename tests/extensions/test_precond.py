@@ -3,13 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.extensions import AsyncPreconditioner
+from repro.krylov import AsyncSweepPreconditioner
 from repro.solvers import ConjugateGradientSolver, StoppingCriterion
 
 
 def test_linearity(small_spd):
     # A fixed-schedule sweep from zero is a linear operator in r.
-    M = AsyncPreconditioner(small_spd, sweeps=2)
+    M = AsyncSweepPreconditioner(small_spd, sweeps=2)
     rng = np.random.default_rng(0)
     r1 = rng.standard_normal(60)
     r2 = rng.standard_normal(60)
@@ -17,7 +17,7 @@ def test_linearity(small_spd):
 
 
 def test_deterministic_across_applications(small_spd):
-    M = AsyncPreconditioner(small_spd, sweeps=2)
+    M = AsyncSweepPreconditioner(small_spd, sweeps=2)
     r = np.random.default_rng(1).standard_normal(60)
     assert np.array_equal(M(r), M(r))
 
@@ -29,7 +29,7 @@ def test_approximates_inverse(small_spd):
     exact = np.linalg.solve(dense, r)
     errs = []
     for sweeps in (1, 3, 6):
-        M = AsyncPreconditioner(small_spd, sweeps=sweeps)
+        M = AsyncSweepPreconditioner(small_spd, sweeps=sweeps)
         errs.append(np.linalg.norm(M(r) - exact))
     assert errs[0] > errs[1] > errs[2]
 
@@ -48,9 +48,9 @@ def test_symmetrized_operator_near_symmetric(small_spd):
 
     from repro.core import AsyncConfig
 
-    cfg = AsyncConfig(local_iterations=2, block_size=10)  # several blocks
-    asym = assemble(AsyncPreconditioner(small_spd, sweeps=1, config=cfg, symmetrize=False))
-    sym = assemble(AsyncPreconditioner(small_spd, sweeps=1, config=cfg, symmetrize=True))
+    cfg = AsyncConfig(local_iterations=2, block_size=10, order="sequential")  # several blocks
+    asym = assemble(AsyncSweepPreconditioner(small_spd, sweeps=1, config=cfg, symmetrize=False))
+    sym = assemble(AsyncSweepPreconditioner(small_spd, sweeps=1, config=cfg, symmetrize=True))
 
     def asym_measure(P):
         return np.linalg.norm(P - P.T) / np.linalg.norm(P)
@@ -65,7 +65,7 @@ def test_pcg_beats_cg_iterations(fv1):
     stop = StoppingCriterion(tol=1e-10, maxiter=3000)
     cg = ConjugateGradientSolver(stopping=stop).solve(fv1, b)
     pcg = ConjugateGradientSolver(
-        preconditioner=AsyncPreconditioner(fv1, sweeps=2), stopping=stop
+        preconditioner=AsyncSweepPreconditioner(fv1, sweeps=2), stopping=stop
     ).solve(fv1, b)
     assert pcg.converged
     assert pcg.iterations < cg.iterations / 4
@@ -73,4 +73,4 @@ def test_pcg_beats_cg_iterations(fv1):
 
 def test_invalid_sweeps(small_spd):
     with pytest.raises(ValueError, match="sweeps"):
-        AsyncPreconditioner(small_spd, sweeps=0)
+        AsyncSweepPreconditioner(small_spd, sweeps=0)

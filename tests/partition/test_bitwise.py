@@ -8,6 +8,8 @@ compares it against the partition-threaded path with ``np.array_equal``
 (no tolerances).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -76,31 +78,18 @@ def test_block_jacobi_spec_matches_explicit_boundaries(small_spd, inner):
     assert np.array_equal(via_spec.x, via_part.x)
 
 
-@pytest.mark.parametrize("spec", ["uniform", "work_balanced:8", "rcm:64"])
+@pytest.mark.parametrize("spec", ["uniform", "work_balanced:8", "rcm:64", "clustered:64"])
 def test_ensemble_batched_matches_sequential_for_every_strategy(trefethen_small, spec):
     A = trefethen_small
     b = default_rhs(A)
     cfg = paper_async_config(2, block_size=64, seed=0, partition=spec)
-    batched = run_ensemble(A, b, 4, 20, config=cfg, batched=True)
-    sequential = run_ensemble(A, b, 4, 20, config=cfg, batched=False)
+    stopping = StoppingCriterion(tol=0.0, maxiter=20)
+
+    def factory(seed):
+        return BlockAsyncSolver(dataclasses.replace(cfg, seed=seed), stopping=stopping)
+
+    batched = run_ensemble(A, b, 4, 20, config=cfg)
+    sequential = run_ensemble(A, b, 4, 20, factory=factory)
     for attr in ("mean", "max", "min", "variance"):
         assert np.array_equal(getattr(batched, attr), getattr(sequential, attr))
 
-
-@pytest.mark.parametrize("spec", ["uniform", "clustered:64"])
-def test_fig6_batched_solve_is_bitwise_the_sequential_solve(trefethen_small, spec):
-    from repro.experiments.exp_fig6 import _batched_async_solve
-
-    A = trefethen_small
-    b = default_rhs(A)
-    stopping = StoppingCriterion(tol=0.0, maxiter=30, divergence_limit=1e40)
-
-    solver = BlockAsyncSolver(paper_async_config(1, seed=1, partition=spec))
-    solver.stopping = stopping
-    sequential = solver.solve(A, b)
-
-    solver = BlockAsyncSolver(paper_async_config(1, seed=1, partition=spec))
-    batched = _batched_async_solve(A, b, solver, stopping)
-
-    assert np.array_equal(batched.residuals, sequential.residuals)
-    assert np.array_equal(batched.x, sequential.x)

@@ -73,15 +73,3 @@ def test_partition_rows_by_work_levels_nnz_on_skewed_rows(trefethen_small):
     uniform = partition_rows(A.shape[0], nblocks=16)
     work = partition_rows_by_work(A, 16)
     assert spread(work) < spread(uniform)
-
-
-def test_sparse_shims_warn_and_delegate(trefethen_small):
-    import repro.sparse as sparse
-
-    with pytest.warns(DeprecationWarning, match="repro.partition"):
-        via_shim = sparse.partition_rows(100, 32)
-    assert np.array_equal(via_shim, partition_rows(100, 32))
-
-    with pytest.warns(DeprecationWarning, match="repro.partition"):
-        via_shim = sparse.partition_rows_by_work(trefethen_small, 8)
-    assert np.array_equal(via_shim, partition_rows_by_work(trefethen_small, 8))

@@ -1,4 +1,4 @@
-"""StencilSweepExecutor: bitwise equivalence and dispatch rules.
+"""The stencil backend: bitwise equivalence and dispatch rules.
 
 The stencil path is an execution strategy, never an approximation:
 wherever it may run, its iterates — and the scheduler RNG state it
@@ -17,12 +17,7 @@ import pytest
 from repro.core import AsyncConfig, AsyncEngine, BatchedAsyncEngine
 from repro.matrices.grids import stencil_laplacian_2d
 from repro.matrices.grids3d import stencil_laplacian_3d
-from repro.perf import (
-    FusedSweepExecutor,
-    ReferenceSweepExecutor,
-    StencilSweepExecutor,
-    compile_sweep_plan,
-)
+from repro.perf import compile_sweep_plan
 from repro.sparse import BlockRowView
 
 
@@ -79,8 +74,8 @@ def test_stencil_bitwise_matches_reference(lap3d, regime):
     cfg = ENGAGING[regime]
     eng_s, iters_s, probe_s = _run(lap3d, b, dataclasses.replace(cfg, backend="stencil"))
     eng_r, iters_r, probe_r = _run(lap3d, b, dataclasses.replace(cfg, backend="reference"))
-    assert isinstance(eng_s._executor, StencilSweepExecutor)
-    assert isinstance(eng_r._executor, ReferenceSweepExecutor)
+    assert eng_s.backend == "stencil"
+    assert eng_r.backend == "reference"
     for t, (xs, xr) in enumerate(zip(iters_s, iters_r)):
         assert np.array_equal(xs, xr), f"backends diverged at sweep {t + 1}"
     assert np.array_equal(probe_s, probe_r), "generator states diverged"
@@ -97,7 +92,6 @@ def test_auto_still_fuses_irregular_matrices(trefethen_small):
     # all the way to the reference loop.
     eng, _, _ = _run(trefethen_small, _rhs(trefethen_small), ENGAGING["snapshot-gpu-k1"], sweeps=1)
     assert eng.backend == "fused"
-    assert isinstance(eng._executor, FusedSweepExecutor)
 
 
 def test_forced_stencil_refuses_inexact_regime(lap3d):

@@ -55,13 +55,13 @@ def test_restart_smaller_is_weaker(small_spd):
 
 
 def test_right_preconditioning_reports_true_residuals(fv1):
-    from repro.extensions import AsyncPreconditioner
+    from repro.krylov import AsyncSweepPreconditioner
     from repro.matrices import default_rhs
 
     b = default_rhs(fv1)
     r = GMRESSolver(
         restart=30,
-        preconditioner=AsyncPreconditioner(fv1, sweeps=2),
+        preconditioner=AsyncSweepPreconditioner(fv1, sweeps=2),
         stopping=StoppingCriterion(tol=1e-10, maxiter=200),
     ).solve(fv1, b)
     assert r.converged

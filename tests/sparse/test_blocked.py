@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.sparse import BlockRowView, CSRMatrix, partition_rows
+from repro.partition import partition_rows
+from repro.sparse import BlockRowView, CSRMatrix
 
 
 # --------------------------------------------------------------------- #

@@ -1,10 +1,26 @@
 """Tests for the run-ensemble driver."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.core import AsyncConfig, BlockAsyncSolver
+from repro.solvers import StoppingCriterion
 from repro.stats import run_ensemble
+
+
+def _seed_factory(cfg, iterations, **solver_kwargs):
+    """The per-seed path: one plain ``BlockAsyncSolver`` of *cfg* per seed."""
+
+    def factory(seed):
+        return BlockAsyncSolver(
+            dataclasses.replace(cfg, seed=seed),
+            stopping=StoppingCriterion(tol=0.0, maxiter=iterations),
+            **solver_kwargs,
+        )
+
+    return factory
 
 
 def test_ensemble_shapes(small_spd):
@@ -83,8 +99,20 @@ def test_ensemble_pads_early_converged(small_spd):
 def test_ensemble_batched_matches_sequential(small_spd):
     b = small_spd.matvec(np.ones(60))
     cfg = AsyncConfig(local_iterations=2, block_size=10, order="gpu")
-    seq = run_ensemble(small_spd, b, 6, 8, config=cfg, batched=False)
-    bat = run_ensemble(small_spd, b, 6, 8, config=cfg, batched=True)
+    seq = run_ensemble(small_spd, b, 6, 8, factory=_seed_factory(cfg, 8))
+    bat = run_ensemble(small_spd, b, 6, 8, config=cfg)
+    for field in ("mean", "max", "min", "variance"):
+        assert np.array_equal(getattr(seq, field), getattr(bat, field))
+
+
+def test_ensemble_factory_records_every_sweep(small_spd):
+    # A factory solver's residual cadence must not leak into the ensemble:
+    # histories are aggregated entry j = sweep j, so with m=5 the recorded
+    # sweeps 0, 5, 8 would silently misalign every checkpoint.
+    b = small_spd.matvec(np.ones(60))
+    cfg = AsyncConfig(local_iterations=2, block_size=10, order="gpu")
+    seq = run_ensemble(small_spd, b, 6, 8, factory=_seed_factory(cfg, 8, residual_every=5))
+    bat = run_ensemble(small_spd, b, 6, 8, config=cfg)
     for field in ("mean", "max", "min", "variance"):
         assert np.array_equal(getattr(seq, field), getattr(bat, field))
 
@@ -105,16 +133,6 @@ def test_ensemble_batched_is_default_for_configs(small_spd, monkeypatch):
     cfg = AsyncConfig(local_iterations=1, block_size=10)
     run_ensemble(small_spd, b, 2, 3, config=cfg)
     assert called.get("batched")
-
-
-def test_ensemble_batched_rejects_factory(small_spd):
-    b = small_spd.matvec(np.ones(60))
-
-    def factory(seed):
-        return BlockAsyncSolver(AsyncConfig(block_size=10, seed=seed))
-
-    with pytest.raises(ValueError, match="batched"):
-        run_ensemble(small_spd, b, 2, 3, factory=factory, batched=True)
 
 
 def test_ensemble_preserves_factory_stopping(small_spd):
