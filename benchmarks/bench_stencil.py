@@ -8,13 +8,20 @@ of offset-shifted slice multiply-adds instead of CSR gathers.  Backends
 are execution strategies, never approximations: every timed cell asserts
 bitwise-identical iterates across stencil, fused and reference.
 
-Acceptance bar: the stencil path is ≥ 2× faster per sweep than the fused
+The same matrix's convergence check — the residual ``b - A x`` every
+global iteration evaluates — runs on the diagonal-offset planes of
+:mod:`repro.sparse.dia`; a residual row times it against the ELL product
+``b - A.matvec(x)`` it replaces.
+
+Acceptance bars: the stencil path is ≥ 2× faster per sweep than the fused
 path at 256 blocks (for both async-(1) and async-(2)), with 0 bitwise
-mismatches vs the reference executor.
+mismatches vs the reference executor; the plane residual is ≥ 2× faster
+than the ELL residual and ``np.array_equal`` to it.
 
 Artifacts: ``benchmarks/artifacts/BENCH_stencil.txt`` (rendered) and
-``BENCH_stencil.json`` (machine-readable rows).  Runs standalone
-(``python benchmarks/bench_stencil.py``) or under pytest.
+``BENCH_stencil.json`` (machine-readable: ``{"sweeps": [...], "residual":
+{...}}``).  Runs standalone (``python benchmarks/bench_stencil.py``) or
+under pytest.
 """
 
 from __future__ import annotations
@@ -45,6 +52,12 @@ KS = (1, 2)
 #: Wall-clock acceptance bar for the stencil path at 256 blocks.
 MIN_SPEEDUP_256 = 2.0
 
+#: Timed residual evaluations per path (after one untimed warm-up each).
+RESIDUALS = 50
+
+#: Wall-clock acceptance bar for the plane residual over the ELL one.
+MIN_RESIDUAL_SPEEDUP = 2.0
+
 #: The snapshot-read regime (γ ≡ 0 through full staleness): the schedule
 #: machinery stays fully exercised and all three backends are exact, so
 #: every cell times the *same* method.
@@ -64,8 +77,42 @@ def time_backend(view: BlockRowView, b: np.ndarray, k: int, backend: str):
     return dt, x, engine
 
 
-def run_benchmark() -> list:
-    """The full grid on the 64³ 7-point Laplacian; one row per (nblocks, k)."""
+def _seconds_per_call(fn) -> float:
+    fn()  # warm-up (lazy plan construction)
+    t0 = time.perf_counter()
+    for _ in range(RESIDUALS):
+        fn()
+    return (time.perf_counter() - t0) / RESIDUALS
+
+
+def time_residual(A, b: np.ndarray) -> dict:
+    """The plane residual ``A.residual`` against the ELL ``b - A.matvec(x)``."""
+    x = np.random.default_rng(0).standard_normal(A.shape[1])
+    ell_out, plane_out = np.empty(A.shape[0]), np.empty(A.shape[0])
+
+    def ell():
+        np.subtract(b, A.matvec(x, out=ell_out), out=ell_out)
+
+    ell_s = _seconds_per_call(ell)
+    plane_s = _seconds_per_call(lambda: A.residual(x, b, out=plane_out))
+    assert A._dia_builds == 1, "the 7-point Laplacian should take the plane residual"
+    return {
+        "matrix": f"lap3d7pt_{GRID}",
+        "n": A.shape[0],
+        "calls": RESIDUALS,
+        "ell_s_per_call": ell_s,
+        "plane_s_per_call": plane_s,
+        "speedup_vs_ell": ell_s / plane_s if plane_s > 0 else float("inf"),
+        "identical": bool(np.array_equal(plane_out, ell_out)),
+    }
+
+
+def run_benchmark() -> dict:
+    """The full grid on the 64³ 7-point Laplacian, plus its residual row.
+
+    ``sweeps`` holds one row per (nblocks, k); ``residual`` the
+    plane-vs-ELL residual timing.
+    """
     A = stencil_laplacian_3d(GRID)
     b = default_rhs(A)
     rows = []
@@ -96,10 +143,11 @@ def run_benchmark() -> list:
                     ),
                 }
             )
-    return rows
+    return {"sweeps": rows, "residual": time_residual(A, b)}
 
 
-def render(rows: list) -> str:
+def render(result: dict) -> str:
+    rows, res = result["sweeps"], result["residual"]
     lines = [
         f"Matrix-free stencil backend — {GRID}^3 7-point Laplacian, snapshot-read "
         f"regime (order=gpu, stale_read_prob=1), {SWEEPS} timed sweeps per cell",
@@ -113,19 +161,27 @@ def render(rows: list) -> str:
             f"{r['speedup_vs_fused']:8.2f}x {r['speedup_vs_reference']:7.2f}x "
             f"{'yes' if r['identical'] else 'NO'}"
         )
+    lines += [
+        "",
+        f"Residual b - A x, {res['calls']} timed calls: ELL product "
+        f"{res['ell_s_per_call'] * 1e3:.3f} ms, diagonal planes "
+        f"{res['plane_s_per_call'] * 1e3:.3f} ms, {res['speedup_vs_ell']:.2f}x, "
+        f"bitwise {'yes' if res['identical'] else 'NO'}",
+    ]
     return "\n".join(lines)
 
 
-def _write_artifacts(text: str, rows: list) -> Path:
+def _write_artifacts(text: str, result: dict) -> Path:
     outdir = Path(__file__).parent / "artifacts"
     outdir.mkdir(exist_ok=True)
     path = outdir / "BENCH_stencil.txt"
     path.write_text(text + "\n")
-    (outdir / "BENCH_stencil.json").write_text(json.dumps(rows, indent=2) + "\n")
+    (outdir / "BENCH_stencil.json").write_text(json.dumps(result, indent=2) + "\n")
     return path
 
 
-def _check(rows: list) -> None:
+def _check(result: dict) -> None:
+    rows, res = result["sweeps"], result["residual"]
     for r in rows:
         assert r["identical"], (
             f"backends disagree at nblocks={r['nblocks']}, k={r['k']}"
@@ -135,23 +191,28 @@ def _check(rows: list) -> None:
             assert r["speedup_vs_fused"] >= MIN_SPEEDUP_256, (
                 f"stencil path only {r['speedup_vs_fused']:.2f}x faster than fused "
                 f"at nblocks={r['nblocks']}, k={r['k']} (need {MIN_SPEEDUP_256}x):\n"
-                + render(rows)
+                + render(result)
             )
+    assert res["identical"], "plane residual differs from the ELL residual"
+    assert res["speedup_vs_ell"] >= MIN_RESIDUAL_SPEEDUP, (
+        f"plane residual only {res['speedup_vs_ell']:.2f}x faster than ELL "
+        f"(need {MIN_RESIDUAL_SPEEDUP}x):\n" + render(result)
+    )
 
 
 def test_stencil_backend_speedup():
-    rows = run_benchmark()
-    _write_artifacts(render(rows), rows)
-    _check(rows)
+    result = run_benchmark()
+    _write_artifacts(render(result), result)
+    _check(result)
 
 
 if __name__ == "__main__":
-    rows = run_benchmark()
-    text = render(rows)
+    result = run_benchmark()
+    text = render(result)
     print(text)
-    print(f"\nwrote {_write_artifacts(text, rows)}")
+    print(f"\nwrote {_write_artifacts(text, result)}")
     try:
-        _check(rows)
+        _check(result)
     except AssertionError as exc:
         print(f"FAIL: {exc}")
         raise SystemExit(1)

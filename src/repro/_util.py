@@ -21,6 +21,7 @@ __all__ = [
     "as_index_array",
     "check_square",
     "check_vector",
+    "check_finite",
     "RNGLike",
 ]
 
@@ -69,6 +70,13 @@ def check_vector(x: np.ndarray, n: int, name: str = "vector") -> np.ndarray:
     if arr.shape != (n,):
         raise ValueError(f"{name} must have shape ({n},), got {arr.shape}")
     return arr
+
+
+def check_finite(x: np.ndarray, name: str = "vector") -> np.ndarray:
+    """Raise :class:`ValueError` if *x* holds a NaN or infinite entry; return *x*."""
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} has non-finite entries (NaN or inf)")
+    return x
 
 
 def cumulative_segments(counts: np.ndarray) -> np.ndarray:

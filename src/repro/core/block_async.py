@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .._util import check_square, check_vector
+from .._util import check_finite, check_square, check_vector
 from ..partition import Partition, make_partition
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
@@ -133,7 +133,9 @@ class BlockAsyncSolver(IterativeSolver):
         solution back in original row order (see the class docstring).
         """
         n = check_square(A.shape, f"{self.name} matrix")
-        check_vector(b, n, "b")
+        check_finite(check_vector(b, n, "b"), "b")
+        if x0 is not None:
+            check_finite(check_vector(x0, n, "x0"), "x0")
         part = make_partition(A, self.partition, block_size=self.config.block_size)
         view = BlockRowView(A, partition=part)
         return self._solve_partitioned(view, A, b, x0)

@@ -797,8 +797,7 @@ class BatchedAsyncEngine(_SweepLanes):
         def residual_norms(reps: np.ndarray) -> np.ndarray:
             out = np.empty(len(reps))
             for i, r in enumerate(reps):
-                A.matvec(X[r], out=res_row)
-                np.subtract(self.rhs(r), res_row, out=res_row)
+                A.residual(X[r], self.rhs(r), out=res_row)
                 out[i] = float(np.linalg.norm(res_row))
             return out
 

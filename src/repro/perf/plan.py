@@ -26,6 +26,7 @@ batched, preconditioner-internal — shares a single compilation.
 
 from __future__ import annotations
 
+import weakref
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -76,7 +77,11 @@ class SweepPlan:
     Attributes
     ----------
     view:
-        The decomposition this plan compiles.
+        The decomposition this plan compiles.  The view owns the plan
+        (``view._perf_plan``), so the plan holds it weakly: no reference
+        cycle keeps a finished solve's view, plan and kernels alive until
+        a full garbage-collection pass.  Every holder of a plan — an
+        executor, a serve cache entry — holds its view too.
     partition:
         The :class:`repro.partition.Partition` the view was built on — one
         compilation per partition, shared by every engine on the view.
@@ -89,7 +94,7 @@ class SweepPlan:
     """
 
     def __init__(self, view: BlockRowView):
-        self.view = view
+        self._view = weakref.ref(view)
         self.partition = view.partition
         self.ennz = np.array([blk.external.nnz for blk in view.blocks], dtype=np.int64)
         self._ext_rows: Optional[List[np.ndarray]] = None
@@ -102,6 +107,10 @@ class SweepPlan:
         self._stencil = None
         self._stencil_kernels = None
         self._padded: Optional[Tuple[Optional[List[np.ndarray]], List[np.ndarray], int]] = None
+
+    @property
+    def view(self) -> BlockRowView:
+        return self._view()
 
     # ------------------------------------------------------------------ #
     # reference-loop structures

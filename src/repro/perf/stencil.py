@@ -27,6 +27,9 @@ This module is the CPU analogue of that kernel family, split in two:
   no per-block Python loop: each diagonal is either one contiguous
   ``acc[lo:hi] += w * x[lo+o:hi+o]`` multiply-add or, for sparse
   diagonals (block-crossing couplings), one short fancy-indexed update.
+  The plane kernel and the offset-plane gate (:data:`MAX_OFFSETS`,
+  :data:`MIN_FILL`) live in :mod:`repro.sparse.dia`, shared with
+  :meth:`repro.sparse.CSRMatrix.residual`.
 
 **Detection contract.**  A view is stencil-regular iff
 
@@ -71,6 +74,14 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..sparse import BlockRowView
+from ..sparse.dia import (
+    MAX_OFFSETS,
+    MIN_FILL,
+    DiagonalPlane,
+    accumulate_planes,
+    entry_offsets,
+    plane_gate,
+)
 
 __all__ = [
     "MAX_OFFSETS",
@@ -82,12 +93,6 @@ __all__ = [
     "StencilKernels",
 ]
 
-#: Most distinct column offsets a stencil may carry (27-point = 27).
-MAX_OFFSETS = 32
-
-#: Minimum nnz / (offsets × rows) fill of the diagonal-storage plane.
-MIN_FILL = 0.5
-
 #: Minimum fraction of rows that must belong to interior (full-pattern,
 #: well-populated) classes.
 MIN_INTERIOR = 0.5
@@ -95,11 +100,6 @@ MIN_INTERIOR = 0.5
 #: Most distinct ``(offsets, coeffs)`` row patterns overall (interior
 #: classes + boundary variants).
 MAX_CLASSES = 64
-
-#: A diagonal whose nonzero rows cover at least this fraction of its
-#: trimmed row range runs as one contiguous slice multiply-add; sparser
-#: diagonals (block-crossing couplings) use a fancy-indexed update.
-_DENSE_SLICE = 0.25
 
 
 @dataclass(frozen=True)
@@ -163,6 +163,31 @@ def _generated_offsets(strides: Sequence[int]) -> Set[int]:
     return {g for g in gen if g > 0}
 
 
+def _search_strides(
+    strides: List[int], pos_set: Set[int], n: int
+) -> Optional[List[int]]:
+    """Grid extents for the first stride set generating *pos_set*, or ``None``.
+
+    Depth-first over up to three axis strides, extending *strides* by the
+    smallest offsets not yet generated.
+    """
+    if pos_set <= _generated_offsets(strides):
+        dims = []
+        for i, s in enumerate(strides):
+            nxt = strides[i + 1] if i + 1 < len(strides) else n
+            if nxt % s:
+                return None
+            dims.append(nxt // s)
+        return dims if all(d >= 2 for d in dims) else None
+    if len(strides) >= 3:
+        return None
+    for cand in sorted(pos_set - _generated_offsets(strides)):
+        found = _search_strides(strides + [cand], pos_set, n)
+        if found is not None:
+            return found
+    return None
+
+
 def _infer_grid_shape(
     offsets: np.ndarray, present: np.ndarray, n: int
 ) -> Optional[Tuple[int, ...]]:
@@ -179,26 +204,7 @@ def _infer_grid_shape(
     neg = sorted(int(-o) for o in offsets if o < 0)
     if not pos or pos != neg or pos[0] != 1:
         return None
-    pos_set = set(pos)
-
-    def search(strides: List[int]) -> Optional[List[int]]:
-        if pos_set <= _generated_offsets(strides):
-            dims = []
-            for i, s in enumerate(strides):
-                nxt = strides[i + 1] if i + 1 < len(strides) else n
-                if nxt % s:
-                    return None
-                dims.append(nxt // s)
-            return dims if all(d >= 2 for d in dims) else None
-        if len(strides) >= 3:
-            return None
-        for cand in sorted(pos_set - _generated_offsets(strides)):
-            found = search(strides + [cand])
-            if found is not None:
-                return found
-        return None
-
-    dims = search([1])
+    dims = _search_strides([1], set(pos), n)
     if dims is None:
         return None
     # Verify: entry (i, i + stride) must exist exactly where the axis
@@ -239,17 +245,13 @@ def detect_stencil(
     if not np.all(np.isfinite(A.data)):
         return None, "matrix entries are not finite"
 
-    rows = A._expanded_rows()
-    offs = A.indices - rows
-    offsets = np.unique(offs)
+    rows, offs, offsets = entry_offsets(A)
     W = len(offsets)
-    if W > max_offsets:
-        return None, f"{W} distinct offsets exceed the cap of {max_offsets}"
+    reason = plane_gate(W, A.nnz, n, max_offsets=max_offsets, min_fill=min_fill)
+    if reason:
+        return None, reason
     if 0 not in offsets:
         return None, "no diagonal offset"
-    fill = A.nnz / (W * n)
-    if fill < min_fill:
-        return None, f"offset-plane fill {fill:.3f} below {min_fill}"
 
     # Row patterns: an (n, W) plane holding each row's coefficient at
     # every offset (NaN = absent — one shared bit pattern, so byte-wise
@@ -306,65 +308,6 @@ def detect_stencil(
 # --------------------------------------------------------------------- #
 
 
-class _Diagonal:
-    """One off-diagonal weight plane: slice-applied or gather-applied."""
-
-    __slots__ = ("offset", "lo", "hi", "w", "idx", "wi")
-
-    def __init__(self, offset: int, rows: np.ndarray, vals: np.ndarray, n: int):
-        self.offset = offset
-        lo, hi = int(rows[0]), int(rows[-1]) + 1
-        if len(rows) >= _DENSE_SLICE * (hi - lo):
-            # Dense within its trimmed range: one contiguous multiply-add.
-            # Holes carry weight 0.0 (exact for finite operands; zero-sign
-            # caveat in the module docstring).
-            w = np.zeros(hi - lo)
-            w[rows - lo] = vals
-            self.lo, self.hi, self.w = lo, hi, w
-            self.idx = self.wi = None
-        else:
-            self.lo = self.hi = 0
-            self.w = None
-            self.idx, self.wi = rows, vals
-
-    def apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> None:
-        """``out[..., r] += w_r * x[..., r + offset]`` over this diagonal.
-
-        *scratch* is a reusable buffer shaped like *out* — the product
-        lands there instead of a freshly mapped temporary, which is what
-        keeps the hot sweep free of per-call page faults.
-        """
-        o = self.offset
-        if self.w is not None:
-            lo, hi = self.lo, self.hi
-            t = scratch[..., lo:hi]
-            np.multiply(self.w, x[..., lo + o : hi + o], out=t)
-            sl = out[..., lo:hi]
-            np.add(sl, t, out=sl)
-        else:
-            out[..., self.idx] += self.wi * x[..., self.idx + o]
-
-    def write(self, x: np.ndarray, out: np.ndarray) -> None:
-        """``out = this diagonal's product`` — the first-plane fast path.
-
-        Bitwise the zero-initialised accumulate for every product value
-        except an exact ``-0.0``, where the fold ``0.0 + (-0.0)`` would
-        have flipped the sign — a zero-sign difference of the kind the
-        module contract already carries (it cannot reach a nonzero
-        component).
-        """
-        o = self.offset
-        if self.w is not None:
-            out[..., : self.lo] = 0.0
-            out[..., self.hi :] = 0.0
-            np.multiply(
-                self.w, x[..., self.lo + o : self.hi + o], out=out[..., self.lo : self.hi]
-            )
-        else:
-            out[...] = 0.0
-            out[..., self.idx] += self.wi * x[..., self.idx + o]
-
-
 class StencilKernels:
     """Offset-shifted sweep kernels of one stencil-regular decomposition.
 
@@ -389,8 +332,8 @@ class StencilKernels:
         rows = A._expanded_rows()
         offs = A.indices - rows
         block_of = np.searchsorted(view.boundaries, np.arange(n), side="right") - 1
-        self._external: List[_Diagonal] = []
-        self._local: List[_Diagonal] = []
+        self._external: List[DiagonalPlane] = []
+        self._local: List[DiagonalPlane] = []
         for o in offsets:
             o = int(o)
             if o == 0:
@@ -401,7 +344,7 @@ class StencilKernels:
             same_block = block_of[r] == block_of[r + o]
             for mask, planes in ((~same_block, self._external), (same_block, self._local)):
                 if mask.any():
-                    planes.append(_Diagonal(o, r[mask], v[mask], n))
+                    planes.append(DiagonalPlane(o, r[mask], v[mask]))
         # Reusable work buffers, keyed by operand shape: freshly mapped
         # 2 MB temporaries cost page faults on every sweep, which at fine
         # decompositions rivals the arithmetic itself.
@@ -419,18 +362,10 @@ class StencilKernels:
         return len(self._external), len(self._local)
 
     def _accumulate(
-        self, planes: List[_Diagonal], x: np.ndarray, out: np.ndarray
+        self, planes: List[DiagonalPlane], x: np.ndarray, out: np.ndarray
     ) -> np.ndarray:
-        """``out = sum of planes applied to x``, first plane writing."""
-        if not planes:
-            out[...] = 0.0
-            return out
-        planes[0].write(x, out)
-        if len(planes) > 1:
-            scratch = self._scratch("plane", out.shape)
-            for d in planes[1:]:
-                d.apply(x, out, scratch)
-        return out
+        """``out = sum of planes applied to x`` on the reused scratch buffer."""
+        return accumulate_planes(planes, x, out, self._scratch("plane", out.shape))
 
     def apply_external(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = E @ x`` — the whole-system external gather, matrix-free."""

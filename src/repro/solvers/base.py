@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional
 
 import numpy as np
 
-from .._util import check_square, check_vector
+from .._util import check_finite, check_square, check_vector
 from ..runtime import RunLoop, RunOutcome, StoppingCriterion
 from ..runtime.recorder import RunRecorder
 from ..sparse import CSRMatrix
@@ -221,10 +221,13 @@ class IterativeSolver(abc.ABC):
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
     ) -> SolveResult:
-        """Run the method on ``A x = b`` until convergence or maxiter."""
+        """Run the method on ``A x = b`` until convergence or maxiter.
+
+        Raises :class:`ValueError` when *b* or *x0* has a non-finite entry.
+        """
         n = check_square(A.shape, f"{self.name} matrix")
-        b = check_vector(b, n, "b")
-        x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
+        b = check_finite(check_vector(b, n, "b"), "b")
+        x = np.zeros(n) if x0 is None else check_finite(check_vector(x0, n, "x0"), "x0").copy()
         state = self._setup(A, b)
 
         b_norm = float(np.linalg.norm(b))

@@ -7,16 +7,19 @@ hot.  Products run over an ELL-style row-length-class packing (see
 :meth:`CSRMatrix._ell_plan`) whose summation order per row depends on that
 row's length alone, so single-vector, multi-vector and restacked-matrix
 products are all bitwise consistent; ``np.add.reduceat`` remains for rows
-too wide to pack and for plain segment reductions.
+too wide to pack and for plain segment reductions.  Residuals of matrices
+with a few, well-filled column offsets run on diagonal-offset planes
+instead (see :meth:`CSRMatrix.residual` and :mod:`repro.sparse.dia`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .._util import as_float_array, as_index_array
+from .dia import DiagonalPlane, accumulate_planes, entry_offsets, plane_gate
 
 __all__ = ["CSRMatrix", "scatter_add_fold"]
 
@@ -99,7 +102,10 @@ class CSRMatrix:
         construct already-valid arrays pass ``check=False``).
     """
 
-    __slots__ = ("indptr", "indices", "data", "shape", "_ell", "_ell_builds", "_erows")
+    __slots__ = (
+        "indptr", "indices", "data", "shape",
+        "_ell", "_ell_builds", "_dia", "_dia_builds", "_erows",
+    )
 
     def __init__(self, indptr, indices, data, shape: Tuple[int, int], *, check: bool = True):
         self.indptr = as_index_array(indptr, "indptr")
@@ -108,6 +114,8 @@ class CSRMatrix:
         self.shape = (int(shape[0]), int(shape[1]))
         self._ell = None
         self._ell_builds = 0
+        self._dia = None
+        self._dia_builds = 0
         self._erows = None
         if check:
             self._validate()
@@ -319,6 +327,50 @@ class CSRMatrix:
             out[..., empty] = 0.0
         return out
 
+    def _dia_plan(self) -> Optional[List[DiagonalPlane]]:
+        """Per-offset weight planes in ascending offset order, or ``None``.
+
+        Built lazily on the first :meth:`residual` and cached like the ELL
+        plan (same no-mutation assumption).  ``None`` when the structure
+        fails :func:`repro.sparse.dia.plane_gate` — too many distinct
+        column offsets, or too little of their plane filled — and the
+        residual stays on the ELL product.  ``_dia_builds`` counts
+        accepted constructions.  An accepted matrix's rows hold at most
+        ``MAX_OFFSETS`` entries, under :data:`_ELL_MAX_WIDTH`, so its ELL
+        product sums every row left to right — the order the planes
+        reproduce.
+        """
+        if self._dia is None:
+            rows, offs, offsets = entry_offsets(self)
+            if plane_gate(len(offsets), self.nnz, self.nrows):
+                self._dia = False
+            else:
+                planes = []
+                for o in offsets:
+                    sel = offs == o
+                    planes.append(DiagonalPlane(int(o), rows[sel], self.data[sel]))
+                self._dia = planes
+                self._dia_builds += 1
+        return self._dia or None
+
+    def _operand(self, x, out: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate a ``(ncols,)`` or ``(R, ncols)`` operand; return it and *out*.
+
+        *out* is allocated with the result shape when not given.
+        """
+        x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 1:
+            if x.shape != (self.ncols,):
+                raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
+        elif x.ndim == 2:
+            if x.shape[1] != self.ncols:
+                raise ValueError(f"x must have shape (R, {self.ncols}), got {x.shape}")
+        else:
+            raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
+        if out is None:
+            out = np.empty(x.shape[:-1] + (self.nrows,))
+        return x, out
+
     def matvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Sparse matrix-(multi-)vector product ``y = A @ x``.
 
@@ -329,21 +381,10 @@ class CSRMatrix:
         path is bitwise identical to R separate 1-D calls (same per-entry
         products, same left-to-right segment accumulation).
         """
-        x = np.asarray(x, dtype=np.float64)
+        x, out = self._operand(x, out)
         if x.ndim == 1:
-            if x.shape != (self.ncols,):
-                raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-            if out is None:
-                out = np.empty(self.nrows)
             return self._packed_product(lambda cols: x[cols], out)
-        elif x.ndim == 2:
-            if x.shape[1] != self.ncols:
-                raise ValueError(f"x must have shape (R, {self.ncols}), got {x.shape}")
-            if out is None:
-                out = np.empty((x.shape[0], self.nrows))
-            return self._packed_product(lambda cols: x[:, cols], out)
-        else:
-            raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
+        return self._packed_product(lambda cols: x[:, cols], out)
 
     def matvec_rows(
         self, X: np.ndarray, rows: np.ndarray, out: Optional[np.ndarray] = None
@@ -378,9 +419,29 @@ class CSRMatrix:
 
         ``x`` may be a single vector or an ``(R, ncols)`` multi-vector; *b*
         broadcasts against the result (one shared right-hand side for all
-        replicas, or a per-replica ``(R, nrows)`` stack).
+        replicas, or a per-replica ``(R, nrows)`` stack).  *out* must not
+        alias *x*.
+
+        A matrix with a few, well-filled column offsets (see
+        :meth:`_dia_plan`) evaluates ``A @ x`` as offset-shifted slice
+        multiply-adds in ascending-offset order — ascending column order,
+        the order the ELL panels of :meth:`matvec` sum each row in — so the
+        result equals ``b - A.matvec(x)`` under ``np.array_equal`` for
+        finite operands, differing at most in the sign of an exact zero.
+        :meth:`matvec` itself stays on the ELL plan, the kernel it shares
+        with :meth:`matvec_rows` and with the per-block parts the sweep
+        executors multiply, so every product stays bitwise consistent
+        across them, zero signs and non-finite rows included.  Matrices
+        the plan gate rejects take the ELL product here too.
         """
-        r = self.matvec(x, out=out)
+        planes = self._dia_plan()
+        if planes is None:
+            r = self.matvec(x, out=out)
+        else:
+            x, r = self._operand(x, out)
+            # A per-call scratch, not a cached one: the matrix is shared by
+            # concurrent solves (threaded solver, serve).
+            accumulate_planes(planes, x, r, np.empty_like(r))
         np.subtract(b, r, out=r)
         return r
 

@@ -12,6 +12,20 @@ def test_name_follows_config():
     assert BlockAsyncSolver(AsyncConfig(local_iterations=3)).name == "async-(3)"
 
 
+@pytest.mark.parametrize("which", ["b", "x0"])
+def test_non_finite_input_rejected_before_partitioning(small_spd, which, monkeypatch):
+    import repro.core.block_async as block_async
+
+    def no_partition(*args, **kwargs):
+        raise AssertionError("partition built for an invalid system")
+
+    monkeypatch.setattr(block_async, "make_partition", no_partition)
+    b, x0 = np.ones(60), np.zeros(60)
+    (b if which == "b" else x0)[3] = np.nan
+    with pytest.raises(ValueError, match=f"^{which} has non-finite"):
+        BlockAsyncSolver(block_size=10).solve(small_spd, b, x0)
+
+
 def test_converges_on_spd(small_spd):
     x_star = np.linspace(-2, 2, 60)
     b = small_spd.matvec(x_star)

@@ -18,6 +18,7 @@ from repro.core import AsyncConfig, AsyncEngine, BatchedAsyncEngine
 from repro.matrices.grids import stencil_laplacian_2d
 from repro.matrices.grids3d import stencil_laplacian_3d
 from repro.perf import compile_sweep_plan
+from repro.solvers import StoppingCriterion
 from repro.sparse import BlockRowView
 
 
@@ -43,6 +44,13 @@ def _run(A, b, config, *, sweeps=3, seed=0):
     # consume exactly the doubles the reference loop would have.
     probe = engine.rng.random(8)
     return engine, iterates, probe
+
+
+def _history(A, b, config, *, sweeps=4, seed=0):
+    """Residual history of a solve driven through ``AsyncEngine.run``."""
+    view = BlockRowView(A, block_size=config.block_size)
+    engine = AsyncEngine(view, b, dataclasses.replace(config, seed=seed))
+    return engine.run(stopping=StoppingCriterion(tol=0.0, maxiter=sweeps)).residuals
 
 
 #: Whole-sweep-exact regimes (the same matrix the fused tests pin),
@@ -79,6 +87,10 @@ def test_stencil_bitwise_matches_reference(lap3d, regime):
     for t, (xs, xr) in enumerate(zip(iters_s, iters_r)):
         assert np.array_equal(xs, xr), f"backends diverged at sweep {t + 1}"
     assert np.array_equal(probe_s, probe_r), "generator states diverged"
+    hist_s = _history(lap3d, b, dataclasses.replace(cfg, backend="stencil"))
+    hist_r = _history(lap3d, b, dataclasses.replace(cfg, backend="reference"))
+    assert len(hist_s) == 5
+    assert np.array_equal(hist_s, hist_r), "solve residual histories diverged"
 
 
 @pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))

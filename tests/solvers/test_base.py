@@ -86,6 +86,15 @@ def test_wrong_b_length(small_spd):
         JacobiSolver().solve(small_spd, np.ones(59))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["b", "x0"])
+def test_non_finite_input_rejected(small_spd, which, bad):
+    b, x0 = np.ones(60), np.zeros(60)
+    (b if which == "b" else x0)[7] = bad
+    with pytest.raises(ValueError, match=f"^{which} has non-finite"):
+        JacobiSolver().solve(small_spd, b, x0)
+
+
 def test_divergence_aborts_early():
     # A matrix with rho(B) > 1 under plain Jacobi must stop on blow-up.
     dense = np.array([[1.0, 3.0], [3.0, 1.0]])
