@@ -133,6 +133,7 @@ class BlockAsyncSolver(IterativeSolver):
         solution back in original row order (see the class docstring).
         """
         n = check_square(A.shape, f"{self.name} matrix")
+        check_finite(A.data, "A")
         check_finite(check_vector(b, n, "b"), "b")
         if x0 is not None:
             check_finite(check_vector(x0, n, "x0"), "x0")
@@ -160,6 +161,7 @@ class BlockAsyncSolver(IterativeSolver):
     def _finalize(self, state: _AsyncState, result: SolveResult) -> None:
         result.info.update(
             {
+                **state.engine.decisions(),
                 "nblocks": state.view.nblocks,
                 "block_size": self.config.block_size,
                 "local_iterations": self.config.local_iterations,
@@ -174,7 +176,7 @@ class BlockAsyncSolver(IterativeSolver):
             result.info["fault"] = self.fault.label
         if self.recorder is not None:
             self.recorder.annotate(
-                backend=state.engine.backend,
+                **state.engine.decisions(),
                 nblocks=state.view.nblocks,
                 staleness_bound=state.engine.scheduler.staleness_bound(),
                 update_counts=state.engine.update_counts.tolist(),

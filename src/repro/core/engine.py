@@ -31,7 +31,7 @@ the "broken core" semantics of the paper's experiment.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -41,9 +41,7 @@ from ..perf.plan import compile_sweep_plan, rhs_preserves_fold
 from ..runtime import BatchedRunOutcome, RunLoop, StoppingCriterion
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import SolveResult
-from ..solvers.block_jacobi import local_jacobi_sweeps
 from ..sparse import BlockRowView
-from ..sparse.csr import scatter_add_fold
 from .fault import FaultScenario
 from .schedules import AsyncConfig, WaveScheduler, replica_rngs
 
@@ -97,7 +95,20 @@ class _SweepLanes:
             rhs_fold_safe=self.fold_safe,
             plan=self.plan,
         )
-        self._executor = make_executor(self.backend, self.plan, config)
+        self._executor = make_executor(
+            self.backend, self.plan, config, self.schedulers[0].gamma_profile()
+        )
+
+    def decisions(self) -> dict:
+        """The resolved backend, plus ``levels_mean`` on ``"levels"``.
+
+        ``levels_mean`` is the mean number of dependency levels per sweep
+        so far — why a level-executor sweep costs what it does.
+        """
+        out = {"backend": self.backend}
+        if self.backend == "levels":
+            out["levels_mean"] = self._executor.levels_mean
+        return out
 
     def rhs(self, r: int) -> np.ndarray:
         """Right-hand side of lane *r* (shared, or its row of a multi-rhs stack)."""
@@ -138,8 +149,9 @@ class AsyncEngine(_SweepLanes):
         ``config.backend="auto"``, ``"stencil"`` or ``"fused"`` wherever a
         whole-sweep executor is bitwise the reference loop — snapshot-read
         regimes (γ ≡ 0) and all-deferred writes, with no fault; stencil
-        where structure detection succeeds — and ``"reference"`` (the
-        per-block loop) everywhere else.
+        where structure detection succeeds — ``"levels"`` (the block loop
+        as dependency levels) everywhere else, and ``"reference"`` (the
+        per-block loop) under a fault or when forced.
     plan:
         The compiled :class:`repro.perf.SweepPlan`, shared by every engine
         built on the same :class:`~repro.sparse.BlockRowView`.
@@ -274,7 +286,7 @@ class AsyncEngine(_SweepLanes):
         )
         if self.recorder is not None:
             self.recorder.annotate(
-                backend=self.backend,
+                **self.decisions(),
                 nblocks=self.view.nblocks,
                 staleness_bound=self.scheduler.staleness_bound(),
                 update_counts=self.update_counts.tolist(),
@@ -288,7 +300,7 @@ class AsyncEngine(_SweepLanes):
             b_norm=b_norm,
             info={
                 "diverged": outcome.diverged,
-                "backend": self.backend,
+                **self.decisions(),
                 "sweeps": outcome.sweeps,
             },
         )
@@ -322,25 +334,11 @@ class BatchedAsyncEngine(_SweepLanes):
     per-sweep order jitter, per-block freshness masks, deferred-write
     draws.  Backend resolution is the sequential engine's, and every
     backend runs the sequential engine's executor over the replica lanes
-    (:mod:`repro.perf.backends`), with one exception: for R > 1 in the
-    mixed-γ reference regime the per-block loop is replaced by a
-    position-grouped multi-replica kernel, which amortises the
-    interpreter cost of the loop over the replicas:
-
-    * the snapshot ("stale") part of every block's off-block gather is one
-      cache-resident SpMV per replica against the restacked external
-      matrix (:meth:`repro.sparse.BlockRowView.external_matrix`);
-    * per-entry race corrections and local Jacobi sweeps are grouped by
-      (schedule position, block): replicas updating the same block at the
-      same position advance together.  The position barrier preserves the
-      sequential data flow — a block reads live values only of blocks
-      earlier in *its replica's* order.
-
-    All 2-D kernels are bitwise identical to their stacked 1-D
-    counterparts (the CSR length-class packing sums each row the same way
-    in every product, and both ``np.add.at`` and the segment-sum scatter
-    :func:`repro.sparse.scatter_add_fold` accumulate per accumulator in
-    listed order), which the test suite asserts directly.
+    (:mod:`repro.perf.backends`) — the engine has no sweep kernel of its
+    own.  In the mixed-γ regimes that executor is the level executor,
+    which takes the ``(R, n)`` lanes natively: each dependency level runs
+    every replica's independent blocks at once, so the interpreter cost of
+    the block loop is paid per level, not per replica and block.
 
     Fault scenarios are not supported — a fault run is a per-seed
     :class:`repro.core.BlockAsyncSolver` solve (e.g. a
@@ -418,59 +416,12 @@ class BatchedAsyncEngine(_SweepLanes):
             rngs = replica_rngs(self.seed0, self.nreplicas)
         super().__init__(view, b, config, rngs)
         self.update_counts = np.zeros((self.nreplicas, view.nblocks), dtype=np.int64)
-        # R selects the reference kernel: one lane is the shared per-block
-        # executor, several share the position-grouped loop below.
-        self._grouped = self.backend == "reference" and self.nreplicas > 1
-        if self._grouped:
-            self._build_grouped()
-
-    #: Groups smaller than this are folded into one concatenated
-    #: per-position update instead of getting their own kernel calls.  With
-    #: the "gpu" order every replica jitters the same base pattern, so each
-    #: position has one large group plus a tail of near-singleton outliers
-    #: — the tail dominates the call count, not the flops.
-    _FUSE_MIN = 16
-
-    def _build_grouped(self) -> None:
-        """Per-block structures of the position-grouped reference loop."""
-        view = self.view
-        self._E = view.external_matrix()
-        self._E.warm_plan()
-        self._ext_buf: Optional[np.ndarray] = None
-        if self.b.ndim == 2:
-            self._b_blocks = [np.ascontiguousarray(self.b[:, blk.rows]) for blk in view.blocks]
-        else:
-            self._b_blocks = [self.b[blk.rows] for blk in view.blocks]
-        self._bs = np.array([blk.nrows for blk in view.blocks], dtype=np.int64)
-        self._arange_rows = [
-            np.arange(blk.start, blk.stop, dtype=np.int64) for blk in view.blocks
-        ]
-        self._e_indices = [blk.external.indices for blk in view.blocks]
-        self._e_data = [blk.external.data for blk in view.blocks]
-        self._diag_blocks = [blk.diag for blk in view.blocks]
-        self._pad_cols, self._pad_data, self._padW = self.plan.padded_local
 
     # ------------------------------------------------------------------ #
 
     def staleness_bound(self) -> int:
         """Shift-function bound of the schedules (condition (2) of §2.2)."""
         return self.schedulers[0].staleness_bound()
-
-    def _base_external(self, S: np.ndarray, reps: np.ndarray) -> np.ndarray:
-        """Snapshot off-block gather ``E @ S[r]`` for every replica in *reps*.
-
-        One cache-resident 1-D SpMV per replica: on a CPU the row-at-a-time
-        kernel beats the ``(R, nnz)`` multi-vector gather (whose temporaries
-        spill every cache level), and it is bitwise the sequential engine's
-        own per-block product by construction.
-        """
-        out = self._ext_buf
-        if out is None or out.shape[0] < len(reps):
-            out = self._ext_buf = np.empty((len(reps), self.view.n))
-        out = out[: len(reps)]
-        for i, r in enumerate(reps):
-            self._E.matvec(S[r], out=out[i])
-        return out
 
     def sweep(self, X: np.ndarray, replicas: Optional[np.ndarray] = None) -> np.ndarray:
         """One global iteration for every replica row listed in *replicas*.
@@ -490,268 +441,10 @@ class BatchedAsyncEngine(_SweepLanes):
             else np.asarray(replicas, dtype=np.int64)
         )
         if len(reps):
-            if self._grouped:
-                self._sweep_grouped(X, reps)
-            else:
-                self._executor.sweep(X, self, reps)
+            self._executor.sweep(X, self, reps)
             self.update_counts[reps] += 1
         self.sweep_index += 1
         return X
-
-    def _sweep_grouped(self, X: np.ndarray, reps: np.ndarray) -> None:
-        """The position-grouped mixed-γ reference sweep of replicas *reps*."""
-        cfg = self.config
-        view = self.view
-        nb = view.nblocks
-        ennz = self.plan.ennz
-        multi_rhs = self.b.ndim == 2
-
-        # 1. Per-replica schedule plans.  γ is a deterministic device
-        # property — identical for every replica — but the orders differ.
-        orders = np.empty((len(reps), nb), dtype=np.int64)
-        gamma = np.zeros(nb)
-        for i, r in enumerate(reps):
-            order, gamma = self.schedulers[r].plan_for_sweep(self.sweep_index, self.rngs[r])
-            orders[i] = order
-
-        # 2. Freshness masks and deferred-write draws, consumed in schedule
-        # order from each replica's own stream (bitwise the sequential
-        # draws).
-        mixed = (gamma > 0.0) & (gamma < 1.0)
-        draw_defer = cfg.deferred_write_prob > 0.0
-        fresh: List[List[Optional[np.ndarray]]] = [[None] * nb for _ in range(len(reps))]
-        defer = np.zeros((len(reps), nb), dtype=bool)
-        if mixed.any() and not draw_defer:
-            # No defer draws interleave, so each replica's per-block
-            # freshness draws are consecutive in its stream — and
-            # ``Generator.random`` fills doubles from the bit stream
-            # sequentially, so one call per replica per sweep is bitwise
-            # the per-block calls.  γ is uniform over mixed positions (it
-            # differs only on the γ=1 pipeline tail), so one comparison
-            # thresholds the whole sweep's draws.
-            mpos = np.flatnonzero(mixed)
-            gmix = float(gamma[mpos[0]])
-            for i, r in enumerate(reps):
-                sizes = ennz[orders[i][mpos]]
-                offs = np.zeros(len(sizes) + 1, dtype=np.int64)
-                np.cumsum(sizes, out=offs[1:])
-                fm = self.rngs[r].random(int(offs[-1])) < gmix
-                fi = fresh[i]
-                for t, pos in enumerate(mpos):
-                    fi[pos] = fm[offs[t] : offs[t + 1]]
-        elif mixed.any() or draw_defer:
-            for i, r in enumerate(reps):
-                rng = self.rngs[r]
-                row = orders[i]
-                for pos in range(nb):
-                    if mixed[pos]:
-                        g = gamma[pos]
-                        fresh[i][pos] = rng.random(ennz[row[pos]]) < g
-                    if draw_defer:
-                        defer[i, pos] = rng.random() < cfg.deferred_write_prob
-
-        all_live = bool(np.all(gamma >= 1.0))
-        S = X if all_live else X.copy()
-        EXT = None if all_live else self._base_external(S, reps)
-
-        # 3. Position loop with (position, block) grouping.  Replicas at
-        # the same position update disjoint rows and read only their own
-        # replica's values, so groups within a position are independent;
-        # the barrier between positions preserves each replica's
-        # earlier-blocks-are-live data flow.  Large groups (many replicas
-        # on the same block — the "gpu" order's shared base pattern) run
-        # as rectangular per-block kernels; the tail of small outlier
-        # groups is folded into one concatenated update per position.
-        deferred: List[Tuple[int, slice, np.ndarray]] = []
-        Xflat = X.reshape(-1) if X.flags["C_CONTIGUOUS"] else None
-        concat_ok = self._pad_cols is not None and Xflat is not None
-        for pos in range(nb):
-            bids = orders[:, pos]
-            g = float(gamma[pos])
-            ubids, inv, counts = np.unique(bids, return_inverse=True, return_counts=True)
-            concat = concat_ok and g < 1.0 and bool((counts < self._FUSE_MIN).any())
-            if concat:
-                small = np.flatnonzero(counts[inv] < self._FUSE_MIN)
-                mem_s = small[np.argsort(bids[small], kind="stable")]
-                self._sweep_concatenated(
-                    X, Xflat, S, EXT, pos, mem_s, bids[mem_s], g, reps,
-                    fresh, defer, draw_defer, deferred,
-                )
-                if len(small) == len(bids):
-                    continue
-            for k, bid in enumerate(ubids):
-                if concat and counts[k] < self._FUSE_MIN:
-                    continue
-                mem = np.flatnonzero(inv == k)
-                rows_g = reps[mem]
-                blk = view.blocks[bid]
-                if g >= 1.0:
-                    ext = blk.external.matvec_rows(X, rows_g)
-                else:
-                    ext = EXT[mem, blk.start : blk.stop]
-                    if g > 0.0:
-                        # Per-entry races: each fresh off-block component
-                        # is read after its owner's write from this sweep
-                        # landed (owners later in the replica's order, or
-                        # deferred, contribute an exact zero).
-                        e = blk.external
-                        F = (
-                            np.stack([fresh[i][pos] for i in mem])
-                            if len(mem) > 1
-                            else fresh[mem[0]][pos][None, :]
-                        )
-                        mi, ei = np.nonzero(F)
-                        if len(mi):
-                            cols = e.indices[ei]
-                            rg = rows_g[mi]
-                            delta = e.data[ei] * (X[rg, cols] - S[rg, cols])
-                            if self.fold_safe:
-                                # Segment-sum scatter (one bincount) in
-                                # place of np.add.at; per accumulator the
-                                # fold order is identical (base first,
-                                # then deltas in entry order).
-                                ext = scatter_add_fold(
-                                    ext,
-                                    mi * blk.nrows + self.plan.ext_rows[bid][ei],
-                                    delta,
-                                )
-                            else:
-                                np.add.at(ext, (mi, self.plan.ext_rows[bid][ei]), delta)
-                s = (
-                    self._b_blocks[bid][rows_g] if multi_rhs else self._b_blocks[bid]
-                ) - ext
-                z = local_jacobi_sweeps(
-                    self.plan.local_c[bid],
-                    blk.diag,
-                    s,
-                    X[rows_g, blk.start : blk.stop],
-                    cfg.local_iterations,
-                    omega=cfg.omega,
-                )
-                if draw_defer:
-                    dmask = defer[mem, pos]
-                    live = ~dmask
-                    if live.any():
-                        X[rows_g[live], blk.start : blk.stop] = z[live]
-                    for j in np.flatnonzero(dmask):
-                        deferred.append((int(rows_g[j]), blk.rows, z[j]))
-                else:
-                    X[rows_g, blk.start : blk.stop] = z
-
-        for r, rows, vals in deferred:
-            X[r, rows] = vals
-
-    def _sweep_concatenated(
-        self,
-        X: np.ndarray,
-        Xflat: np.ndarray,
-        S: np.ndarray,
-        EXT: np.ndarray,
-        pos: int,
-        mem: np.ndarray,
-        bids: np.ndarray,
-        g: float,
-        reps: np.ndarray,
-        fresh: List[List[Optional[np.ndarray]]],
-        defer: np.ndarray,
-        draw_defer: bool,
-        deferred: List[Tuple[int, slice, np.ndarray]],
-    ) -> None:
-        """One concatenated update of all small (replica, block) pairs at *pos*.
-
-        *mem* indexes the pairs (into *reps*/*EXT* rows), sorted by block
-        id so same-block pairs sit in contiguous sections.  All pairs'
-        block rows are laid out back to back in one work vector and every
-        step of the block update — snapshot gather, per-entry race
-        corrections, the k local Jacobi sweeps over the plan's padded-ELL
-        local panels (:attr:`repro.perf.SweepPlan.padded_local`), the
-        write-back — runs as a single kernel call over the concatenation.  Pairs touch disjoint
-        replica rows, so this is bitwise the same as updating them one
-        group at a time: concatenation never mixes two pairs' terms into
-        one accumulator (``np.add.at`` accumulates per listed index, and
-        the padded rows reduce strictly left to right per row).
-        """
-        cfg = self.config
-        view = self.view
-        n = view.n
-        ennz = self.plan.ennz
-        rows_g = reps[mem]
-        bs = self._bs[bids]
-        m = len(mem)
-        total = int(bs.sum())
-        row_off = np.zeros(m, dtype=np.int64)
-        np.cumsum(bs[:-1], out=row_off[1:])
-        col_rows = np.concatenate([self._arange_rows[b] for b in bids])
-        flat = np.repeat(rows_g * n, bs) + col_rows
-
-        # Off-block gather: snapshot base rows from EXT, then per-entry
-        # race corrections (identical accumulation order to the grouped
-        # path: ascending entry within each pair's section).
-        ext = EXT.reshape(-1)[np.repeat(mem * n, bs) + col_rows]
-        if g > 0.0:
-            F = np.concatenate([fresh[i][pos] for i in mem])
-            sel = np.flatnonzero(F)
-            if len(sel):
-                ecols = np.concatenate([self._e_indices[b] for b in bids])[sel]
-                edata = np.concatenate([self._e_data[b] for b in bids])[sel]
-                epos = (
-                    np.concatenate([self.plan.ext_rows[b] for b in bids])
-                    + np.repeat(row_off, ennz[bids])
-                )[sel]
-                erep = np.repeat(rows_g, ennz[bids])[sel]
-                delta = edata * (X[erep, ecols] - S[erep, ecols])
-                if self.fold_safe:
-                    ext = scatter_add_fold(ext, epos, delta)
-                else:
-                    np.add.at(ext, epos, delta)
-        if self.b.ndim == 2:
-            # Same flat gather as the iterate: each pair's section takes
-            # its own replica's rhs rows.
-            s = self.b.reshape(-1)[flat]
-        else:
-            s = np.concatenate([self._b_blocks[b] for b in bids])
-        np.subtract(s, ext, out=s)
-        d = np.concatenate([self._diag_blocks[b] for b in bids])
-
-        # k local Jacobi sweeps over the concatenated padded-ELL panels,
-        # lane by lane: every row accumulates its entries left to right,
-        # and each lane is one contiguous gather-multiply-add.
-        W = self._padW
-        cols = np.concatenate([self._pad_cols[b] for b in bids], axis=1)
-        cols += np.repeat(row_off, bs)
-        data = np.concatenate([self._pad_data[b] for b in bids], axis=1)
-        zbuf = np.empty(total + 1)
-        zbuf[total] = 0.0
-        zbuf[:total] = Xflat[flat]
-        z = zbuf[:total]
-        gbuf = np.empty(total)
-        acc = np.empty(total)
-        for _ in range(cfg.local_iterations):
-            # mode="clip" lands every pad sentinel on the +0.0 slot at
-            # index *total* (and skips per-element bounds checks).
-            np.take(zbuf, cols[0], out=gbuf, mode="clip")
-            np.multiply(data[0], gbuf, out=acc)
-            for j in range(1, W):
-                np.take(zbuf, cols[j], out=gbuf, mode="clip")
-                gbuf *= data[j]
-                acc += gbuf
-            new = (s - acc) / d
-            if cfg.omega != 1.0:
-                new = (1.0 - cfg.omega) * z + cfg.omega * new
-            zbuf[:total] = new
-            z = zbuf[:total]
-
-        if draw_defer and defer[mem, pos].any():
-            dmask = defer[mem, pos]
-            live = np.repeat(~dmask, bs)
-            Xflat[flat[live]] = z[live]
-            for j in np.flatnonzero(dmask):
-                lo = row_off[j]
-                deferred.append(
-                    (int(rows_g[j]), view.blocks[bids[j]].rows, z[lo : lo + bs[j]].copy())
-                )
-        else:
-            Xflat[flat] = z
 
     def run(
         self,
@@ -813,7 +506,7 @@ class BatchedAsyncEngine(_SweepLanes):
         )
         if recorder is not None:
             recorder.annotate(
-                backend=self.backend,
+                **self.decisions(),
                 partition=self.view.partition_telemetry(),
             )
         return out

@@ -89,10 +89,10 @@ UPDATE_ORDERS = ("synchronous", "sequential", "reversed", "random", "gpu")
 #: Recognised sweep-execution backends (see :mod:`repro.perf`):
 #: ``"auto"`` prefers the matrix-free stencil path where structure
 #: detection succeeds, fuses whole sweeps whenever that is exact for the
-#: configured regime, and falls back to the per-block reference loop
-#: otherwise; ``"stencil"``/``"fused"`` demand their path (an error where
-#: it is not exact, or — stencil — where detection fails);
-#: ``"reference"`` forces the per-block loop everywhere.
+#: configured regime, and otherwise runs the block loop as dependency
+#: levels (resolved name ``"levels"``); ``"stencil"``/``"fused"`` demand
+#: their path (an error where it is not exact, or — stencil — where
+#: detection fails); ``"reference"`` forces the per-block loop everywhere.
 BACKENDS = ("auto", "stencil", "fused", "reference")
 
 #: Recognised Schwarz modes: ``"none"`` is the paper's disjoint

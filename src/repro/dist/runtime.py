@@ -303,15 +303,23 @@ class DistRuntime:
     # --- teardown ---------------------------------------------------------
 
     def _drain(self, timeout: float = 15.0) -> None:
-        """Collect worker payloads; never join an undrained queue."""
+        """Collect worker payloads; never join an undrained queue.
+
+        Returns as soon as every spawned shard has delivered its payload or
+        exited (an exited worker's payload is already in the pipe), so the
+        last payload does not wait out a final empty poll.
+        """
         deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            workers_up = any(p is not None and p.is_alive() for p in self.procs)
+        pending = {sid for sid, p in enumerate(self.procs) if p is not None}
+        while pending and time.monotonic() < deadline:
             try:
-                self.payloads.append(self._queue.get(timeout=0.1))
+                payload = self._queue.get(timeout=0.1)
             except queue_mod.Empty:
-                if not workers_up:
-                    break
+                pending = {sid for sid in pending if self.procs[sid].is_alive()}
+                continue
+            self.payloads.append(payload)
+            if "error" not in payload:  # a crashed predecessor's report is not it
+                pending.discard(payload.get("shard"))
         while True:
             try:
                 self.payloads.append(self._queue.get_nowait())

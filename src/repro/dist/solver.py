@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from .._util import check_square, check_vector
+from .._util import check_finite, check_square, check_vector
 from ..core.schedules import AsyncConfig
 from ..partition import Partition, make_partition
 from ..runtime import RunLoop, StoppingCriterion
@@ -159,13 +159,22 @@ class DistAsyncSolver(IterativeSolver):
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
     ) -> SolveResult:
-        """Solve ``A x = b`` across the configured worker processes."""
+        """Solve ``A x = b`` across the configured worker processes.
+
+        Raises :class:`ValueError` when *A*, *b* or *x0* has a non-finite
+        entry, before any worker starts.
+        """
         n = check_square(A.shape, f"{self.name} matrix")
-        b = check_vector(b, n, "b")
+        check_finite(A.data, "A")
+        b = check_finite(check_vector(b, n, "b"), "b")
         part = make_partition(A, self.partition, block_size=self.config.block_size)
         Ap = part.permute_matrix(A)
         bp = part.permute_vector(b)
-        x0p = None if x0 is None else part.permute_vector(check_vector(x0, n, "x0"))
+        x0p = (
+            None
+            if x0 is None
+            else part.permute_vector(check_finite(check_vector(x0, n, "x0"), "x0"))
+        )
         plan = make_shard_plan(
             part, self.shards, placement=self.placement, A=Ap
         )

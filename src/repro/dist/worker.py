@@ -183,7 +183,7 @@ def worker_main(spec: WorkerSpec) -> None:
             state.hb[sid] = time.time()
         counts = np.bincount(staleness, minlength=1) if staleness else np.zeros(1, np.int64)
         recorder.annotate(
-            backend=shard.engine.backend,
+            **shard.engine.decisions(),
             staleness_bound=shard.engine.scheduler.staleness_bound(),
             update_counts=shard.engine.update_counts.tolist(),
             block_range=[shard.blo, shard.bhi],

@@ -93,7 +93,7 @@ def run(quick: bool = True) -> ExperimentResult:
 
     speedups = {f"fused_over_stencil_{nb}": r[5] for nb, r in zip(block_counts, rows)}
     notes = [
-        "backend='auto' resolves stencil > fused > reference: the matrix-free "
+        "backend='auto' resolves stencil > fused > levels: the matrix-free "
         "kernels engage exactly where the fused sweep is exact AND structure "
         "detection succeeds; general CSR matrices fall back with the reason "
         "recorded in partition telemetry.",

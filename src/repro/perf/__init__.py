@@ -15,8 +15,8 @@ sweep computes; this subpackage decides *how* it executes:
   overlapped Schwarz modes, the whole-sweep executor over the matrix-free
   stencil kernels where detection succeeds or over the stacked CSR
   kernels wherever that is bitwise-exact for the configured asynchronism
-  regime, and the (plan-accelerated) per-block reference loop everywhere
-  else.
+  regime, the dependency-level block loop everywhere else, and the
+  (plan-accelerated) per-block reference loop under faults or on request.
 
 This mirrors how production asynchronous-solver stacks are organised
 (e.g. the backend-dispatched executors over precompiled per-subdomain
@@ -30,6 +30,7 @@ seam that is observable only through timing.
 # `import repro.perf` works standalone in either import order.
 from ..core.schedules import BACKENDS
 from .backends import (
+    LevelSweepExecutor,
     ReferenceSweepExecutor,
     WholeSweepExecutor,
     consume_schedule_draws,
@@ -52,6 +53,7 @@ __all__ = [
     "consume_schedule_draws",
     "make_executor",
     "RASWorkspace",
+    "LevelSweepExecutor",
     "ReferenceSweepExecutor",
     "WholeSweepExecutor",
     "StencilDescriptor",

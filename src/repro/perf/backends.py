@@ -15,7 +15,12 @@ lane's generator exactly as a sequential run would.
   writes), sped up by the compiled per-block plans of
   :class:`repro.perf.SweepPlan`: warmed ELL gather plans, segment-sum
   scatter instead of ``np.add.at``, compressed block-local inner sweeps
-  with one write-back per block.
+  with one write-back per block.  The oracle of every other executor,
+  and the fault path.
+* :class:`LevelSweepExecutor` — the same loop run as a few dependency
+  levels of independent blocks (resolved name ``"levels"``): what
+  ``"auto"`` runs wherever no whole-sweep kernel is exact and no fault is
+  injected.
 * :class:`WholeSweepExecutor` — the whole sweep as a handful of
   whole-system kernels: one external product, one right-hand-side
   assembly, *k* local Jacobi sweeps.  No Python loop over blocks at all,
@@ -56,6 +61,7 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 import numpy as np
 
+from .._util import cumulative_segments
 from ..solvers.block_jacobi import local_jacobi_sweeps
 from ..sparse.csr import scatter_add_fold
 from .plan import SweepPlan
@@ -70,6 +76,7 @@ __all__ = [
     "consume_schedule_draws",
     "ReferenceSweepExecutor",
     "WholeSweepExecutor",
+    "LevelSweepExecutor",
     "make_executor",
 ]
 
@@ -111,15 +118,17 @@ def resolve_backend(
     An overlapped Schwarz mode (``config.schwarz != "none"`` on a *plan*
     whose partition has ``overlap > 0``) always resolves to ``"ras"``; it
     supports neither faults nor the forced whole-sweep backends.
-    Otherwise ``"auto"`` prefers **stencil > fused > reference**: in the
+    Otherwise ``"auto"`` prefers **stencil > fused > levels**: in the
     whole-sweep exact regimes it runs the matrix-free stencil executor
     when structure detection on *plan* succeeds (:mod:`repro.perf.stencil`),
-    the fused CSR path otherwise, and the per-block reference loop outside
-    those regimes.  ``"reference"`` always honours the request; ``"fused"``
+    the fused CSR path otherwise, and outside those regimes the block loop
+    as dependency levels (:class:`LevelSweepExecutor`) — or the per-block
+    reference loop under a fault, or where a row is too wide for the
+    level executor's padded panels.  ``"reference"`` always honours the request; ``"fused"``
     / ``"stencil"`` raise where they would change the iterates — the
     backends are execution strategies, never approximations, and a silent
     fallback would make ``--backend=fused`` timings lie.  Without a *plan*
-    (legacy callers) stencil and RAS dispatch are never considered.
+    (legacy callers) stencil, levels and RAS dispatch are never considered.
     """
     requested = config.backend
     if plan is not None and config.schwarz != "none" and plan.partition.overlap > 0:
@@ -171,10 +180,25 @@ def resolve_backend(
         return "stencil"
     # "auto"
     if not exact:
-        return "reference"
+        fits = not has_fault and plan is not None and _levels_fit(plan, scheduler)
+        return "levels" if fits else "reference"
     if plan is not None and plan.stencil[0] is not None:
         return "stencil"
     return "fused"
+
+
+def _levels_fit(plan: SweepPlan, scheduler: "WaveScheduler") -> bool:
+    """Whether the level executor runs this regime.
+
+    It needs its padded panels (no row wider than the packed kernel's
+    panel cap) and one race rate over the mixed positions, as
+    :class:`repro.core.WaveScheduler` gives.
+    """
+    gamma = scheduler.gamma_profile()
+    race = gamma[(gamma > 0.0) & (gamma < 1.0)]
+    if np.any(race != race[:1]) or plan.padded_local is None:
+        return False
+    return bool(np.all(gamma < 1.0)) or plan.padded_external is not None
 
 
 def consume_schedule_draws(
@@ -286,8 +310,7 @@ class ReferenceSweepExecutor:
     * all gather plans and index structures are compiled once
       (:meth:`repro.perf.SweepPlan.warm_reference`) instead of per sweep.
 
-    Lanes advance one after another; the batched engine replaces this loop
-    by its position-grouped multi-replica kernel when R > 1.
+    Lanes advance one after another.
     """
 
     def __init__(self, plan: SweepPlan, config: "AsyncConfig"):
@@ -374,8 +397,360 @@ class ReferenceSweepExecutor:
             x[rows] = vals
 
 
-def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig"):
-    """The shared executor for a resolved backend name."""
+def _longest_paths(nnodes: int, src: list, dst: list, w: list) -> np.ndarray:
+    """Smallest levels with ``level[dst] >= level[src] + w`` on every edge.
+
+    Edges come as lists of arrays.  They form a DAG (each points forward
+    in its lane's order), so synchronous relaxation settles after at most
+    its longest path.
+    """
+    lv = np.zeros(nnodes, dtype=np.int64)
+    if not src:
+        return lv
+    src, dst, w = np.concatenate(src), np.concatenate(dst), np.concatenate(w)
+    while len(src):
+        new = lv.copy()
+        np.maximum.at(new, dst, lv[src] + w)
+        if np.array_equal(new, lv):
+            break
+        lv = new
+    return lv
+
+
+def _row_sums(vals: np.ndarray) -> np.ndarray:
+    """Strict left-to-right sum over the lanes of a ``(W, m)`` panel product.
+
+    The packed ELL kernel's order, one addition at a time; accumulates
+    into ``vals[0]``, which it returns.
+    """
+    acc = vals[0]
+    for j in range(1, len(vals)):
+        acc += vals[j]
+    return acc
+
+
+class LevelSweepExecutor:
+    """The block loop as a few levels of independent blocks, exact in every regime.
+
+    On the paper's GPU all thread blocks of a sweep run at once; only a
+    read that races an already finished neighbour is ordered (§3.3,
+    Eq. (4)).  This executor reproduces the per-block loop bitwise while
+    running it that way.  Per sweep and lane it draws every freshness and
+    deferred-write double in one ``Generator.random`` call (the loop's
+    interleaved draws, in stream order) and computes the snapshot part of
+    all off-block gathers as one ``E @ S`` over the restacked external
+    matrix.  It then puts each block one level above the deepest
+    earlier-positioned, non-deferred block it reads live — every coupled
+    block at a γ = 1 position, the owners of its fresh entries at a mixed
+    one — and, at a γ = 1 position, no lower than any later-positioned,
+    non-deferred block it couples to, so none of those has written when it
+    reads.  A fresh entry reads the live value only when its owner precedes
+    it in the lane's order and is not deferred, the snapshot value
+    otherwise, exactly as in the loop.
+
+    Each level runs all its (lane, block) pairs at once, with every read
+    of the level before any of its writes: one race-correction
+    ``np.add.at`` (the in-place fold itself, so a ``-0.0`` right-hand
+    side needs no fallback), one ``s = b − ext``, and *k* local Jacobi
+    sweeps over the padded-ELL panels of
+    :attr:`repro.perf.SweepPlan.padded_local` — on contiguous slices, with
+    no index gather, when the level is one block.  Iterates move in a
+    ``(R, n + 1)`` work copy whose last column is the pads' ``+0.0`` slot;
+    the caller's *X* stays the sweep-start snapshot until the copy-back.
+
+    Lanes are native: a batched sweep is one level loop over all its
+    replicas.  Deterministic schedules (no freshness or defer draws) reuse
+    their level assignment per order.  :attr:`levels_mean` is the mean
+    number of levels per sweep — the decision telemetry of the engines.
+    Faults stay on :class:`ReferenceSweepExecutor`.
+    """
+
+    #: Orders whose level assignment a deterministic schedule remembers.
+    _CACHE_MAX = 64
+    #: Rows per lane group of a level (see :meth:`_split_levels`).
+    _GROUP_ROWS = 4096
+
+    def __init__(self, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray):
+        self.plan = plan.warm_reference(gamma)
+        self.config = config
+        view = plan.view
+        self.n = view.n
+        self.nb = view.nblocks
+        self.starts = view.boundaries[:-1]
+        self.sizes = np.diff(view.boundaries)
+        self.diag = plan.diag
+        self.lcols, self.ldata = plan.padded_local
+        self.gamma = gamma
+        self.mixed = (gamma > 0.0) & (gamma < 1.0)
+        self.snapshot = bool(np.any(gamma < 1.0))
+        self.live = bool(np.any(gamma >= 1.0))
+        self.E = plan.external
+        self.eptr = self.E.indptr[self.starts]
+        if self.mixed.any():
+            #: The one race rate of the mixed positions (see _levels_fit).
+            self.race = gamma[self.mixed][0]
+            self.e_rows = self.E._expanded_rows()
+            self.e_reader, self.e_owner = plan.entry_blocks
+        if self.live:
+            self.ecols, self.edata = plan.padded_external
+            self.readers, self.owners = plan.coupling
+        self._cache = {}
+        self.levels_run = 0
+        self.sweeps_run = 0
+
+    @property
+    def levels_mean(self) -> float:
+        """Mean dependency levels per sweep so far (0 before the first)."""
+        return self.levels_run / self.sweeps_run if self.sweeps_run else 0.0
+
+    def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
+        n, nb = self.n, self.nb
+        reps = np.asarray(reps, dtype=np.int64)
+        R = len(reps)
+        orders, pos, defer, hits = self._draw(lanes, reps)
+        nlev, lv, nodes, bounds, fresh = self._assign_levels(orders, pos, defer, hits)
+        if fresh is not None:
+            fresh, ebounds = self._fresh_by_level(fresh, X, reps, lv, nodes, bounds)
+
+        XW = np.empty((R, n + 1))
+        XW[:, n] = 0.0
+        EXT = np.empty((R, n)) if self.snapshot else None
+        for i, r in enumerate(reps):
+            XW[i, :n] = X[r]
+            if EXT is not None:
+                self.E.matvec(X[r], out=EXT[i])
+        live_node = (self.gamma[pos] >= 1.0).ravel()
+        defer_node = defer.ravel()
+        late = []
+        for lvl in range(len(bounds) - 1):
+            efresh = None
+            if fresh is not None and ebounds[lvl + 1] > ebounds[lvl]:
+                e = slice(ebounds[lvl], ebounds[lvl + 1])
+                efresh = tuple(a[e] for a in fresh)
+            nd = nodes[bounds[lvl] : bounds[lvl + 1]]
+            self._level(nd, XW, EXT, efresh, lanes.b, reps, live_node[nd], defer_node[nd], late)
+        XWf = XW.reshape(-1)
+        for flat, z in late:
+            XWf[flat] = z
+        X[reps] = XW[:, :n]
+        self.levels_run += nlev
+        self.sweeps_run += 1
+
+    def _draw(self, lanes, reps):
+        """Each lane's order and every double its loop would draw, in one call.
+
+        Per position the loop draws the fresh mask (mixed γ), then the
+        defer double.  Returns ``(orders, pos, defer, hits)``:
+        *pos* and *defer* indexed by (lane, block), *hits* the fresh
+        entries as flat indices into all lanes' concatenated masks (or
+        ``None`` without mixed positions).
+        """
+        nb = self.nb
+        R = len(reps)
+        dwp = self.config.deferred_write_prob
+        orders = np.empty((R, nb), dtype=np.int64)
+        for i, r in enumerate(reps):
+            orders[i] = lanes.schedulers[r].plan_for_sweep(lanes.sweep_index, lanes.rngs[r])[0]
+        pos = np.empty_like(orders)
+        pos[np.arange(R)[:, None], orders] = np.arange(nb)
+        fsz = np.where(self.mixed, self.plan.ennz[orders], 0)
+        cnt = fsz + (dwp > 0.0)
+        defer = np.zeros((R, nb), dtype=bool)
+        hits = []
+        base = 0
+        for i, r in enumerate(reps):
+            u = lanes.rngs[r].random(int(cnt[i].sum()))
+            if dwp > 0.0:
+                last = np.cumsum(cnt[i]) - 1
+                defer[i, orders[i]] = u[last] < dwp
+                u = np.delete(u, last)
+            if self.mixed.any():
+                hits.append(np.flatnonzero(u < self.race) + base)
+                base += len(u)
+        if not self.mixed.any():
+            return orders, pos, defer, None
+        # Hit j lies in the (lane, position) segment holding it.
+        j = np.concatenate(hits)
+        seg_start = cumulative_segments(fsz.ravel())
+        seg = np.searchsorted(seg_start, j, side="right") - 1
+        ent = self.eptr[orders.ravel()[seg]] + (j - seg_start[seg])
+        return orders, pos, defer, (ent, seg // nb)
+
+    def _assign_levels(self, orders, pos, defer, hits):
+        """Dependency levels of the (lane, block) nodes, and the fresh entries.
+
+        Returns :meth:`_split_levels` of the levels, then *fresh*:
+        ``(ent, lane, reader, live)`` per fresh entry, or ``None``.
+        """
+        nb = self.nb
+        R = len(orders)
+        src, dst, wgt = [], [], []
+        fresh = None
+        if hits is not None:
+            ent, eln = hits
+            rd, ow = self.e_reader[ent], self.e_owner[ent]
+            elive = (pos[eln, ow] < pos[eln, rd]) & ~defer[eln, ow]
+            src.append(eln[elive] * nb + ow[elive])
+            dst.append(eln[elive] * nb + rd[elive])
+            wgt.append(np.ones(int(elive.sum()), dtype=np.int64))
+            fresh = (ent, eln, rd, elive)
+        if self.live:
+            P = len(self.readers)
+            L = np.repeat(np.arange(R), P)
+            PR, PO = np.tile(self.readers, R), np.tile(self.owners, R)
+            sel = self.gamma[pos[L, PR]] >= 1.0
+            L, PR, PO = L[sel], PR[sel], PO[sel]
+            writes = ~defer[L, PO]
+            before = pos[L, PO] < pos[L, PR]
+            dep, anti = writes & before, writes & ~before
+            src += [L[dep] * nb + PO[dep], L[anti] * nb + PR[anti]]
+            dst += [L[dep] * nb + PR[dep], L[anti] * nb + PO[anti]]
+            wgt += [np.ones(int(dep.sum()), dtype=np.int64), np.zeros(int(anti.sum()), dtype=np.int64)]
+        if fresh is not None or self.config.deferred_write_prob > 0.0:
+            return self._split_levels(_longest_paths(R * nb, src, dst, wgt), R) + (fresh,)
+        key = orders.tobytes()
+        split = self._cache.get(key)
+        if split is None:
+            if len(self._cache) >= self._CACHE_MAX:
+                self._cache.clear()
+            split = self._cache[key] = self._split_levels(_longest_paths(R * nb, src, dst, wgt), R)
+        return split + (fresh,)
+
+    def _split_levels(self, lv, R):
+        """Cut each level into lane groups of about :attr:`_GROUP_ROWS` rows.
+
+        Pairs of different lanes never read each other, so a level's lane
+        groups may run one after another: this bounds the per-level work
+        arrays, not the result.  Returns the group of every node (the new
+        ``lv``), the nodes in group order and the group boundaries, after
+        the level count.
+        """
+        nb = self.nb
+        nodes = np.argsort(lv, kind="stable")
+        sizes = self.sizes[nodes % nb]
+        crows = cumulative_segments(sizes)
+        lv_sorted = lv[nodes]
+        level_rows = crows[:-1] - crows[cumulative_segments(np.bincount(lv_sorted))[lv_sorted]]
+        # Every node takes the group of its (level, lane) run's first node.
+        run = lv_sorted * R + nodes // nb
+        first = np.flatnonzero(np.diff(run, prepend=-1))
+        group = np.repeat(level_rows[first] // self._GROUP_ROWS, np.diff(np.append(first, len(run))))
+        key = lv_sorted * (int(group.max()) + 1) + group
+        cut = np.flatnonzero(np.diff(key, prepend=-1))
+        sub = np.empty_like(lv)
+        sub[nodes] = np.repeat(np.arange(len(cut)), np.diff(np.append(cut, len(key))))
+        return int(lv_sorted[-1]) + 1, sub, nodes, np.append(cut, len(key))
+
+    def _fresh_by_level(self, fresh, X, reps, lv, nodes, bounds):
+        """The fresh entries grouped by level, with what their corrections read.
+
+        Returns ``((epos, data, eflat, snap, live), ebounds)``: per entry its
+        row inside its level's concatenated rows, its value, its column in
+        the flat work copy, its snapshot operand and whether its owner
+        writes visibly first; entries of level *l* are
+        ``ebounds[l]:ebounds[l + 1]``, in lane, block and entry order.
+        """
+        n, nb = self.n, self.nb
+        ent, eln, rd, elive = fresh
+        csz = cumulative_segments(self.sizes[nodes % nb])
+        node_off = np.empty(len(lv), dtype=np.int64)
+        node_off[nodes] = csz[:-1] - csz[bounds[:-1]][lv[nodes]]
+        enode = eln * nb + rd
+        epos = node_off[enode] + self.e_rows[ent] - self.starts[rd]
+        elv = lv[enode]
+        by_level = np.argsort(elv, kind="stable")
+        ebounds = cumulative_segments(np.bincount(elv, minlength=len(bounds) - 1))
+        ent, eln, elive, epos = (a[by_level] for a in (ent, eln, elive, epos))
+        cols = self.E.indices[ent]
+        return (epos, self.E.data[ent], eln * (n + 1) + cols, X[reps[eln], cols], elive), ebounds
+
+    def _level(self, nd, XW, EXT, fresh, b, reps, live, deferred, late) -> None:
+        """Update the (lane, block) pairs *nd* of one level: reads, then writes.
+
+        *live* / *deferred* flag the pairs at γ = 1 positions and the
+        pairs whose write waits for the sweep end (appended to *late*);
+        *fresh* holds the level's race-corrected entries.
+        """
+        n, nb = self.n, self.nb
+        XWf = XW.reshape(-1)
+        li, bk = nd // nb, nd % nb
+        if len(nd) == 1:
+            # One block: contiguous slices, block-local columns as they are.
+            i, lo = int(li[0]), int(self.starts[bk[0]])
+            m = int(self.sizes[bk[0]])
+            rows = slice(lo, lo + m)
+            flat = slice(i * (n + 1) + lo, i * (n + 1) + lo + m)
+            lcols = self.lcols[:, rows]
+            bv = b[reps[i], rows] if b.ndim == 2 else b[rows]
+            if live[0]:
+                ext = _row_sums(XW[i].take(self.ecols[:, rows], mode="clip") * self.edata[:, rows])
+            else:
+                ext = EXT[i, rows].copy()
+        else:
+            sz = self.sizes[bk]
+            off = cumulative_segments(sz)
+            m = int(off[-1])
+            rows = np.repeat(self.starts[bk] - off[:-1], sz) + np.arange(m)
+            lrow = np.repeat(li, sz)
+            flat = lrow * (n + 1) + rows
+            lcols = self.lcols[:, rows]
+            lcols += np.repeat(off[:-1], sz)
+            bv = b.reshape(-1)[reps[lrow] * n + rows] if b.ndim == 2 else b[rows]
+            ext = EXT.reshape(-1)[lrow * n + rows] if EXT is not None else np.empty(m)
+            if live.any():
+                lr = np.repeat(live, sz)
+                idx = self.ecols[:, rows[lr]] + lrow[lr] * (n + 1)
+                ext[lr] = _row_sums(XWf.take(idx, mode="clip") * self.edata[:, rows[lr]])
+        if fresh is not None:
+            epos, edata, eflat, esnap, elive = fresh
+            # A fresh entry whose owner has not (visibly) written in this
+            # lane's order reads the snapshot: an exact zero delta.
+            xv = np.where(elive, XWf[eflat], esnap)
+            np.add.at(ext, epos, edata * (xv - esnap))
+        s = np.subtract(bv, ext, out=ext)
+        z = self._local_sweeps(s, XWf[flat], lcols, self.ldata[:, rows], self.diag[rows])
+        if not deferred.any():
+            XWf[flat] = z
+        elif len(nd) == 1:
+            late.append((flat, z))
+        else:
+            dr = np.repeat(deferred, sz)
+            XWf[flat[~dr]] = z[~dr]
+            late.append((flat[dr], z[dr]))
+
+    def _local_sweeps(self, s, z0, lcols, ldata, d) -> np.ndarray:
+        """*k* Jacobi sweeps ``z ← (s − L z) / d`` over padded panels.
+
+        *lcols* index a work vector whose trailing slot is the pads'
+        ``+0.0``; every step is one IEEE operation in the order of
+        :func:`repro.solvers.block_jacobi.local_jacobi_sweeps`.
+        """
+        cfg = self.config
+        omega = cfg.omega
+        m = len(s)
+        zbuf = np.empty(m + 1)
+        zbuf[m] = 0.0
+        z = zbuf[:m]
+        z[...] = z0
+        vals = np.empty(lcols.shape)
+        for _ in range(cfg.local_iterations):
+            zbuf.take(lcols, out=vals, mode="clip")
+            vals *= ldata
+            acc = np.subtract(s, _row_sums(vals), out=vals[0])
+            if omega != 1.0:
+                acc /= d
+                acc *= omega
+                z *= 1.0 - omega
+                z += acc
+            else:
+                np.divide(acc, d, out=z)
+        return z
+
+
+def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray):
+    """The shared executor for a resolved backend name (*gamma*: the γ profile)."""
+    if backend == "levels":
+        return LevelSweepExecutor(plan, config, gamma)
     if backend == "stencil":
         return WholeSweepExecutor(plan, config, plan.stencil_kernels())
     if backend == "fused":

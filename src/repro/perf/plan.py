@@ -17,7 +17,10 @@ construction, into the structures both execution backends consume:
   and external nonzero counts;
 * **whole-system** (the fused path): the restacked external and local
   off-diagonal matrices with warmed gather plans, plus the concatenated
-  diagonal — one multi-vector-shaped kernel set for the entire sweep.
+  diagonal — one multi-vector-shaped kernel set for the entire sweep;
+* **levels** (the dependency-level block loop): padded-ELL panels of the
+  local and external parts, the entry-to-block maps of the restacked
+  external matrix, and the block coupling graph.
 
 The plan is attached to the :class:`repro.sparse.BlockRowView` itself
 (``view._perf_plan``), so every engine built on one view — sequential,
@@ -31,6 +34,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from .._util import cumulative_segments
 from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
 
@@ -106,7 +110,11 @@ class SweepPlan:
         self._ras_ennz: Optional[np.ndarray] = None
         self._stencil = None
         self._stencil_kernels = None
-        self._padded: Optional[Tuple[Optional[List[np.ndarray]], List[np.ndarray], int]] = None
+        self._padded = None
+        self._padded_ext = None
+        self._block_of_row: Optional[np.ndarray] = None
+        self._entry_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._coupling: Optional[Tuple[np.ndarray, np.ndarray]] = None
 
     @property
     def view(self) -> BlockRowView:
@@ -141,9 +149,29 @@ class SweepPlan:
             self._local_c = [blk.local_off_compressed() for blk in self.view.blocks]
         return self._local_c
 
-    def warm_reference(self) -> "SweepPlan":
-        """Materialise and warm everything the per-block reference loop uses."""
-        if not self._warmed_reference:
+    def warm_reference(self, gamma: Optional[np.ndarray] = None) -> "SweepPlan":
+        """Compile, once, the structures of the block loop that will run.
+
+        Without *gamma*: everything the per-block reference loop uses —
+        every block's warmed ELL gather plans, scatter segment ids and
+        bases.  With the γ profile of the sweeps a
+        :class:`repro.perf.LevelSweepExecutor` will run: *instead* of
+        those, the padded-ELL local panels, plus the warmed restacked
+        external matrix when a position reads the snapshot (γ < 1), its
+        entry-to-block maps when one races (0 < γ < 1), and the padded
+        external panels and the block coupling graph (derived from those
+        maps) when one reads live (γ = 1).
+        """
+        if gamma is not None:
+            self.padded_local
+            if np.any(gamma < 1.0):
+                self.external.warm_plan()
+            if np.any((gamma > 0.0) & (gamma < 1.0)):
+                self.entry_blocks
+            if np.any(gamma >= 1.0):
+                self.padded_external
+                self.coupling
+        elif not self._warmed_reference:
             for blk, lc in zip(self.view.blocks, self.local_c):
                 blk.external.warm_plan()
                 lc.warm_plan()
@@ -179,62 +207,100 @@ class SweepPlan:
         return self
 
     # ------------------------------------------------------------------ #
-    # padded-ELL local panels (the batched engine's position-grouped loop)
+    # level-executor structures (padded-ELL panels, block coupling graph)
     # ------------------------------------------------------------------ #
 
-    #: Column sentinel for pad entries of the padded-ELL local panels;
-    #: clipped to the shared zero slot at product time.
+    #: Column sentinel for pad entries of the padded-ELL panels; gathers
+    #: use ``mode="clip"``, which lands it on the operand's trailing
+    #: ``+0.0`` slot.
     PAD_SENTINEL = np.int64(1) << 48
 
     @property
-    def padded_local(self) -> Tuple[Optional[List[np.ndarray]], List[np.ndarray], int]:
-        """Uniform-width (padded ELL) layout of every block's local part (cached).
+    def padded_local(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """Padded-ELL panels of the block-local parts, or ``None`` (cached).
 
-        Returns ``(cols, data, W)``: per block, lane-major ``(W, block_rows)``
-        column and value panels, W the widest local row over *all* blocks.
-        Pad entries hold the value ``-0.0`` and the :attr:`PAD_SENTINEL`
-        column that resolves to a shared ``+0.0`` operand slot, so every pad
-        contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
-        addition of ``-0.0`` is the identity for every float (signed zeros,
-        infinities and NaNs included).  A padded row therefore sums bitwise
-        identically to the unpadded left-to-right sum of
-        :meth:`repro.sparse.CSRMatrix._packed_product`, while giving all
-        blocks one common rectangular shape that concatenates across blocks
-        with no per-length-class bookkeeping.
-
-        The one exception is an *empty* row: the packed kernel writes it as
-        ``+0.0`` while an all-pad row would sum to ``-0.0``, so empty rows
-        get ``+0.0`` as their first pad.  Rows wider than the packed
-        kernel's panel cap would be summed by ``reduceat`` (a different
-        order), so such decompositions get ``cols = None`` and the
-        concatenated path stays off.
+        Returns ``(cols, data)``, both lane-major ``(W, n)``: column *i*
+        holds row *i*'s local off-diagonal entries in stored order, with
+        **block-local** column numbers, W the widest local row of the
+        system.  See :meth:`_pad` for why a padded row sums bitwise like the
+        packed ELL product of :meth:`repro.sparse.CSRMatrix.matvec`.
+        ``None`` when a row is wider than the packed kernel's panel cap.
         """
         if self._padded is None:
-            self._padded = self._build_padded()
-        return self._padded
+            self._padded = self._pad([blk.local_off for blk in self.view.blocks], local=True)
+        return self._padded or None
 
-    def _build_padded(self):
-        blocks = self.view.blocks
-        widths = [int(np.diff(blk.local_off.indptr).max(initial=0)) for blk in blocks]
-        if max(widths, default=0) > CSRMatrix._ELL_MAX_WIDTH:
-            return None, [], 0
-        W = max(1, max(widths, default=1))
-        pad_cols, pad_data = [], []
-        for blk, lc in zip(blocks, self.local_c):
-            lengths = np.diff(lc.indptr)
-            cols = np.full((blk.nrows, W), self.PAD_SENTINEL, dtype=np.int64)
-            data = np.full((blk.nrows, W), -0.0)
-            r = lc._expanded_rows()
-            p = np.arange(lc.nnz, dtype=np.int64) - lc.indptr[r]
-            cols[r, p] = lc.indices
-            data[r, p] = lc.data
-            data[lengths == 0, 0] = 0.0
-            # Lane-major (W, rows) storage: the product then runs one
-            # contiguous gather-multiply-add per lane instead of strided
-            # column reductions over a (rows, W) panel.
-            pad_cols.append(np.ascontiguousarray(cols.T))
-            pad_data.append(np.ascontiguousarray(data.T))
-        return pad_cols, pad_data, W
+    @property
+    def padded_external(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+        """:attr:`padded_local` of the external parts, with global columns."""
+        if self._padded_ext is None:
+            self._padded_ext = self._pad([blk.external for blk in self.view.blocks], local=False)
+        return self._padded_ext or None
+
+    def _pad(self, parts: List[CSRMatrix], *, local: bool):
+        """Uniform-width (padded ELL) layout of per-block CSR row parts.
+
+        Pad entries hold the value ``-0.0`` and the :attr:`PAD_SENTINEL`
+        column that resolves to a ``+0.0`` operand slot, so every pad
+        contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
+        addition of ``-0.0`` is the identity for every float (signed zeros,
+        infinities and NaNs included).  Accumulated column by column, a
+        padded row therefore sums bitwise like the packed kernel's strict
+        left-to-right row sum, while every row set shares one rectangular
+        shape.  An *empty* row is the exception: the packed kernel writes
+        it as ``+0.0`` while an all-pad row would sum to ``-0.0``, so empty
+        rows get ``+0.0`` as their first pad.  Rows wider than the packed
+        kernel's panel cap are summed by ``reduceat`` (a different order),
+        so such a system gets ``False`` (no panels).
+        """
+        lengths = np.concatenate([np.diff(p.indptr) for p in parts])
+        W = int(lengths.max(initial=0))
+        if W > CSRMatrix._ELL_MAX_WIDTH:
+            return False
+        W = max(1, W)
+        n = self.view.n
+        rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
+        slot = np.arange(len(rows), dtype=np.int64) - cumulative_segments(lengths)[rows]
+        indices = np.concatenate([p.indices for p in parts])
+        if local:
+            indices = indices - self.view.boundaries[:-1][self.block_of_row[rows]]
+        cols = np.full((W, n), self.PAD_SENTINEL, dtype=np.int64)
+        data = np.full((W, n), -0.0)
+        cols[slot, rows] = indices
+        data[slot, rows] = np.concatenate([p.data for p in parts])
+        data[0, lengths == 0] = 0.0
+        return cols, data
+
+    @property
+    def block_of_row(self) -> np.ndarray:
+        """Owning block of every row (cached)."""
+        if self._block_of_row is None:
+            sizes = np.diff(self.view.boundaries)
+            self._block_of_row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        return self._block_of_row
+
+    @property
+    def entry_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Reading block and owning block of every restacked external entry (cached)."""
+        if self._entry_blocks is None:
+            E = self.external
+            bor = self.block_of_row
+            self._entry_blocks = (bor[E._expanded_rows()], bor[E.indices])
+        return self._entry_blocks
+
+    @property
+    def coupling(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Block coupling graph ``(readers, owners)``, deduplicated (cached).
+
+        One pair per (block, other block owning a column of its external
+        part): the blocks a γ = 1 position reads live.
+        """
+        if self._coupling is None:
+            nb = self.view.nblocks
+            readers, owners = self.entry_blocks
+            key = np.unique(readers * nb + owners)
+            self._coupling = (key // nb, key % nb)
+        return self._coupling
 
     # ------------------------------------------------------------------ #
     # restricted-Schwarz extended-block structures
@@ -308,12 +374,13 @@ class SweepPlan:
     @property
     def ell_plans_built(self) -> int:
         """Total ELL gather plans constructed across this plan's matrices."""
-        total = 0
-        if self._warmed_fused:
-            total += self.external._ell_builds + self.local_off._ell_builds
+        view = self.view
+        total = sum(
+            m._ell_builds for m in (view._ext_matrix, view._local_matrix) if m is not None
+        )
         if self._local_c is not None:
             total += sum(lc._ell_builds for lc in self._local_c)
-            total += sum(blk.external._ell_builds for blk in self.view.blocks)
+            total += sum(blk.external._ell_builds for blk in view.blocks)
         return total
 
 

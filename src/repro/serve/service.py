@@ -418,7 +418,7 @@ class SolveService:
                 b_norm=b_norm,
                 info={
                     "diverged": diverged,
-                    "backend": engine.backend,
+                    **engine.decisions(),
                     "sweeps": int(iters[-1]),
                     "batched": True,
                     "batch_size": R,
@@ -444,7 +444,7 @@ class SolveService:
             )
             for it, v in zip(iters, history):
                 rec.record_residual(int(it), float(v))
-            rec.annotate(backend=engine.backend, seed=job.request.seed)
+            rec.annotate(**engine.decisions(), seed=job.request.seed)
             rec.close_run(
                 converged=bool(out.converged[r]),
                 diverged=diverged,

@@ -223,9 +223,11 @@ class IterativeSolver(abc.ABC):
     ) -> SolveResult:
         """Run the method on ``A x = b`` until convergence or maxiter.
 
-        Raises :class:`ValueError` when *b* or *x0* has a non-finite entry.
+        Raises :class:`ValueError` when *A*, *b* or *x0* has a non-finite
+        entry.
         """
         n = check_square(A.shape, f"{self.name} matrix")
+        check_finite(A.data, "A")
         b = check_finite(check_vector(b, n, "b"), "b")
         x = np.zeros(n) if x0 is None else check_finite(check_vector(x0, n, "x0"), "x0").copy()
         state = self._setup(A, b)

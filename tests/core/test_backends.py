@@ -111,8 +111,10 @@ def test_auto_engages_fused(trefethen_small, regime):
 
 @pytest.mark.parametrize("regime", sorted(NON_ENGAGING), ids=sorted(NON_ENGAGING))
 def test_auto_falls_back_to_reference(trefethen_small, regime):
+    # Outside the whole-sweep regimes auto runs the block loop — as
+    # dependency levels; the per-block loop is only ever forced.
     eng, _, _ = _run(trefethen_small, _rhs(trefethen_small), NON_ENGAGING[regime], sweeps=1)
-    assert eng.backend == "reference"
+    assert eng.backend == "levels"
 
 
 @pytest.mark.parametrize("regime", sorted(NON_ENGAGING), ids=sorted(NON_ENGAGING))
@@ -156,7 +158,7 @@ def test_config_rejects_unknown_backend():
 def test_negative_zero_rhs_disables_mixed_gamma_fusion(trefethen_small):
     # The segment-sum scatter flips a -0.0 base to +0.0; with a rhs
     # carrying -0.0 entries the mixed-γ all-deferred collapse is no longer
-    # bitwise, so auto must drop to the reference loop there — while the
+    # bitwise, so auto must drop to the block loop there — while the
     # γ-uniform all-deferred regime stays fused (no race corrections at all).
     b = _rhs(trefethen_small)
     b[5] = -0.0
@@ -164,7 +166,7 @@ def test_negative_zero_rhs_disables_mixed_gamma_fusion(trefethen_small):
     assert rhs_preserves_fold(np.abs(b) + 1.0)
     mixed = ENGAGING["alldefer-mixed-k2"]
     eng, _, _ = _run(trefethen_small, b, mixed, sweeps=1)
-    assert eng.backend == "reference"
+    assert eng.backend == "levels"
     live = ENGAGING["alldefer-live-k1"]
     eng, _, _ = _run(trefethen_small, b, live, sweeps=1)
     assert eng.backend == "fused"

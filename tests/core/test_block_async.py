@@ -26,6 +26,20 @@ def test_non_finite_input_rejected_before_partitioning(small_spd, which, monkeyp
         BlockAsyncSolver(block_size=10).solve(small_spd, b, x0)
 
 
+def test_non_finite_matrix_rejected_before_partitioning(fv1, monkeypatch):
+    # One NaN entry used to run maxiter sweeps into a NaN "diverged" result.
+    import repro.core.block_async as block_async
+
+    def no_partition(*args, **kwargs):
+        raise AssertionError("partition built for an invalid system")
+
+    monkeypatch.setattr(block_async, "make_partition", no_partition)
+    A = fv1.copy()
+    A.data[1000] = np.nan
+    with pytest.raises(ValueError, match="^A has non-finite"):
+        BlockAsyncSolver(local_iterations=5).solve(A, np.ones(A.shape[0]))
+
+
 def test_converges_on_spd(small_spd):
     x_star = np.linspace(-2, 2, 60)
     b = small_spd.matvec(x_star)

@@ -112,16 +112,6 @@ def test_batched_matches_sequential_fv1(fv1, k):
     assert_batched_equivalent(fv1, _rhs(fv1), cfg, nreplicas=3, sweeps=3)
 
 
-@pytest.mark.parametrize("fuse_min", [1, 1 << 30], ids=["rectangular", "fused"])
-def test_fused_and_rectangular_paths_agree(trefethen_small, monkeypatch, fuse_min):
-    # The per-position update has two kernel strategies — rectangular
-    # per-block groups and the fused concatenated padded-ELL path; forcing
-    # each in turn must still reproduce the sequential engine exactly.
-    monkeypatch.setattr(BatchedAsyncEngine, "_FUSE_MIN", fuse_min)
-    cfg = AsyncConfig(order="gpu", local_iterations=2, block_size=32)
-    assert_batched_equivalent(trefethen_small, _rhs(trefethen_small), cfg)
-
-
 def test_batched_replica_subset_freezes_rows(trefethen_small):
     # Sweeping only a subset of replicas must not touch (or consume RNG
     # for) the others, matching sequential runs that stopped early.
@@ -171,14 +161,15 @@ def test_batched_rejects_empty_ensemble(trefethen_small, kwargs):
 
 @pytest.mark.parametrize("regime", ["gpu-k1", "deferred-writes", "synchronous"])
 def test_single_replica_runs_the_sequential_executor(trefethen_small, regime):
-    # R = 1 selects the shared per-block executor (no position-grouped
-    # loop, no padded-ELL panels) and is bitwise the sequential engine.
+    # R = 1 runs the sequential engine's executor and is bitwise the
+    # sequential engine.
     cfg = REGIMES[regime]
     assert_batched_equivalent(trefethen_small, _rhs(trefethen_small), cfg, nreplicas=1)
     view = BlockRowView(trefethen_small, block_size=cfg.block_size)
     engine = BatchedAsyncEngine(view, _rhs(trefethen_small), cfg, 1)
-    assert engine.backend == AsyncEngine(view, _rhs(trefethen_small), cfg).backend
-    assert engine.plan._padded is None
+    sequential = AsyncEngine(view, _rhs(trefethen_small), cfg)
+    assert engine.backend == sequential.backend
+    assert type(engine._executor) is type(sequential._executor)
 
 
 def test_replica_rngs_match_sequential_seeds():

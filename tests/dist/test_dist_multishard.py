@@ -1,8 +1,12 @@
 """Multi-shard solves: convergence, staleness bound, telemetry shape."""
 
+import queue
+
 import numpy as np
+import pytest
 
 from repro.dist import DistAsyncSolver
+from repro.dist.runtime import DistRuntime
 from repro.runtime import StoppingCriterion
 
 
@@ -113,3 +117,71 @@ def test_update_counts_cover_all_blocks(small_system, stopping):
     counts = result.info["update_counts"]
     assert len(counts) == result.info["nblocks"]
     assert np.all(counts > 0)
+
+
+@pytest.mark.parametrize("which", ["A", "b", "x0"])
+def test_non_finite_input_rejected_before_spawning(small_system, which, monkeypatch):
+    import repro.dist.solver as dist_solver
+
+    def no_runtime(*args, **kwargs):
+        raise AssertionError("workers started for an invalid system")
+
+    monkeypatch.setattr(dist_solver, "DistRuntime", no_runtime)
+    A, b = small_system
+    A, b, x0 = A.copy(), b.copy(), np.zeros(A.shape[0])
+    {"A": A.data, "b": b, "x0": x0}[which][5] = np.inf
+    with pytest.raises(ValueError, match=f"^{which} has non-finite"):
+        DistAsyncSolver(shards=2, block_size=32).solve(A, b, x0)
+
+
+class _Proc:
+    def __init__(self, alive):
+        self.alive = alive
+
+    def is_alive(self):
+        return self.alive
+
+
+class _Queue:
+    """Hands out *items*, then counts the polls that found it empty."""
+
+    def __init__(self, items):
+        self.items = list(items)
+        self.empty_polls = 0
+
+    def get(self, timeout):
+        if not self.items:
+            self.empty_polls += 1
+            raise queue.Empty
+        return self.items.pop(0)
+
+    def get_nowait(self):
+        if not self.items:
+            raise queue.Empty
+        return self.items.pop(0)
+
+
+def _drain(procs, items):
+    runtime = DistRuntime.__new__(DistRuntime)
+    runtime.procs, runtime.payloads, runtime._queue = procs, [], _Queue(items)
+    runtime._drain()
+    return runtime
+
+
+def test_drain_stops_once_every_shard_delivered():
+    # Both workers still alive (exiting): no empty poll after the last payload.
+    runtime = _drain([_Proc(True), _Proc(True)], [{"shard": 1}, {"shard": 0}])
+    assert runtime._queue.empty_polls == 0
+    assert [p["shard"] for p in runtime.payloads] == [1, 0]
+
+
+def test_drain_waits_past_a_crashed_predecessors_report():
+    items = [{"shard": 0, "error": "RuntimeError: boom"}, {"shard": 1}, {"shard": 0}]
+    runtime = _drain([_Proc(True), _Proc(True)], items)
+    assert runtime._queue.empty_polls == 0 and len(runtime.payloads) == 3
+
+
+def test_drain_gives_up_on_an_exited_silent_shard():
+    runtime = _drain([_Proc(False), None, _Proc(True)], [{"shard": 2}])
+    assert runtime._queue.empty_polls == 1
+    assert runtime.payloads == [{"shard": 2}]

@@ -128,7 +128,9 @@ def test_solver_run_feeds_recorder(trefethen_small):
     assert run.residual_norms == result.residuals.tolist()
     assert run.summary["converged"] is True
     # Engine facts are attached as annotations.
-    assert run.annotations["backend"] in ("fused", "reference")
+    assert run.annotations["backend"] == "levels"
+    assert run.annotations["levels_mean"] >= 1.0
+    assert result.info["levels_mean"] == run.annotations["levels_mean"]
     assert len(run.annotations["update_counts"]) == run.annotations["nblocks"]
 
 

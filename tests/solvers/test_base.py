@@ -95,6 +95,14 @@ def test_non_finite_input_rejected(small_spd, which, bad):
         JacobiSolver().solve(small_spd, b, x0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_matrix_rejected(small_spd, bad):
+    A = small_spd.copy()
+    A.data[4] = bad
+    with pytest.raises(ValueError, match="^A has non-finite"):
+        JacobiSolver().solve(A, np.ones(60))
+
+
 def test_divergence_aborts_early():
     # A matrix with rho(B) > 1 under plain Jacobi must stop on blow-up.
     dense = np.array([[1.0, 3.0], [3.0, 1.0]])
