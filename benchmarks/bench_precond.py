@@ -16,6 +16,9 @@ Two gates on the §5-outlook layer, both end-to-end wall-clock:
   converge too.  Async relaxation as an inner component is exactly what
   rescues it here.
 
+Each speedup row also records the preconditioner's decisions: its
+backend and its dependency levels per application.
+
 Artifacts: ``benchmarks/artifacts/BENCH_precond.txt`` (rendered) and
 ``BENCH_precond.json`` (machine-readable rows).  Runs standalone
 (``python benchmarks/bench_precond.py``) or under pytest.
@@ -75,10 +78,13 @@ def run_speedup_cells() -> list:
             "pcg", A, precond=f"async:{SWEEPS}", config=cfg, stopping=stop
         )
         pcg, t_pcg = _timed_solve(pcg_solver, A, b)
+        decisions = pcg.info["precond"]
         rows.append(
             {
                 "matrix": name,
                 "n": A.shape[0],
+                "precond_backend": decisions["backend"],
+                "levels_per_apply": decisions["levels_per_apply"],
                 "cg_iters": cg.iterations,
                 "pcg_iters": pcg.iterations,
                 "cg_seconds": t_cg,
@@ -149,12 +155,13 @@ def render(results: dict) -> str:
         f"Async-sweep preconditioned CG vs plain CG — "
         f"async:{SWEEPS} (k={K}, blocks {BLOCK_SIZE}), tol {TOL:g}",
         f"{'matrix':>15s} {'cg iters':>9s} {'pcg iters':>10s} "
-        f"{'cg s':>8s} {'pcg s':>8s} {'speedup':>8s}",
+        f"{'cg s':>8s} {'pcg s':>8s} {'speedup':>8s} {'backend':>9s} {'levels/apply':>12s}",
     ]
     for r in results["speedup"]:
         lines.append(
             f"{r['matrix']:>15s} {r['cg_iters']:>9d} {r['pcg_iters']:>10d} "
-            f"{r['cg_seconds']:>8.3f} {r['pcg_seconds']:>8.3f} {r['speedup']:>7.2f}x"
+            f"{r['cg_seconds']:>8.3f} {r['pcg_seconds']:>8.3f} {r['speedup']:>7.2f}x "
+            f"{r['precond_backend']:>9s} {str(r['levels_per_apply']):>12s}"
         )
     s = results["s1rmt3m1"]
     lines += [

@@ -26,7 +26,12 @@ once.  :class:`AsyncSweepPreconditioner` holds one
 :class:`~repro.sparse.BlockRowView` (whose :class:`~repro.perf.SweepPlan`
 is compiled once and cached on the view) plus persistent forward/reverse
 engines bound to an internal rhs buffer — repeated applications only
-overwrite that buffer and sweep.
+overwrite that buffer and sweep.  Where those engines run the
+dependency-level block loop, a whole application — ``sweeps`` forward
+plus ``sweeps`` reverse — runs instead as one
+:class:`~repro.perf.program.LevelProgram`, whose levels cross the sweep
+boundaries the way the paper's barrier-free kernel does; it is cached on
+the plan, so every preconditioner on the view compiles it once.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from typing import Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
+from .._util import check_finite
 from ..core.engine import AsyncEngine
 from ..core.schedules import AsyncConfig
 from ..solvers.scaling import estimate_tau
@@ -132,6 +138,7 @@ class AsyncSweepPreconditioner:
     ):
         if sweeps < (1 if freeze else 0):
             raise ValueError("sweeps must be >= 1" if freeze else "sweeps must be >= 0")
+        check_finite(A.data, "A")
         base = config if config is not None else AsyncConfig(local_iterations=2, block_size=256)
         if base.schwarz != "none":
             raise ValueError(
@@ -158,6 +165,7 @@ class AsyncSweepPreconditioner:
         )
         self._forward: Optional[AsyncEngine] = None
         self._reverse: Optional[AsyncEngine] = None
+        self._program = None
         if freeze:
             # Compile-once: both engines bind to an internal rhs buffer and
             # are reused by every application (the frozen schedule draws no
@@ -169,6 +177,7 @@ class AsyncSweepPreconditioner:
             assert self._forward.b is self._rhs  # in-place rebinding contract
             if symmetrize:
                 self._reverse = AsyncEngine(self.view, self._rhs, self.reverse_config)
+            self._program = self._compile_program()
             self._assert_zero_guess_linearity()
 
     @property
@@ -183,6 +192,43 @@ class AsyncSweepPreconditioner:
             raise ValueError("backend is only resolved for frozen preconditioners")
         return self._forward.backend
 
+    @property
+    def levels_per_apply(self) -> Optional[int]:
+        """Dependency levels of one application's level program, or ``None``.
+
+        ``None`` where the engines run another backend (fused/stencil
+        whole sweeps, or the forced per-block reference loop).
+        """
+        return None if self._program is None else self._program.nlevels
+
+    def decisions(self) -> dict:
+        """Why an application costs what it does: name, backend, levels per application."""
+        return {
+            "name": self.name,
+            "backend": self.backend,
+            "levels_per_apply": self.levels_per_apply,
+        }
+
+    def _engines(self):
+        return [e for e in (self._forward, self._reverse) if e is not None]
+
+    def _compile_program(self):
+        """One application as one level program, where the engines run ``"levels"``.
+
+        A frozen schedule on the level executor reads live memory at every
+        position (γ = 1: sequential or reversed order, no staleness), so
+        the application is a straight-line sequence of block updates: the
+        forward engine's order ``sweeps`` times, then the reverse one's.
+        """
+        engines = self._engines()
+        if any(e.backend != "levels" for e in engines):
+            return None
+        orders = [
+            e.scheduler.order_for_sweep(t, e.rng) for e in engines for t in range(self.sweeps)
+        ]
+        cfg = self.config
+        return self._forward.plan.level_program(orders, cfg.local_iterations, cfg.omega)
+
     def _assert_zero_guess_linearity(self) -> None:
         # The zero-guess sweep composition is linear iff its affine part
         # vanishes: P applied to the zero residual must return exactly 0.
@@ -194,6 +240,13 @@ class AsyncSweepPreconditioner:
             )
 
     def _apply(self, r: np.ndarray) -> np.ndarray:
+        if self._program is not None:
+            z = self._program.run(np.zeros(self.view.n), r)
+            # The engines account for the sweeps the program ran for them.
+            for engine in self._engines():
+                engine.update_counts += self.sweeps
+                engine.sweep_index += self.sweeps
+            return z
         self._rhs[:] = r
         z = np.zeros_like(self._rhs)
         for _ in range(self.sweeps):

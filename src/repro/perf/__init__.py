@@ -16,7 +16,11 @@ sweep computes; this subpackage decides *how* it executes:
   stencil kernels where detection succeeds or over the stacked CSR
   kernels wherever that is bitwise-exact for the configured asynchronism
   regime, the dependency-level block loop everywhere else, and the
-  (plan-accelerated) per-block reference loop under faults or on request.
+  (plan-accelerated) per-block reference loop under faults or on request;
+* :mod:`repro.perf.program` compiles a frozen preconditioner's whole
+  application — a draw-free sequence of block updates — into a
+  :class:`LevelProgram` of dependency levels that cross sweep
+  boundaries, with every level's operands precomputed.
 
 This mirrors how production asynchronous-solver stacks are organised
 (e.g. the backend-dispatched executors over precompiled per-subdomain
@@ -39,6 +43,7 @@ from .backends import (
     resolve_backend,
 )
 from .plan import SweepPlan, compile_sweep_plan, plan_compile_count, rhs_preserves_fold
+from .program import LevelProgram
 from .ras import RASWorkspace
 from .stencil import StencilDescriptor, StencilKernels, detect_stencil
 
@@ -54,6 +59,7 @@ __all__ = [
     "make_executor",
     "RASWorkspace",
     "LevelSweepExecutor",
+    "LevelProgram",
     "ReferenceSweepExecutor",
     "WholeSweepExecutor",
     "StencilDescriptor",

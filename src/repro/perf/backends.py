@@ -65,6 +65,7 @@ from .._util import cumulative_segments
 from ..solvers.block_jacobi import local_jacobi_sweeps
 from ..sparse.csr import scatter_add_fold
 from .plan import SweepPlan
+from .program import _jacobi_sweeps, _longest_paths, _row_sums
 from .ras import RASWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -397,38 +398,6 @@ class ReferenceSweepExecutor:
             x[rows] = vals
 
 
-def _longest_paths(nnodes: int, src: list, dst: list, w: list) -> np.ndarray:
-    """Smallest levels with ``level[dst] >= level[src] + w`` on every edge.
-
-    Edges come as lists of arrays.  They form a DAG (each points forward
-    in its lane's order), so synchronous relaxation settles after at most
-    its longest path.
-    """
-    lv = np.zeros(nnodes, dtype=np.int64)
-    if not src:
-        return lv
-    src, dst, w = np.concatenate(src), np.concatenate(dst), np.concatenate(w)
-    while len(src):
-        new = lv.copy()
-        np.maximum.at(new, dst, lv[src] + w)
-        if np.array_equal(new, lv):
-            break
-        lv = new
-    return lv
-
-
-def _row_sums(vals: np.ndarray) -> np.ndarray:
-    """Strict left-to-right sum over the lanes of a ``(W, m)`` panel product.
-
-    The packed ELL kernel's order, one addition at a time; accumulates
-    into ``vals[0]``, which it returns.
-    """
-    acc = vals[0]
-    for j in range(1, len(vals)):
-        acc += vals[j]
-    return acc
-
-
 class LevelSweepExecutor:
     """The block loop as a few levels of independent blocks, exact in every regime.
 
@@ -722,29 +691,15 @@ class LevelSweepExecutor:
         """*k* Jacobi sweeps ``z ← (s − L z) / d`` over padded panels.
 
         *lcols* index a work vector whose trailing slot is the pads'
-        ``+0.0``; every step is one IEEE operation in the order of
-        :func:`repro.solvers.block_jacobi.local_jacobi_sweeps`.
+        ``+0.0`` (see :func:`repro.perf.program._jacobi_sweeps`).
         """
-        cfg = self.config
-        omega = cfg.omega
         m = len(s)
         zbuf = np.empty(m + 1)
         zbuf[m] = 0.0
-        z = zbuf[:m]
-        z[...] = z0
+        zbuf[:m] = z0
         vals = np.empty(lcols.shape)
-        for _ in range(cfg.local_iterations):
-            zbuf.take(lcols, out=vals, mode="clip")
-            vals *= ldata
-            acc = np.subtract(s, _row_sums(vals), out=vals[0])
-            if omega != 1.0:
-                acc /= d
-                acc *= omega
-                z *= 1.0 - omega
-                z += acc
-            else:
-                np.divide(acc, d, out=z)
-        return z
+        cfg = self.config
+        return _jacobi_sweeps(s, zbuf, lcols, ldata, d, vals, vals, cfg.local_iterations, cfg.omega)
 
 
 def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray):

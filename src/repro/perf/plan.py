@@ -20,7 +20,10 @@ construction, into the structures both execution backends consume:
   diagonal — one multi-vector-shaped kernel set for the entire sweep;
 * **levels** (the dependency-level block loop): padded-ELL panels of the
   local and external parts, the entry-to-block maps of the restacked
-  external matrix, and the block coupling graph.
+  external matrix, and the block coupling graph;
+* **level programs** (draw-free schedules): compiled
+  :class:`repro.perf.program.LevelProgram` objects, cached per
+  (orders, k, ω) by :meth:`SweepPlan.level_program`.
 
 The plan is attached to the :class:`repro.sparse.BlockRowView` itself
 (``view._perf_plan``), so every engine built on one view — sequential,
@@ -30,13 +33,14 @@ batched, preconditioner-internal — shares a single compilation.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .._util import cumulative_segments
 from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
+from .program import LevelProgram
 
 __all__ = ["SweepPlan", "compile_sweep_plan", "plan_compile_count", "rhs_preserves_fold"]
 
@@ -115,6 +119,7 @@ class SweepPlan:
         self._block_of_row: Optional[np.ndarray] = None
         self._entry_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._coupling: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._programs = {}
 
     @property
     def view(self) -> BlockRowView:
@@ -301,6 +306,34 @@ class SweepPlan:
             key = np.unique(readers * nb + owners)
             self._coupling = (key // nb, key % nb)
         return self._coupling
+
+    #: Level programs a plan keeps; the oldest goes first.  Each holds its
+    #: own operand panels, and a frozen preconditioner needs one.
+    _PROGRAMS_MAX = 8
+
+    def level_program(
+        self,
+        orders: Sequence[np.ndarray],
+        local_iterations: int,
+        omega: float,
+    ) -> LevelProgram:
+        """The (cached) :class:`repro.perf.program.LevelProgram` of a draw-free schedule.
+
+        *orders* holds one block order per sweep.  Keyed by (orders, k, ω),
+        so every preconditioner on the view compiles a given program once.
+        """
+        key = (
+            tuple(np.asarray(o, dtype=np.int64).tobytes() for o in orders),
+            int(local_iterations),
+            float(omega),
+        )
+        program = self._programs.get(key)
+        if program is None:
+            if len(self._programs) >= self._PROGRAMS_MAX:
+                del self._programs[next(iter(self._programs))]
+            program = LevelProgram(self, orders, local_iterations, omega)
+            self._programs[key] = program
+        return program
 
     # ------------------------------------------------------------------ #
     # restricted-Schwarz extended-block structures

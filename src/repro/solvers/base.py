@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -226,10 +226,7 @@ class IterativeSolver(abc.ABC):
         Raises :class:`ValueError` when *A*, *b* or *x0* has a non-finite
         entry.
         """
-        n = check_square(A.shape, f"{self.name} matrix")
-        check_finite(A.data, "A")
-        b = check_finite(check_vector(b, n, "b"), "b")
-        x = np.zeros(n) if x0 is None else check_finite(check_vector(x0, n, "x0"), "x0").copy()
+        b, x = self._checked_inputs(A, b, x0)
         state = self._setup(A, b)
 
         b_norm = float(np.linalg.norm(b))
@@ -243,6 +240,37 @@ class IterativeSolver(abc.ABC):
         result = self._result_from(outcome, b_norm)
         self._finalize(state, result)
         return result
+
+    def _checked_inputs(
+        self, A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Validated ``(b, x)`` of a solve: *x* is a copy of *x0*, or zeros.
+
+        Raises :class:`ValueError` for a non-square *A*, a wrongly shaped
+        *b* or *x0*, or a non-finite entry in any of the three.  Solvers
+        that own their loop (CG, GMRES) call this exactly like
+        :meth:`solve` does.
+        """
+        n = check_square(A.shape, f"{self.name} matrix")
+        check_finite(A.data, "A")
+        b = check_finite(check_vector(b, n, "b"), "b")
+        x = np.zeros(n) if x0 is None else check_finite(check_vector(x0, n, "x0"), "x0").copy()
+        return b, x
+
+    def _note_preconditioner(self, result: SolveResult, M) -> None:
+        """Attach the preconditioner's decisions to *result* and the recorder.
+
+        Preconditioners that explain their cost (``decisions()``: backend,
+        levels per application) land in ``result.info["precond"]`` and in
+        the current recorder run's annotations.
+        """
+        decisions = getattr(M, "decisions", None)
+        if decisions is None:
+            return
+        facts = decisions()
+        result.info["precond"] = facts
+        if self.recorder is not None:
+            self.recorder.annotate(precond=facts)
 
     def _solve_partitioned(
         self,

@@ -18,7 +18,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .._util import check_square, check_vector
 from ..runtime import StopRun
 from ..sparse import CSRMatrix
 from .base import IterativeSolver, SolveResult, StoppingCriterion
@@ -75,10 +74,7 @@ class ConjugateGradientSolver(IterativeSolver):
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
     ) -> SolveResult:
-        n = check_square(A.shape, "cg matrix")
-        b = check_vector(b, n, "b")
-        x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
-
+        b, x = self._checked_inputs(A, b, x0)
         b_norm = float(np.linalg.norm(b))
         M = self.preconditioner
 
@@ -124,4 +120,5 @@ class ConjugateGradientSolver(IterativeSolver):
         )
         result = self._result_from(outcome, b_norm)
         result.info["breakdown"] = outcome.stop_reason == "breakdown"
+        self._note_preconditioner(result, M)
         return result

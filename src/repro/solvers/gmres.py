@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .._util import check_square, check_vector
 from ..sparse import CSRMatrix
 from .base import IterativeSolver, SolveResult, StoppingCriterion
 
@@ -83,9 +82,8 @@ class GMRESSolver(IterativeSolver):
         b: np.ndarray,
         x0: Optional[np.ndarray] = None,
     ) -> SolveResult:
-        n = check_square(A.shape, "gmres matrix")
-        b = check_vector(b, n, "b")
-        x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
+        b, x = self._checked_inputs(A, b, x0)
+        n = len(b)
         M = self.preconditioner
 
         b_norm = float(np.linalg.norm(b))
@@ -160,7 +158,7 @@ class GMRESSolver(IterativeSolver):
 
         ledger.finish(inner_iterations=inner_done)
         residuals = ledger.history()
-        return SolveResult(
+        result = SolveResult(
             x=x,
             residuals=residuals,
             converged=ledger.converged,
@@ -168,3 +166,5 @@ class GMRESSolver(IterativeSolver):
             b_norm=b_norm,
             info={"diverged": bool(self.stopping.diverged(residuals[-1])), "restart": m},
         )
+        self._note_preconditioner(result, M)
+        return result

@@ -231,3 +231,42 @@ def test_name_encodes_inner_sweep_shape(small_spd):
         AsyncSweepPreconditioner(small_spd, sweeps=1, config=cfg, symmetrize=False).name
         == "async(3x1)"
     )
+
+
+# --- outer-solver input checks and decision telemetry ---------------------
+
+
+def _outer(kind, M, **kw):
+    from repro.solvers import ConjugateGradientSolver, GMRESSolver, StoppingCriterion
+
+    stop = StoppingCriterion(tol=1e-10, maxiter=50)
+    if kind == "pcg":
+        return ConjugateGradientSolver(preconditioner=M, stopping=stop, **kw)
+    return GMRESSolver(restart=10, preconditioner=M, stopping=stop, **kw)
+
+
+@pytest.mark.parametrize("kind", ["pcg", "gmres"])
+@pytest.mark.parametrize("which", ["A", "b", "x0"])
+def test_outer_solvers_reject_non_finite_input(small_spd, kind, which):
+    A, b, x0 = small_spd.copy(), np.ones(60), np.zeros(60)
+    M = AsyncSweepPreconditioner(A, sweeps=1)
+    {"A": A.data, "b": b, "x0": x0}[which][3] = np.nan
+    with pytest.raises(ValueError, match=f"^{which} has non-finite"):
+        _outer(kind, M).solve(A, b, x0)
+
+
+@pytest.mark.parametrize("kind", ["pcg", "gmres"])
+def test_outer_solvers_report_the_preconditioner(small_spd, kind):
+    from repro.runtime import RunRecorder
+
+    M = AsyncSweepPreconditioner(small_spd, sweeps=2, config=AsyncConfig(block_size=16))
+    rec = RunRecorder()
+    result = _outer(kind, M, recorder=rec).solve(small_spd, np.ones(60))
+    facts = result.info["precond"]
+    assert facts == {"name": M.name, "backend": "levels", "levels_per_apply": M.levels_per_apply}
+    assert 0 < facts["levels_per_apply"] <= 4 * 4  # 4 sweeps of 4 blocks, overlapped
+    assert rec.runs[-1].annotations["precond"] == facts
+    # Without a level program there is no level count to report.
+    snapshot = AsyncSweepPreconditioner(small_spd, sweeps=2, config=AsyncConfig(order="synchronous"))
+    info = _outer(kind, snapshot).solve(small_spd, np.ones(60)).info["precond"]
+    assert info["backend"] in ("fused", "stencil") and info["levels_per_apply"] is None
