@@ -14,6 +14,12 @@ Two claims keep the refactor honest:
   cells time view + engine construction *and* the sweeps, so partition
   construction is charged to the partitioned path.
 
+A third, ungated row reports what building a decomposition costs: the
+:class:`repro.sparse.BlockRowView` (one entry classification) and the
+engine's sweep-plan compile and warm-up for the backend ``"auto"``
+resolves to, on the configurations of the harness workloads
+(``benchmarks/harness``) that solve lap3d 64³, fv1 and Trefethen_20000.
+
 Timings use min-of-repeats (the standard noise filter for sub-millisecond
 cells).  Artifacts: ``benchmarks/artifacts/BENCH_partition.txt`` (rendered)
 and ``BENCH_partition.json`` (machine-readable rows).  Runs standalone
@@ -31,6 +37,7 @@ import numpy as np
 from repro.core import AsyncConfig
 from repro.core.engine import AsyncEngine
 from repro.matrices import default_rhs, get_matrix
+from repro.matrices.grids3d import stencil_laplacian_3d
 from repro.partition import make_partition
 from repro.runtime import StoppingCriterion
 from repro.sparse import BlockRowView
@@ -122,13 +129,51 @@ def _overhead_row() -> dict:
     }
 
 
+#: (label, matrix, engine config) of the build-time report: the harness
+#: workloads' configurations.
+BUILD_CASES = [
+    ("lap3d 64^3", lambda: stencil_laplacian_3d(64),
+     dict(local_iterations=2, block_size=1024, stale_read_prob=1.0)),
+    ("fv1", lambda: get_matrix("fv1"), dict(local_iterations=5, block_size=128, order="gpu")),
+    ("Trefethen_20000", lambda: get_matrix("Trefethen_20000"),
+     dict(local_iterations=2, block_size=256)),
+]
+
+
+def _build_row() -> dict:
+    """Min-of-repeats view build and plan build (engine construction) times."""
+    cases = []
+    for label, load, kwargs in BUILD_CASES:
+        A = load()
+        b = default_rhs(A)
+        cfg = AsyncConfig(seed=0, **kwargs)
+        view_s = plan_s = float("inf")
+        for _ in range(REPEATS):
+            t0 = time.perf_counter()
+            view = BlockRowView(A, partition=make_partition(A, "uniform", block_size=cfg.block_size))
+            t1 = time.perf_counter()
+            engine = AsyncEngine(view, b, cfg)
+            t2 = time.perf_counter()
+            view_s, plan_s = min(view_s, t1 - t0), min(plan_s, t2 - t1)
+        cases.append(
+            {"matrix": label, "n": A.shape[0], "nnz": A.nnz, "backend": engine.backend,
+             "view_s": view_s, "plan_s": plan_s}
+        )
+    return {"claim": "build-time", "repeats": REPEATS, "cases": cases}
+
+
 def run_benchmark() -> list:
-    """Both cells; returns one result row per claim."""
-    return [_balance_row(), _overhead_row()]
+    """All cells; returns one result row per claim."""
+    return [_balance_row(), _overhead_row(), _build_row()]
 
 
 def render(rows: list) -> str:
-    balance, overhead = rows
+    balance, overhead, build = rows
+    lines = [
+        f"  {c['matrix']:16s} {c['backend']:8s} view {c['view_s'] * 1e3:7.2f} ms"
+        f"  plan {c['plan_s'] * 1e3:7.2f} ms"
+        for c in build["cases"]
+    ]
     return "\n".join(
         [
             "Partition subsystem — balance benefit and threading cost",
@@ -145,6 +190,10 @@ def render(rows: list) -> str:
             f"  uniform partition  {overhead['partitioned_s_per_sweep'] * 1e3:8.3f} ms/sweep",
             f"  overhead {overhead['overhead'] * 100:+.3f}%"
             f"  (gate < {overhead['gate'] * 100:.0f}%)",
+            "",
+            f"Decomposition build, min of {build['repeats']} repeats "
+            "(view = BlockRowView, plan = engine construction; reported, no gate):",
+            *lines,
         ]
     )
 
@@ -159,7 +208,7 @@ def _write_artifacts(text: str, rows: list) -> Path:
 
 
 def _check(rows: list) -> None:
-    balance, overhead = rows
+    balance, overhead = rows[:2]
     assert balance["excess_reduction"] >= MIN_IMBALANCE_REDUCTION, (
         f"work_balanced only cuts the imbalance excess "
         f"{balance['excess_reduction']:.2f}x "

@@ -11,7 +11,7 @@ for the dataclass and :mod:`repro.partition.strategies` for the
 used by RAS sweeps and the dist shard workers alike.
 """
 
-from .core import Partition, PartitionStats, compute_stats
+from .core import EntryClassification, Partition, PartitionStats, compute_stats
 from .halo import extract_block_system, split_block_diagonal
 from .placement import contiguous_placement, group_ranges, placement_telemetry
 from .rows import partition_rows, partition_rows_by_work
@@ -23,6 +23,7 @@ from .strategies import (
 )
 
 __all__ = [
+    "EntryClassification",
     "Partition",
     "PartitionStats",
     "available_strategies",

@@ -24,7 +24,7 @@ from .._util import as_index_array
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sparse.csr import CSRMatrix
 
-__all__ = ["Partition", "PartitionStats", "compute_stats"]
+__all__ = ["EntryClassification", "Partition", "PartitionStats", "compute_stats"]
 
 
 @dataclass(frozen=True)
@@ -88,60 +88,132 @@ class PartitionStats:
         return out
 
 
+class EntryClassification:
+    """Every stored entry of a partition-order matrix, labelled once.
+
+    The one place the package sorts a matrix's entries by owning block:
+    a few vectorised passes over the stored entries label every entry as
+    in-block (its column inside its row's block) or external, and as
+    diagonal or not.  :class:`repro.sparse.BlockRowView` takes its
+    diagonal, its stacked parts and its coupling masses from here,
+    :func:`compute_stats` its :class:`PartitionStats`, and the compiled
+    sweep plan (:mod:`repro.perf`) its row-to-block map and per-block
+    external counts — so no layer re-derives the decomposition.
+
+    Attributes
+    ----------
+    boundaries:
+        The ``[0, ..., n]`` cut array classified against.
+    block_of_row:
+        ``(n,)`` owning block of every row.
+    block_nnz:
+        ``(nblocks,)`` stored entries per block.
+    local:
+        ``(nnz,)`` bool: the entry's column lies inside its row's block
+        (diagonal entries included).
+    on_diag:
+        ``(nnz,)`` bool: the entry is its row's diagonal.
+    ennz:
+        ``(nblocks,)`` external (out-of-block) entries per block.
+    diag:
+        ``(n,)`` stored diagonal, ``0.0`` where a row stores none.
+    external_mass, local_mass:
+        Sums of ``|a_ij|`` over the external entries and over the
+        in-block off-diagonal entries, each one whole-array sum.
+    """
+
+    def __init__(self, A: "CSRMatrix", boundaries: np.ndarray):
+        b = np.asarray(boundaries, dtype=np.int64)
+        sizes = np.diff(b)
+        self.boundaries = b
+        self.block_of_row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
+        bounds_nnz = A.indptr[b]
+        self.block_nnz = np.diff(bounds_nnz)
+        cols = A.indices
+        rows = A._expanded_rows()
+        self.local = self.block_of_row[cols] == self.entry_block()
+        self.on_diag = cols == rows
+        ext = np.flatnonzero(~self.local)
+        self.ennz = np.diff(np.searchsorted(ext, bounds_nnz))
+        on = np.flatnonzero(self.on_diag)
+        self.diag = np.zeros(len(self.block_of_row))
+        self.diag[rows[on]] = A.data[on]
+        absdata = np.abs(A.data)
+        self.external_mass = float(absdata[ext].sum())
+        # np.compress selects what boolean indexing would, in about half
+        # the time on a mask this dense.
+        self.local_mass = float(np.compress(self.local_off, absdata).sum())
+
+    def entry_block(self) -> np.ndarray:
+        """``(nnz,)`` owning block of every stored entry (rebuilt per call, not kept)."""
+        return np.repeat(np.arange(len(self.block_nnz), dtype=np.int64), self.block_nnz)
+
+    @property
+    def local_off(self) -> np.ndarray:
+        """``(nnz,)`` bool: in-block off-diagonal entries."""
+        return self.local & ~self.on_diag
+
+    @property
+    def off_block_fraction(self) -> float:
+        """Fraction of off-diagonal ``|mass|`` coupling across blocks."""
+        total = self.external_mass + self.local_mass
+        return self.external_mass / total if total > 0 else 0.0
+
+    def stats(self, A: "CSRMatrix", overlap: int = 0) -> PartitionStats:
+        """:class:`PartitionStats` of the partition on *A* (the classified matrix).
+
+        With *overlap* > 0 the halo figures (duplicated rows/nnz, captured
+        external coupling) are measured against each block's clipped
+        extended range ``[start - overlap, stop + overlap)``.
+        """
+        boundaries = self.boundaries
+        n = int(boundaries[-1])
+        block_rows = np.diff(boundaries)
+        block_nnz = self.block_nnz
+        capacity = float((block_rows.astype(np.float64) ** 2).sum())
+        mean_nnz = float(block_nnz.mean()) if block_nnz.size else 0.0
+        overlap = int(overlap)
+        overlap_rows = 0
+        duplicated_nnz = 0
+        halo_captured = 0.0
+        if overlap > 0:
+            elo = np.maximum(boundaries[:-1] - overlap, 0)
+            ehi = np.minimum(boundaries[1:] + overlap, n)
+            overlap_rows = int((ehi - elo - block_rows).sum())
+            duplicated_nnz = int(
+                (A.indptr[boundaries[:-1]] - A.indptr[elo]).sum()
+                + (A.indptr[ehi] - A.indptr[boundaries[1:]]).sum()
+            )
+            entry_block = self.entry_block()
+            cols = A.indices
+            captured = ~self.local & (cols >= elo[entry_block]) & (cols < ehi[entry_block])
+            captured_mass = float(np.abs(A.data[captured]).sum())
+            if self.external_mass > 0:
+                halo_captured = captured_mass / self.external_mass
+        return PartitionStats(
+            block_rows=block_rows,
+            block_nnz=block_nnz,
+            imbalance=float(block_nnz.max()) / mean_nnz if mean_nnz > 0 else 1.0,
+            off_block_fraction=self.off_block_fraction,
+            diag_block_density=float(np.count_nonzero(self.local)) / capacity if capacity > 0 else 0.0,
+            overlap=overlap,
+            overlap_rows=overlap_rows,
+            duplicated_nnz=duplicated_nnz,
+            halo_captured_fraction=halo_captured,
+        )
+
+
 def compute_stats(
     A: "CSRMatrix", boundaries: np.ndarray, overlap: int = 0
 ) -> PartitionStats:
     """Measure partition quality on *A*, assumed already in partition order.
 
-    One vectorized pass over the stored entries: every entry is labelled
-    with its row's block, split into in-block vs external by column range,
-    and the diagonal excluded from the coupling-mass ratio (matching
-    :meth:`repro.sparse.BlockRowView.off_block_fraction`).  With
-    *overlap* > 0 the halo figures (duplicated rows/nnz, captured external
-    coupling) are measured against each block's clipped extended range
-    ``[start - overlap, stop + overlap)``.
+    Classifies the stored entries once (:class:`EntryClassification`):
+    in-block vs external by column range, the diagonal excluded from the
+    coupling-mass ratio — the very figures
+    :meth:`repro.sparse.BlockRowView.off_block_fraction` reads.
     """
-    boundaries = np.asarray(boundaries, dtype=np.int64)
-    n = int(boundaries[-1])
-    block_rows = np.diff(boundaries)
-    block_nnz = (A.indptr[boundaries[1:]] - A.indptr[boundaries[:-1]]).astype(np.int64)
-    rows = np.repeat(np.arange(n, dtype=np.int64), A.row_nnz())
-    entry_block = np.searchsorted(boundaries, rows, side="right") - 1
-    cols = A.indices
-    local = (cols >= boundaries[entry_block]) & (cols < boundaries[entry_block + 1])
-    on_diag = cols == rows
-    absdata = np.abs(A.data)
-    ext_mass = float(absdata[~local].sum())
-    loc_mass = float(absdata[local & ~on_diag].sum())
-    total = ext_mass + loc_mass
-    capacity = float((block_rows.astype(np.float64) ** 2).sum())
-    mean_nnz = float(block_nnz.mean()) if block_nnz.size else 0.0
-    overlap = int(overlap)
-    overlap_rows = 0
-    duplicated_nnz = 0
-    halo_captured = 0.0
-    if overlap > 0:
-        elo = np.maximum(boundaries[:-1] - overlap, 0)
-        ehi = np.minimum(boundaries[1:] + overlap, n)
-        overlap_rows = int((ehi - elo - block_rows).sum())
-        duplicated_nnz = int(
-            (A.indptr[boundaries[:-1]] - A.indptr[elo]).sum()
-            + (A.indptr[ehi] - A.indptr[boundaries[1:]]).sum()
-        )
-        captured = ~local & (cols >= elo[entry_block]) & (cols < ehi[entry_block])
-        captured_mass = float(absdata[captured].sum())
-        halo_captured = captured_mass / ext_mass if ext_mass > 0 else 0.0
-    return PartitionStats(
-        block_rows=block_rows,
-        block_nnz=block_nnz,
-        imbalance=float(block_nnz.max()) / mean_nnz if mean_nnz > 0 else 1.0,
-        off_block_fraction=ext_mass / total if total > 0 else 0.0,
-        diag_block_density=float(local.sum()) / capacity if capacity > 0 else 0.0,
-        overlap=overlap,
-        overlap_rows=overlap_rows,
-        duplicated_nnz=duplicated_nnz,
-        halo_captured_fraction=halo_captured,
-    )
+    return EntryClassification(A, boundaries).stats(A, overlap)
 
 
 @dataclass(eq=False)
@@ -315,15 +387,21 @@ class Partition:
         out[self.perm] = v
         return out
 
-    def ensure_stats(self, A: "CSRMatrix") -> PartitionStats:
+    def ensure_stats(
+        self, A: "CSRMatrix", classification: Optional[EntryClassification] = None
+    ) -> PartitionStats:
         """Compute (once) and cache quality stats on *A*.
 
         *A* must be in **partition order** — pass ``permute_matrix(A)``
         (or a :class:`~repro.sparse.BlockRowView`'s ``.matrix``) when the
-        partition carries a permutation.
+        partition carries a permutation.  A *classification* of *A* on
+        this partition, when the caller holds one, is reused instead of
+        classifying the entries again.
         """
         if self.stats is None:
-            self.stats = compute_stats(A, self.boundaries, self.overlap)
+            if classification is None:
+                classification = EntryClassification(A, self.boundaries)
+            self.stats = classification.stats(A, self.overlap)
         return self.stats
 
     def fingerprint(self) -> str:

@@ -37,7 +37,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .._util import cumulative_segments
 from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
 from .program import LevelProgram
@@ -104,7 +103,7 @@ class SweepPlan:
     def __init__(self, view: BlockRowView):
         self._view = weakref.ref(view)
         self.partition = view.partition
-        self.ennz = np.array([blk.external.nnz for blk in view.blocks], dtype=np.int64)
+        self.ennz = view.classification.ennz
         self._ext_rows: Optional[List[np.ndarray]] = None
         self._scatter_base: Optional[List[np.ndarray]] = None
         self._local_c: Optional[List[CSRMatrix]] = None
@@ -116,7 +115,6 @@ class SweepPlan:
         self._stencil_kernels = None
         self._padded = None
         self._padded_ext = None
-        self._block_of_row: Optional[np.ndarray] = None
         self._entry_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._coupling: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._programs = {}
@@ -232,18 +230,18 @@ class SweepPlan:
         ``None`` when a row is wider than the packed kernel's panel cap.
         """
         if self._padded is None:
-            self._padded = self._pad([blk.local_off for blk in self.view.blocks], local=True)
+            self._padded = self._pad(self.local_off, local=True)
         return self._padded or None
 
     @property
     def padded_external(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """:attr:`padded_local` of the external parts, with global columns."""
         if self._padded_ext is None:
-            self._padded_ext = self._pad([blk.external for blk in self.view.blocks], local=False)
+            self._padded_ext = self._pad(self.external, local=False)
         return self._padded_ext or None
 
-    def _pad(self, parts: List[CSRMatrix], *, local: bool):
-        """Uniform-width (padded ELL) layout of per-block CSR row parts.
+    def _pad(self, part: CSRMatrix, *, local: bool):
+        """Uniform-width (padded ELL) layout of a stacked part's rows.
 
         Pad entries hold the value ``-0.0`` and the :attr:`PAD_SENTINEL`
         column that resolves to a ``+0.0`` operand slot, so every pad
@@ -258,39 +256,35 @@ class SweepPlan:
         kernel's panel cap are summed by ``reduceat`` (a different order),
         so such a system gets ``False`` (no panels).
         """
-        lengths = np.concatenate([np.diff(p.indptr) for p in parts])
+        lengths = part.row_nnz()
         W = int(lengths.max(initial=0))
         if W > CSRMatrix._ELL_MAX_WIDTH:
             return False
         W = max(1, W)
         n = self.view.n
         rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        slot = np.arange(len(rows), dtype=np.int64) - cumulative_segments(lengths)[rows]
-        indices = np.concatenate([p.indices for p in parts])
+        slot = np.arange(len(rows), dtype=np.int64) - part.indptr[rows]
+        indices = part.indices
         if local:
             indices = indices - self.view.boundaries[:-1][self.block_of_row[rows]]
         cols = np.full((W, n), self.PAD_SENTINEL, dtype=np.int64)
         data = np.full((W, n), -0.0)
         cols[slot, rows] = indices
-        data[slot, rows] = np.concatenate([p.data for p in parts])
+        data[slot, rows] = part.data
         data[0, lengths == 0] = 0.0
         return cols, data
 
     @property
     def block_of_row(self) -> np.ndarray:
-        """Owning block of every row (cached)."""
-        if self._block_of_row is None:
-            sizes = np.diff(self.view.boundaries)
-            self._block_of_row = np.repeat(np.arange(len(sizes), dtype=np.int64), sizes)
-        return self._block_of_row
+        """Owning block of every row (the view's entry classification)."""
+        return self.view.classification.block_of_row
 
     @property
     def entry_blocks(self) -> Tuple[np.ndarray, np.ndarray]:
         """Reading block and owning block of every restacked external entry (cached)."""
         if self._entry_blocks is None:
-            E = self.external
-            bor = self.block_of_row
-            self._entry_blocks = (bor[E._expanded_rows()], bor[E.indices])
+            readers = np.repeat(np.arange(self.view.nblocks, dtype=np.int64), self.ennz)
+            self._entry_blocks = (readers, self.block_of_row[self.external.indices])
         return self._entry_blocks
 
     @property
@@ -401,7 +395,7 @@ class SweepPlan:
                 raise ValueError(f"view is not stencil-regular: {reason}")
             from .stencil import StencilKernels
 
-            self._stencil_kernels = StencilKernels(self.view, desc.offsets)
+            self._stencil_kernels = StencilKernels(self.view, desc)
         return self._stencil_kernels
 
     @property

@@ -114,8 +114,8 @@ class StencilDescriptor:
         Coefficients of the **dominant** interior class, aligned with
         :attr:`offsets` — the constant-coefficient core of the operator.
         (Execution does not consume these: the kernels read per-row
-        weights from the matrix, so coefficient-field scalings like fv*'s
-        two-material diagonal are handled exactly.)
+        weights from :attr:`plane`, so coefficient-field scalings like
+        fv*'s two-material diagonal are handled exactly.)
     grid_shape:
         Best-effort inferred grid extents (slowest axis first), verified
         against the offset validity masks; ``None`` when inference is not
@@ -128,6 +128,11 @@ class StencilDescriptor:
         Full-pattern classes accepted as interior.
     n_variants:
         Clipped boundary-row variants.
+    plane:
+        ``(len(offsets), n)`` coefficient plane the detection grouped the
+        rows by: row *j* holds every matrix row's stored coefficient at
+        ``offsets[j]``, NaN where the row stores none.
+        :class:`StencilKernels` takes its weight vectors from it.
     """
 
     offsets: np.ndarray = field(repr=False)
@@ -137,6 +142,7 @@ class StencilDescriptor:
     n_classes: int
     n_interior_classes: int
     n_variants: int
+    plane: np.ndarray = field(repr=False, compare=False)
 
     def telemetry(self) -> dict:
         """JSON-friendly summary for the run-telemetry annotation."""
@@ -189,16 +195,17 @@ def _search_strides(
 
 
 def _infer_grid_shape(
-    offsets: np.ndarray, present: np.ndarray, n: int
+    offsets: np.ndarray, plane: np.ndarray, n: int
 ) -> Optional[Tuple[int, ...]]:
     """Best-effort grid extents from the offset set, mask-verified.
 
     Axis strides are searched so every positive offset is a ±1
     combination of them (the cross/box neighbourhoods of 5/7/9/19/27
     point stencils); extents follow from consecutive stride ratios.  The
-    result is checked against the actual per-offset presence masks —
-    offset ``+stride`` must vanish exactly on the axis's last coordinate
-    — and ``None`` is returned whenever anything is uncertain.
+    result is checked against the actual per-offset presence masks of the
+    coefficient *plane* — offset ``+stride`` must vanish exactly on the
+    axis's last coordinate — and ``None`` is returned whenever anything
+    is uncertain.
     """
     pos = [int(o) for o in offsets if o > 0]
     neg = sorted(int(-o) for o in offsets if o < 0)
@@ -215,9 +222,45 @@ def _infer_grid_shape(
         if k >= len(offsets) or offsets[k] != stride:
             return None
         expected = (idx // stride) % extent < extent - 1
-        if not np.array_equal(present[:, k], expected):
+        if not np.array_equal(~np.isnan(plane[k]), expected):
             return None
     return tuple(reversed(dims))
+
+
+def _coefficient_plane(A, rows, offs, offsets) -> np.ndarray:
+    """The ``(W, n)`` plane of every row's coefficient at every offset.
+
+    Row *j* holds each matrix row's coefficient at ``offsets[j]``, NaN
+    where the row stores none — one shared bit pattern, so comparing
+    bits compares patterns exactly, signed zeros included.  Entries land
+    through an offset lookup table (offset → flat plane start), one
+    scatter in all.
+    """
+    n = A.shape[0]
+    start = np.full(int(offsets[-1] - offsets[0]) + 1, -1, dtype=np.int64)
+    start[offsets - offsets[0]] = np.arange(len(offsets), dtype=np.int64) * n
+    plane = np.full(len(offsets) * n, np.nan)
+    plane[start[offs - offsets[0]] + rows] = A.data
+    return plane.reshape(len(offsets), n)
+
+
+#: Odd 64-bit multiplier of the row-pattern hash (the golden-ratio constant).
+_HASH_MUL = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _row_hash(bits: np.ndarray) -> np.ndarray:
+    """A 64-bit hash per row of the ``(W, n)`` coefficient-bit plane.
+
+    Multiply-xorshift over the row's W words; equal patterns hash equal,
+    and :func:`detect_stencil` checks every row bit for bit against its
+    class representative, so a collision can never merge two patterns.
+    """
+    h = np.zeros(bits.shape[1], dtype=np.uint64)
+    for word in bits:
+        h ^= word
+        h *= _HASH_MUL
+        h ^= h >> np.uint64(31)
+    return h
 
 
 def detect_stencil(
@@ -232,9 +275,10 @@ def detect_stencil(
 
     Returns ``(descriptor, "")`` on success or ``(None, reason)`` on
     failure; the reason string is recorded in the partition telemetry so
-    a fallback is always explainable.  Cost is one vectorized pass over
-    the nonzeros plus a per-row lexicographic grouping — paid once per
-    compiled plan, and only when stencil dispatch is actually considered.
+    a fallback is always explainable.  Cost is a few vectorized passes
+    over the nonzeros (the coefficient plane) plus a hash grouping of the
+    rows — paid once per compiled plan, and only when stencil dispatch is
+    actually considered.
     """
     if view.partition.perm is not None:
         return None, "partition carries a row permutation (offsets undefined)"
@@ -253,18 +297,26 @@ def detect_stencil(
     if 0 not in offsets:
         return None, "no diagonal offset"
 
-    # Row patterns: an (n, W) plane holding each row's coefficient at
-    # every offset (NaN = absent — one shared bit pattern, so byte-wise
-    # row comparison is exact pattern comparison, signed zeros included).
-    plane = np.full((n, W), np.nan)
-    plane[rows, np.searchsorted(offsets, offs)] = A.data
-    raw = np.ascontiguousarray(plane).view(np.dtype((np.void, 8 * W))).ravel()
-    _, first, counts = np.unique(raw, return_index=True, return_counts=True)
+    # Row patterns: group rows by a hash of their plane bits, then check
+    # every row against its class representative bit for bit.
+    plane = _coefficient_plane(A, rows, offs, offsets)
+    bits = plane.view(np.uint64)
+    _, first, inverse, counts = np.unique(
+        _row_hash(bits), return_index=True, return_inverse=True, return_counts=True
+    )
     k = len(first)
     if k > max_classes:
         return None, f"{k} distinct row patterns exceed the cap of {max_classes}"
+    rep_bits = bits[:, first]
+    if not all(np.array_equal(word, rep[inverse]) for word, rep in zip(bits, rep_bits)):
+        return None, "row-pattern hash collision"
+    # Classes in pattern-byte order, the order an exact byte-wise grouping
+    # yields, so a tie between equally populated interior classes still
+    # picks the same dominant class.
+    pat = np.ascontiguousarray(plane[:, first].T)  # (k, W) class patterns
+    _, order = np.unique(pat.view(np.dtype((np.void, 8 * W))).ravel(), return_index=True)
+    first, counts, pat = first[order], counts[order], pat[order]
 
-    pat = plane[first]  # (k, W) class patterns
     present = ~np.isnan(pat)
     full = present.all(axis=1)
     # An interior class must be populated: a single perturbed coefficient
@@ -290,15 +342,15 @@ def detect_stencil(
             return None, "row pattern is not a clipped variant of any interior class"
 
     dominant = int(np.flatnonzero(interior_cls)[np.argmax(counts[interior_cls])])
-    present_rows = ~np.isnan(plane)
     desc = StencilDescriptor(
         offsets=offsets,
         coeffs=pat[dominant].copy(),
-        grid_shape=_infer_grid_shape(offsets, present_rows, n),
+        grid_shape=_infer_grid_shape(offsets, plane, n),
         interior_fraction=interior_fraction,
         n_classes=int(k),
         n_interior_classes=int(interior_cls.sum()),
         n_variants=int(k - interior_cls.sum()),
+        plane=plane,
     )
     return desc, ""
 
@@ -311,10 +363,11 @@ def detect_stencil(
 class StencilKernels:
     """Offset-shifted sweep kernels of one stencil-regular decomposition.
 
-    Weights are gathered from the view's matrix once, per offset, and
-    split into **external** (column outside the row's block) and
-    **local** (inside the block, off-diagonal) planes along the
-    partition, mirroring the E/L split every executor consumes.  Both
+    Weights are the rows of the detection's coefficient plane
+    (:attr:`StencilDescriptor.plane`), one per offset, split into
+    **external** (column outside the row's block) and **local** (inside
+    the block, off-diagonal) planes along the partition's row-to-block
+    map, mirroring the E/L split every executor consumes.  Both
     application methods accept ``(n,)`` vectors and ``(R, n)``
     multi-vectors (the batched engines' stacked variant) — diagonals
     broadcast over leading axes, so the 2-D path is the 1-D arithmetic
@@ -324,23 +377,18 @@ class StencilKernels:
     order, the same per-row order as the packed CSR kernels.
     """
 
-    def __init__(self, view: BlockRowView, offsets: np.ndarray):
-        A = view.matrix
-        n = A.shape[0]
+    def __init__(self, view: BlockRowView, desc: StencilDescriptor):
+        n = view.n
         self.n = n
         self.diag = view.diagonal_vector()
-        rows = A._expanded_rows()
-        offs = A.indices - rows
-        block_of = np.searchsorted(view.boundaries, np.arange(n), side="right") - 1
+        block_of = view.classification.block_of_row
         self._external: List[DiagonalPlane] = []
         self._local: List[DiagonalPlane] = []
-        for o in offsets:
-            o = int(o)
+        for o, weights in zip(desc.offsets.tolist(), desc.plane):
             if o == 0:
                 continue
-            sel = offs == o
-            r = rows[sel]
-            v = A.data[sel]
+            r = np.flatnonzero(~np.isnan(weights))
+            v = weights[r]
             same_block = block_of[r] == block_of[r + o]
             for mask, planes in ((~same_block, self._external), (same_block, self._local)):
                 if mask.any():

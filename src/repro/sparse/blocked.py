@@ -10,8 +10,13 @@ thread block), and every block's rows are split into
 * an **external** part (columns outside the block) — frozen during local
   iterations; Eq. (4)'s "global part".
 
-:class:`BlockRowView` precomputes all three per block once, so the
-asynchronous engine's hot loop is nothing but slim vectorized kernels.
+:class:`BlockRowView` classifies every stored entry once
+(:class:`repro.partition.EntryClassification`) and keeps the diagonal
+eagerly; the stacked local and external parts are one mask selection
+each, built on first use, and the per-block :class:`RowBlock` parts are
+row slices of them — so the asynchronous engine's hot loop is nothing but
+slim vectorized kernels, and the whole-system executors never pay for the
+per-block structures.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Iterable, List, Optional, Sequence
 import numpy as np
 
 from .._util import as_index_array, check_square
-from ..partition.core import Partition
+from ..partition.core import EntryClassification, Partition
 from ..partition.halo import extract_block_system, split_block_diagonal
 from ..partition.rows import partition_rows
 from .csr import CSRMatrix
@@ -165,8 +170,9 @@ class BlockRowView:
     Raises
     ------
     ValueError
-        If any diagonal entry inside the partition is exactly zero — Jacobi
-        sweeps would divide by zero.
+        If any diagonal entry inside the partition is exactly zero (or not
+        stored) — Jacobi sweeps would divide by zero.  The message names
+        the first such row and its block.
     """
 
     def __init__(
@@ -199,64 +205,77 @@ class BlockRowView:
         self.matrix = self.partition.permute_matrix(A)
         self.boundaries = self.partition.boundaries
         self.n = n
-        self.blocks: List[RowBlock] = []
-        for k in range(len(self.boundaries) - 1):
-            start, stop = int(self.boundaries[k]), int(self.boundaries[k + 1])
-            rows = self.matrix.row_slice(start, stop)
-            local, external = rows.column_range_split(start, stop)
-            diag_full, local_off = local.split_diagonal()
-            diag = np.zeros(stop - start)
-            # split_diagonal sees the (nrows, n) slice, whose "diagonal" is
-            # entries (i, i) of the slice — i.e. columns [0, nrows) — not the
-            # block's true diagonal (i, start + i).  Extract it directly.
-            block_rows = np.repeat(np.arange(stop - start, dtype=np.int64), local.row_nnz())
-            on_diag = local.indices == (block_rows + start)
-            diag[block_rows[on_diag]] = local.data[on_diag]
-            local_off = local._mask_select(~on_diag)
-            if np.any(diag == 0.0):
-                raise ValueError(
-                    f"block {k} (rows [{start}, {stop})) has zero diagonal entries; "
-                    "Jacobi-type local sweeps are undefined"
-                )
-            self.blocks.append(RowBlock(k, start, stop, diag, local_off, external))
+        #: Every stored entry labelled once (owning block, in-block,
+        #: diagonal): the diagonal, the stacked parts, the coupling masses
+        #: and the partition stats all come from this one pass.
+        self.classification = EntryClassification(self.matrix, self.boundaries)
+        zero = np.flatnonzero(self.classification.diag == 0.0)
+        if len(zero):
+            i = int(zero[0])
+            k = int(self.classification.block_of_row[i])
+            where = "" if self.perm is None else f" (row {int(self.perm[i])} of the input matrix)"
+            raise ValueError(
+                f"block {k} (rows [{int(self.boundaries[k])}, {int(self.boundaries[k + 1])})) "
+                f"has zero diagonal entries, first at row {i}{where}; "
+                "Jacobi-type local sweeps are undefined"
+            )
+        self._stacked: dict = {}
+        self._blocks: Optional[List[RowBlock]] = None
+        # Set once a stacked part is handed out as a whole-system matrix
+        # (the fused and level executors); the per-block loop only slices.
         self._ext_matrix: Optional[CSRMatrix] = None
         self._local_matrix: Optional[CSRMatrix] = None
-        self._diag: Optional[np.ndarray] = None
         self._ras_blocks: Optional[List[RASBlock]] = None
         # Compiled whole-system sweep plan (repro.perf.SweepPlan), attached
         # on first engine construction and shared by every engine built on
         # this view — the decomposition is compiled once, not per engine.
         self._perf_plan = None
 
-    def _stack_blocks(self, parts: List[CSRMatrix]) -> CSRMatrix:
-        """Vertically restack per-block CSR parts into one (n, n) matrix.
+    def _stack(self, part: str) -> CSRMatrix:
+        """The (n, n) CSR of every row's ``"external"`` or ``"local"`` entries (cached).
 
-        Blocks partition the rows contiguously, so global row *i*'s entries
-        are exactly its owning block's local row — same entries, same
-        order.  A single multi-vector ``matvec`` against the stack is
-        therefore bitwise identical to the per-block matvecs of a sweep.
+        One mask selection over the classified entries: global row *i*
+        holds the entries of row *i* of the matrix in stored order, so a
+        row slice of it is exactly the owning block's part.  The view
+        keeps one copy: :attr:`blocks` slices it, and
+        :meth:`external_matrix` / :meth:`local_offdiag_matrix` hand it out.
         """
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        nnz = 0
-        for blk, part in zip(self.blocks, parts):
-            indptr[blk.start + 1 : blk.stop + 1] = nnz + part.indptr[1:]
-            nnz += part.nnz
-        return CSRMatrix(
-            indptr,
-            np.concatenate([p.indices for p in parts]) if parts else np.zeros(0, np.int64),
-            np.concatenate([p.data for p in parts]) if parts else np.zeros(0),
-            (self.n, self.n),
-            check=False,
-        )
+        m = self._stacked.get(part)
+        if m is None:
+            cls = self.classification
+            keep = ~cls.local if part == "external" else cls.local_off
+            m = self._stacked[part] = self.matrix._mask_select(keep)
+        return m
+
+    @property
+    def blocks(self) -> List[RowBlock]:
+        """Per-block :class:`RowBlock` parts, built on first access (cached).
+
+        Each block's diagonal, local and external parts are row slices of
+        :meth:`diagonal_vector` and the stacked parts — views, not copies.
+        The per-block loops (reference executor, threaded and multi-GPU
+        simulations, block Jacobi) read them; the whole-system executors
+        never build them.
+        """
+        if self._blocks is None:
+            E, L, d = self._stack("external"), self._stack("local"), self.diagonal_vector()
+            b = self.boundaries.tolist()
+            self._blocks = [
+                RowBlock(k, s, t, d[s:t], L.row_slice(s, t), E.row_slice(s, t))
+                for k, (s, t) in enumerate(zip(b[:-1], b[1:]))
+            ]
+        return self._blocks
 
     def external_matrix(self) -> CSRMatrix:
-        """All blocks' external parts restacked into one (n, n) CSR (cached).
+        """All blocks' external parts as one (n, n) CSR (cached).
 
         Row *i* holds the entries of row *i* of A whose columns fall outside
         *i*'s block — Eq. (4)'s "global part" for the whole system at once.
+        A single multi-vector ``matvec`` against it is bitwise identical to
+        the per-block matvecs of a sweep (same entries, same order).
         """
         if self._ext_matrix is None:
-            self._ext_matrix = self._stack_blocks([blk.external for blk in self.blocks])
+            self._ext_matrix = self._stack("external")
         return self._ext_matrix
 
     def local_offdiag_matrix(self) -> CSRMatrix:
@@ -267,14 +286,12 @@ class BlockRowView:
         identical to the per-block sweeps (no block reads another's rows).
         """
         if self._local_matrix is None:
-            self._local_matrix = self._stack_blocks([blk.local_off for blk in self.blocks])
+            self._local_matrix = self._stack("local")
         return self._local_matrix
 
     def diagonal_vector(self) -> np.ndarray:
-        """The system diagonal as one length-n vector (cached)."""
-        if self._diag is None:
-            self._diag = np.concatenate([blk.diag for blk in self.blocks])
-        return self._diag
+        """The system diagonal as one length-n vector."""
+        return self.classification.diag
 
     def ras_blocks(self) -> List[RASBlock]:
         """Extended block systems for restricted-Schwarz sweeps (cached).
@@ -315,7 +332,7 @@ class BlockRowView:
     @property
     def nblocks(self) -> int:
         """Number of blocks in the partition."""
-        return len(self.blocks)
+        return len(self.boundaries) - 1
 
     @property
     def perm(self) -> Optional[np.ndarray]:
@@ -332,7 +349,7 @@ class BlockRowView:
 
     def partition_stats(self):
         """Quality stats of the partition on this matrix (cached on the partition)."""
-        return self.partition.ensure_stats(self.matrix)
+        return self.partition.ensure_stats(self.matrix, self.classification)
 
     def partition_telemetry(self) -> dict:
         """The partition's :class:`RunRecorder` annotation block, stats included.
@@ -345,7 +362,7 @@ class BlockRowView:
         here: views whose engines never considered stencil dispatch report
         plain partition telemetry.
         """
-        self.partition.ensure_stats(self.matrix)
+        self.partition_stats()
         out = self.partition.telemetry()
         plan = self._perf_plan
         if plan is not None and plan.stencil_attempted:
@@ -365,7 +382,7 @@ class BlockRowView:
         """Index of the block owning row *i*."""
         if not (0 <= i < self.n):
             raise IndexError(f"row {i} out of range")
-        return int(np.searchsorted(self.boundaries, i, side="right") - 1)
+        return int(self.classification.block_of_row[i])
 
     def off_block_fraction(self) -> float:
         """Fraction of off-diagonal |mass| that couples across blocks.
@@ -373,16 +390,16 @@ class BlockRowView:
         The paper's qualitative predictor (§4.1, §4.3): small values (fv1)
         mean local iterations capture almost all coupling — low run-to-run
         variation and large async-(k) gains; large values (Trefethen) mean
-        the opposite.
+        the opposite.  The same figure as
+        :attr:`repro.partition.PartitionStats.off_block_fraction`: both
+        read :attr:`classification`.
         """
-        ext = sum(b.external_mass for b in self.blocks)
-        loc = sum(b.local_mass for b in self.blocks)
-        total = ext + loc
-        return ext / total if total > 0 else 0.0
+        return self.classification.off_block_fraction
 
     def rows_of(self, block_indices: Iterable[int]) -> np.ndarray:
         """Concatenated row indices of the given blocks."""
-        parts = [np.arange(self.blocks[k].start, self.blocks[k].stop, dtype=np.int64) for k in block_indices]
+        b = self.boundaries
+        parts = [np.arange(b[k], b[k + 1], dtype=np.int64) for k in block_indices]
         return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -176,3 +176,99 @@ def test_2d_grid_detects_small():
     assert desc is not None, reason
     assert desc.grid_shape == (16, 16)
     assert isinstance(desc, StencilDescriptor)
+
+
+# --------------------------------------------------------------------- #
+# exactness of the row grouping
+# --------------------------------------------------------------------- #
+
+
+def _with_offset_values(A, offset, rows, value):
+    """Copy of *A* with the stored entry at *offset* of each of *rows* set to *value*."""
+    data = A.data.copy()
+    at = np.isin(A._expanded_rows(), rows) & (A.indices - A._expanded_rows() == offset)
+    data[at] = value
+    return CSRMatrix(A.indptr.copy(), A.indices.copy(), data, A.shape)
+
+
+@pytest.mark.parametrize(
+    "value, other",
+    [(0.0, -0.0), (-1.0, np.nextafter(-1.0, 0.0))],
+    ids=["signed-zero", "one-ulp"],
+)
+def test_rows_differing_in_one_coefficient_bit_pattern_split(lap3d, value, other):
+    # Half the rows carry `other` instead of `value` at offset +1: a second
+    # interior class, never merged with the first.
+    n = lap3d.shape[0]
+    base = _with_offset_values(lap3d, 1, np.arange(n), value)
+    split = _with_offset_values(base, 1, np.arange(n // 2, n), other)
+    d0, r0 = detect_stencil(_view(base))
+    d1, r1 = detect_stencil(_view(split))
+    assert d0 is not None and d1 is not None, (r0, r1)
+    assert d0.n_interior_classes == 1
+    assert d1.n_interior_classes == 2
+    assert d1.n_classes > d0.n_classes
+    # One such row alone is neither interior nor a clipped variant.
+    row = int(np.flatnonzero(np.diff(lap3d.indptr) == 7)[10])
+    lone = _with_offset_values(base, 1, [row], other)
+    desc, reason = detect_stencil(_view(lone))
+    assert desc is None and "clipped variant" in reason
+
+
+def test_hash_collision_is_caught_not_merged(lap3d, monkeypatch):
+    import repro.perf.stencil as stencil
+
+    monkeypatch.setattr(stencil, "_row_hash", lambda bits: np.zeros(bits.shape[1], np.uint64))
+    desc, reason = detect_stencil(_view(lap3d))
+    assert desc is None and reason == "row-pattern hash collision"
+
+
+def _bits(values):
+    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
+
+
+#: Descriptors of the suite's stencil matrices (uniform blocks of 128),
+#: pinned from the void-row ``np.unique`` grouping the hash grouping
+#: replaced: offsets, dominant coefficients (as bits), class counts,
+#: interior fraction and grid shape.
+_PINNED = {
+    "lap3d16": (
+        [-256, -16, -1, 0, 1, 16, 256],
+        _bits([-1.0, -1.0, -1.0, 6.0, -1.0, -1.0, -1.0]),
+        (27, 1, 26), 0.669921875, (16, 16, 16),
+    ),
+    "fv1": (
+        [-99, -98, -97, -1, 0, 1, 97, 98, 99],
+        [-4623695617433709227] * 4 + [4614207668210047466] + [-4623695617433709227] * 4,
+        (20, 6, 14), 0.9596001665972511, (98, 98),
+    ),
+    "fv3": (
+        [-100, -99, -98, -1, 0, 1, 98, 99, 100],
+        [-4623695617433709227] * 4 + [4613186977716345772] + [-4623695617433709227] * 4,
+        (20, 6, 14), 0.9600040812162024, (99, 99),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_descriptors_pinned(name):
+    A = stencil_laplacian_3d(16) if name == "lap3d16" else get_matrix(name)
+    desc, reason = detect_stencil(_view(A))
+    assert desc is not None, reason
+    offsets, coeff_bits, counts, fraction, shape = _PINNED[name]
+    assert desc.offsets.tolist() == offsets
+    assert desc.coeffs.view(np.int64).tolist() == coeff_bits
+    assert (desc.n_classes, desc.n_interior_classes, desc.n_variants) == counts
+    assert desc.interior_fraction == fraction
+    assert desc.grid_shape == shape
+
+
+@pytest.mark.parametrize(
+    "name, reason",
+    [
+        ("Trefethen_2000", "2000 distinct row patterns exceed the cap of 64"),
+        ("Chem97ZtZ", "1983 distinct offsets exceed the cap of 32"),
+    ],
+)
+def test_rejection_reasons_pinned(name, reason):
+    assert detect_stencil(_view(get_matrix(name))) == (None, reason)
