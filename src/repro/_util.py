@@ -11,7 +11,7 @@ The helpers enforce the package-wide conventions:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +22,7 @@ __all__ = [
     "check_square",
     "check_vector",
     "check_finite",
+    "check_system",
     "RNGLike",
 ]
 
@@ -77,6 +78,25 @@ def check_finite(x: np.ndarray, name: str = "vector") -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} has non-finite entries (NaN or inf)")
     return x
+
+
+def check_system(
+    A, b: np.ndarray, x0: Optional[np.ndarray] = None, what: str = "matrix"
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Validate a solve's inputs; return ``(b, x0)`` as ``float64`` vectors.
+
+    Every solver entry point calls this, so each bad input raises the same
+    :class:`ValueError`: a non-square *A* (named *what*), a *b* or *x0*
+    not of length n, or a NaN or infinite entry in *A*, *b* or *x0*.
+    *x0* stays ``None`` when not given; otherwise it may be the caller's
+    own array, so copy it before iterating in place.
+    """
+    n = check_square(A.shape, what)
+    check_finite(A.data, "A")
+    b = check_finite(check_vector(b, n, "b"), "b")
+    if x0 is not None:
+        x0 = check_finite(check_vector(x0, n, "x0"), "x0")
+    return b, x0
 
 
 def cumulative_segments(counts: np.ndarray) -> np.ndarray:

@@ -326,6 +326,8 @@ def _cmd_experiment(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser (exposed for tests and docs)."""
+    from .core.schedules import BACKENDS
+
     p = argparse.ArgumentParser(
         prog="repro",
         description="Block-asynchronous relaxation methods (Anzt et al. 2012) — reproduction toolkit",
@@ -365,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--seed", type=int, default=0)
     ps.add_argument(
         "--backend",
-        choices=("auto", "stencil", "fused", "reference"),
+        choices=BACKENDS,
         default="auto",
         help="sweep execution backend for --solver=async (timing only; "
         "iterates are bitwise identical wherever a backend may run)",
@@ -448,9 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--omega", type=float, default=1.0, help="default relaxation weight")
     pv.add_argument("--tol", type=float, default=1e-10, help="default stopping tolerance")
     pv.add_argument("--maxiter", type=int, default=1000, help="default sweep budget")
-    pv.add_argument(
-        "--backend", choices=("auto", "stencil", "fused", "reference"), default="auto"
-    )
+    pv.add_argument("--backend", choices=BACKENDS, default="auto")
     pv.add_argument(
         "--partition",
         metavar="STRATEGY[:PARAM][+oK]",

@@ -19,7 +19,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .._util import check_finite, check_square, check_vector
+from .._util import check_system
 from ..partition import Partition, make_partition
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
@@ -132,11 +132,7 @@ class BlockAsyncSolver(IterativeSolver):
         permuting strategies iterate in partition order and report the
         solution back in original row order (see the class docstring).
         """
-        n = check_square(A.shape, f"{self.name} matrix")
-        check_finite(A.data, "A")
-        check_finite(check_vector(b, n, "b"), "b")
-        if x0 is not None:
-            check_finite(check_vector(x0, n, "x0"), "x0")
+        check_system(A, b, x0, f"{self.name} matrix")
         part = make_partition(A, self.partition, block_size=self.config.block_size)
         view = BlockRowView(A, partition=part)
         return self._solve_partitioned(view, A, b, x0)

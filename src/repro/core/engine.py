@@ -55,7 +55,7 @@ class _SweepLanes:
     scheduler — advanced through the shared sweep index.  The executors of
     :mod:`repro.perf.backends` are stateless across sweeps and read the
     lanes at every call (``rngs``, ``schedulers``, ``sweep_index``,
-    :meth:`rhs`, ``fold_safe``, ``fault``, :meth:`frozen_blocks`), so one
+    :meth:`rhs`, ``fault``, :meth:`frozen_blocks`), so one
     executor object serves :class:`AsyncEngine` (R = 1) and
     :class:`BatchedAsyncEngine` alike.  Backend resolution — including the
     overlapped Schwarz modes' ``"ras"`` — is one call for both engines.
@@ -84,15 +84,11 @@ class _SweepLanes:
         # view — index structures are compiled once per decomposition, not
         # per engine (repro.perf).
         self.plan = compile_sweep_plan(view)
-        # The segment-sum scatter flips -0.0 bases to +0.0; where that
-        # could reach the iterate (b carrying -0.0 entries) the executors
-        # fall back to np.add.at and the mixed-γ collapse stays off.
-        self.fold_safe = rhs_preserves_fold(b)
         self.backend = resolve_backend(
             config,
             self.schedulers[0],
             has_fault=fault is not None,
-            rhs_fold_safe=self.fold_safe,
+            rhs_fold_safe=rhs_preserves_fold(b),
             plan=self.plan,
         )
         self._executor = make_executor(

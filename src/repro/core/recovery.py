@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._util import check_square, check_vector
+from .._util import check_system
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
@@ -90,8 +90,7 @@ class SelfHealingSolver:
 
     def solve(self, A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray] = None) -> SolveResult:
         """Solve ``A x = b``, surviving the configured fault unaided."""
-        n = check_square(A.shape, "self-healing matrix")
-        b = check_vector(b, n, "b")
+        b, x0 = check_system(A, b, x0, "self-healing matrix")
         view = BlockRowView(A, block_size=self.config.block_size)
         engine = AsyncEngine(view, b, self.config, fault=self.fault)
         localizer = FaultLocalizer(view, b)
@@ -99,7 +98,7 @@ class SelfHealingSolver:
             self.detector if self.detector is not None else SilentErrorDetector(window=8, warmup=16)
         )
 
-        x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
+        x = np.zeros(len(b)) if x0 is None else x0.copy()
         b_norm = float(np.linalg.norm(b))
         heals: List[dict] = []
         state = {"cooldown": 0}

@@ -40,7 +40,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._util import check_square, check_vector
+from .._util import check_system
 from ..runtime import RunLoop, StopRun
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import SolveResult, StoppingCriterion
@@ -158,10 +158,9 @@ class ThreadedAsyncSolver:
 
     def solve(self, A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray] = None) -> SolveResult:
         """Run the threaded iteration until tolerance or pass budget."""
-        n = check_square(A.shape, "threaded-async matrix")
-        b = check_vector(b, n, "b")
+        b, x0 = check_system(A, b, x0, "threaded-async matrix")
         view = BlockRowView(A, block_size=self.block_size)
-        x = np.zeros(n) if x0 is None else check_vector(x0, n, "x0").copy()
+        x = np.zeros(len(b)) if x0 is None else x0.copy()
 
         assignment: List[List] = [[] for _ in range(self.workers)]
         for blk in view.blocks:

@@ -29,7 +29,7 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from .._util import check_finite, check_square, check_vector
+from .._util import check_system
 from ..core.schedules import AsyncConfig
 from ..partition import Partition, make_partition
 from ..runtime import RunLoop, StoppingCriterion
@@ -164,21 +164,15 @@ class DistAsyncSolver(IterativeSolver):
         Raises :class:`ValueError` when *A*, *b* or *x0* has a non-finite
         entry, before any worker starts.
         """
-        n = check_square(A.shape, f"{self.name} matrix")
-        check_finite(A.data, "A")
-        b = check_finite(check_vector(b, n, "b"), "b")
+        b, x0 = check_system(A, b, x0, f"{self.name} matrix")
         part = make_partition(A, self.partition, block_size=self.config.block_size)
         Ap = part.permute_matrix(A)
         bp = part.permute_vector(b)
-        x0p = (
-            None
-            if x0 is None
-            else part.permute_vector(check_finite(check_vector(x0, n, "x0"), "x0"))
-        )
+        x0p = None if x0 is None else part.permute_vector(x0)
         plan = make_shard_plan(
             part, self.shards, placement=self.placement, A=Ap
         )
-        x = np.zeros(n) if x0p is None else x0p.copy()
+        x = np.zeros(len(b)) if x0p is None else x0p.copy()
         recorder = self.recorder if self.recorder is not None else RunRecorder()
         b_norm = float(np.linalg.norm(bp))
         loop = RunLoop(

@@ -5,14 +5,15 @@ sweep computes; this subpackage decides *how* it executes:
 
 * :class:`SweepPlan` (:mod:`repro.perf.plan`) compiles a block
   decomposition, once, into the precomputed structures every execution
-  path consumes — warmed ELL gather plans, scatter segment ids, stacked
-  whole-system matrices, and (on demand) the stencil structure detection
-  outcome;
+  path consumes — the per-block update records with warmed ELL gather
+  plans, stacked whole-system matrices, and (on demand) the stencil
+  structure detection outcome;
 * :mod:`repro.perf.stencil` detects stencil-regular systems and compiles
   their matrix-free offset-shifted sweep kernels;
 * :mod:`repro.perf.backends` dispatches each engine — sequential and
-  batched alike — to one shared executor: the extended-block RAS loop in
-  overlapped Schwarz modes, the whole-sweep executor over the matrix-free
+  batched alike — to one shared executor: the per-block loop over
+  extended blocks (or the weighted fold) in overlapped Schwarz modes, the
+  whole-sweep executor over the matrix-free
   stencil kernels where detection succeeds or over the stacked CSR
   kernels wherever that is bitwise-exact for the configured asynchronism
   regime, the dependency-level block loop everywhere else, and the

@@ -4,19 +4,20 @@ Each executor advances an ``(R, n)`` block of replica iterates through one
 global sweep.  Executors are stateless across sweeps: every call receives
 the engine's *lane state* — per-replica generators ``rngs``, schedulers
 ``schedulers``, the shared ``sweep_index``, the right-hand side through
-``rhs(r)``, the ``fold_safe`` flag and the fault hook ``frozen_blocks()``
-— so one executor object serves both :class:`repro.core.AsyncEngine` (R = 1)
-and :class:`repro.core.BatchedAsyncEngine`.  The engines own the update
+``rhs(r)`` and the fault hooks ``fault`` / ``frozen_blocks()`` — so one
+executor object serves both :class:`repro.core.AsyncEngine` (R = 1) and
+:class:`repro.core.BatchedAsyncEngine`.  The engines own the update
 counts and the sweep index; executors only move iterates and consume each
 lane's generator exactly as a sequential run would.
 
 * :class:`ReferenceSweepExecutor` — the per-block Python loop, semantics
   for every regime (mixed per-entry races, faults, partial deferred
-  writes), sped up by the compiled per-block plans of
-  :class:`repro.perf.SweepPlan`: warmed ELL gather plans, segment-sum
-  scatter instead of ``np.add.at``, compressed block-local inner sweeps
-  with one write-back per block.  The oracle of every other executor,
-  and the fault path.
+  writes), over the compiled per-block records of
+  :meth:`repro.perf.SweepPlan.block_updates`: warmed ELL gather plans,
+  compressed block-local inner sweeps with one write-back per block.
+  The oracle of every other executor, the fault path, and — over the
+  extended blocks — the overlapped ``schwarz="ras"`` loop (backend
+  ``"ras"``).
 * :class:`LevelSweepExecutor` — the same loop run as a few dependency
   levels of independent blocks (resolved name ``"levels"``): what
   ``"auto"`` runs wherever no whole-sweep kernel is exact and no fault is
@@ -30,8 +31,8 @@ lane's generator exactly as a sequential run would.
   matrix-free offset-shifted slice kernels of :mod:`repro.perf.stencil`
   for stencil-regular systems (backend ``"stencil"``, engaged only when
   structure detection on the plan succeeds).
-* :class:`repro.perf.ras.RASWorkspace` — the extended-block loop of the
-  overlapped Schwarz modes (backend ``"ras"``).
+* :class:`repro.perf.ras.RASWorkspace` — the weighted ``schwarz="wras"``
+  fold over the extended blocks (backend ``"ras"``).
 
 **Exactness contract.** The whole-sweep paths engage only where their
 result is bitwise the reference loop's — same iterates *and* same
@@ -44,9 +45,9 @@ generator state:
 * **all-deferred writes** (``deferred_write_prob == 1``): every write
   lands at the sweep end, so live reads — any γ — observe pre-sweep
   values; with mixed γ the race corrections of the reference loop are
-  exact signed zeros, which its fold accumulation cannot propagate into
+  exact signed zeros, which its ``np.add.at`` fold cannot propagate into
   the iterate unless the right-hand side carries ``-0.0`` entries
-  (checked at dispatch).
+  (checked at dispatch, :func:`repro.perf.rhs_preserves_fold`).
 
 Scheduler randomness is consumed identically on both paths:
 ``Generator.random`` fills doubles sequentially from the bit stream, so
@@ -63,7 +64,6 @@ import numpy as np
 
 from .._util import cumulative_segments
 from ..solvers.block_jacobi import local_jacobi_sweeps
-from ..sparse.csr import scatter_add_fold
 from .plan import SweepPlan
 from .program import _jacobi_sweeps, _longest_paths, _row_sums
 from .ras import RASWorkspace
@@ -112,7 +112,7 @@ def resolve_backend(
     *,
     has_fault: bool = False,
     rhs_fold_safe: bool = True,
-    plan: "SweepPlan" = None,
+    plan: SweepPlan,
 ) -> str:
     """Resolve ``config.backend`` to the executor actually used.
 
@@ -128,11 +128,10 @@ def resolve_backend(
     level executor's padded panels.  ``"reference"`` always honours the request; ``"fused"``
     / ``"stencil"`` raise where they would change the iterates — the
     backends are execution strategies, never approximations, and a silent
-    fallback would make ``--backend=fused`` timings lie.  Without a *plan*
-    (legacy callers) stencil, levels and RAS dispatch are never considered.
+    fallback would make ``--backend=fused`` timings lie.
     """
     requested = config.backend
-    if plan is not None and config.schwarz != "none" and plan.partition.overlap > 0:
+    if config.schwarz != "none" and plan.partition.overlap > 0:
         if has_fault:
             raise ValueError(
                 "Schwarz modes do not support fault scenarios; use "
@@ -166,11 +165,6 @@ def resolve_backend(
                 "everywhere] or all-deferred writes, and no fault scenario); "
                 "use backend='auto' to fall back"
             )
-        if plan is None:
-            raise ValueError(
-                "backend='stencil' requires a compiled sweep plan for structure "
-                "detection"
-            )
         desc, reason = plan.stencil
         if desc is None:
             raise ValueError(
@@ -181,9 +175,9 @@ def resolve_backend(
         return "stencil"
     # "auto"
     if not exact:
-        fits = not has_fault and plan is not None and _levels_fit(plan, scheduler)
+        fits = not has_fault and _levels_fit(plan, scheduler)
         return "levels" if fits else "reference"
-    if plan is not None and plan.stencil[0] is not None:
+    if plan.stencil[0] is not None:
         return "stencil"
     return "fused"
 
@@ -295,28 +289,25 @@ class WholeSweepExecutor:
 class ReferenceSweepExecutor:
     """The per-block sweep loop, exact in every regime.
 
-    Identical semantics to the historical ``AsyncEngine.sweep`` loop, with
-    three plan-powered accelerations that keep the iterates bitwise:
-
-    * block updates iterate on the compressed block-local slice and write
-      the shared iterate once per block (nobody reads a block's rows
-      until its update completes, so intermediate write-backs were
-      unobservable);
-    * the per-entry race corrections scatter through the plan's
-      precomputed segment ids via one ``np.bincount``
-      (:func:`repro.sparse.scatter_add_fold`) instead of ``np.add.at``;
-      where the right-hand side carries ``-0.0`` entries (the lanes'
-      ``fold_safe`` is false) it falls back to ``np.add.at``, because the
-      segment sum flips ``-0.0`` bases to ``+0.0``;
-    * all gather plans and index structures are compiled once
-      (:meth:`repro.perf.SweepPlan.warm_reference`) instead of per sweep.
+    Identical semantics to the historical ``AsyncEngine.sweep`` loop, run
+    over the plan's :class:`repro.perf.plan.BlockUpdate` records — the
+    paper's disjoint blocks, or with *extended* the halo-widened blocks of
+    ``schwarz="ras"`` (restricted additive Schwarz: the same update over a
+    subdomain that reads a few rows beyond the ones it writes).  Each
+    block reads the sweep-start snapshot or live memory as its γ says,
+    folds its per-entry race corrections in with ``np.add.at``, iterates
+    on its read-range slice and writes the owned rows once (nobody reads
+    a block's rows until its update completes, so intermediate
+    write-backs were unobservable).  Gather plans and index structures
+    are compiled once per view (:meth:`repro.perf.SweepPlan.block_updates`).
 
     Lanes advance one after another.
     """
 
-    def __init__(self, plan: SweepPlan, config: "AsyncConfig"):
-        self.plan = plan.warm_reference()
+    def __init__(self, plan: SweepPlan, config: "AsyncConfig", *, extended: bool = False):
+        self.plan = plan.warm_reference(extended=extended)
         self.config = config
+        self.updates = plan.block_updates(extended)
 
     def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
         for r in reps:
@@ -326,13 +317,7 @@ class ReferenceSweepExecutor:
         cfg = self.config
         rng = lanes.rngs[r]
         b = lanes.rhs(r)
-        fold_safe = lanes.fold_safe
         fault = lanes.fault
-        blocks = self.plan.view.blocks
-        plan = self.plan
-        ext_rows = plan.ext_rows
-        scatter_base = plan.scatter_base
-        local_c = plan.local_c
         frozen = lanes.frozen_blocks()
 
         order, gamma = lanes.schedulers[r].plan_for_sweep(lanes.sweep_index, rng)
@@ -340,43 +325,33 @@ class ReferenceSweepExecutor:
         deferred: List[Tuple[slice, np.ndarray]] = []
 
         for pos, bid in enumerate(order):
-            blk = blocks[bid]
-            rows = blk.rows
+            u = self.updates[bid]
             g = gamma[pos]
-            if g <= 0.0:
-                ext = blk.external.matvec(snapshot)
-            elif g >= 1.0:
-                ext = blk.external.matvec(x)
-            else:
+            read = x if g >= 1.0 else snapshot
+            ext = u.external.matvec(read)
+            if 0.0 < g < 1.0:
                 # Per-entry races: each off-block component is, with
                 # probability γ, read after its owner's write from this
                 # sweep landed.  Systems with many small off-block
                 # couplings self-average (fv1's variation is tiny); systems
                 # with a few heavy ones do not (Trefethen's is not) — the
                 # §4.1 contrast emerges from the matrix, not from a knob.
-                ext = blk.external.matvec(snapshot)
-                e = blk.external
-                fresh = rng.random(plan.ennz[bid]) < g
+                e = u.external
+                fresh = rng.random(e.nnz) < g
                 if fresh.any():
                     cols = e.indices[fresh]
-                    delta = e.data[fresh] * (x[cols] - snapshot[cols])
-                    if fold_safe:
-                        ext = scatter_add_fold(
-                            ext, ext_rows[bid][fresh], delta, base_ids=scatter_base[bid]
-                        )
-                    else:
-                        np.add.at(ext, ext_rows[bid][fresh], delta)
-            s = b[rows] - ext
+                    np.add.at(ext, u.ext_rows[fresh], e.data[fresh] * (x[cols] - snapshot[cols]))
+            s = b[u.read] - ext
 
             frozen_local = frozen[bid] if frozen is not None else None
             defer = cfg.deferred_write_prob > 0.0 and rng.random() < cfg.deferred_write_prob
-            # Local iterations on the block-local slice; the shared iterate
+            # Local iterations on the read-range slice; the shared iterate
             # is written once, after the block finishes (or at sweep end
             # for a deferred write) — no earlier read can observe the
             # difference, so this is bitwise the in-place variant.
-            z = x[rows]
+            z = read[u.read]
             for _ in range(cfg.local_iterations):
-                new = (s - local_c[bid].matvec(z)) / blk.diag
+                new = (s - u.local.matvec(z)) / u.diag
                 if cfg.omega != 1.0:
                     new = (1.0 - cfg.omega) * z + cfg.omega * new
                 if frozen_local is not None and len(frozen_local):
@@ -390,9 +365,9 @@ class ReferenceSweepExecutor:
                         new[frozen_local] = z[frozen_local]
                 z = new
             if defer:
-                deferred.append((rows, z))
+                deferred.append((u.write, z[u.owned]))
             else:
-                x[rows] = z
+                x[u.write] = z[u.owned]
 
         for rows, vals in deferred:
             x[rows] = vals
@@ -713,5 +688,7 @@ def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: n
     if backend == "reference":
         return ReferenceSweepExecutor(plan, config)
     if backend == "ras":
-        return RASWorkspace(plan.view, config)
+        if config.schwarz == "ras":
+            return ReferenceSweepExecutor(plan, config, extended=True)
+        return RASWorkspace(plan, config)
     raise ValueError(f"unknown resolved backend {backend!r}")

@@ -2,7 +2,7 @@
 
 The asynchronous engine's global sweep used to rebuild, on every visit to
 every block, the small index structures its kernels need — expanded row
-ids for the scatter of per-entry race corrections, right-hand-side slices,
+ids of the per-entry race corrections, right-hand-side slices,
 compressed local matrices — and built each block's ELL gather plan lazily
 inside the first timed sweep.  For fine decompositions (thousands of
 blocks) that bookkeeping, not arithmetic, dominated the time-per-iteration
@@ -11,10 +11,12 @@ the paper's Figure 8 / Table 5 measure.
 :class:`SweepPlan` compiles the decomposition once, at first engine
 construction, into the structures both execution backends consume:
 
-* **per-block** (the reference loop): cached ELL gather plans for every
-  external and compressed-local part, per-entry scatter segment ids (the
-  ``np.bincount`` replacement for ``np.add.at``), per-block scatter bases
-  and external nonzero counts;
+* **per-block** (the reference loop): one :class:`BlockUpdate` record per
+  block — its read, owned and write ranges, its external part with the
+  local row of every entry (the ``np.add.at`` targets of the race
+  corrections), its compressed local part and its diagonal, every gather
+  plan warmed — over the paper's disjoint blocks, or over the extended
+  blocks of ``schwarz="ras"``;
 * **whole-system** (the fused path): the restacked external and local
   off-diagonal matrices with warmed gather plans, plus the concatenated
   diagonal — one multi-vector-shaped kernel set for the entire sweep;
@@ -33,7 +35,7 @@ batched, preconditioner-internal — shares a single compilation.
 from __future__ import annotations
 
 import weakref
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,7 +43,13 @@ from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
 from .program import LevelProgram
 
-__all__ = ["SweepPlan", "compile_sweep_plan", "plan_compile_count", "rhs_preserves_fold"]
+__all__ = [
+    "BlockUpdate",
+    "SweepPlan",
+    "compile_sweep_plan",
+    "plan_compile_count",
+    "rhs_preserves_fold",
+]
 
 #: Total SweepPlan compilations since import — a diagnostic counter the
 #: serve-layer cache tests use to assert "one compilation per structure".
@@ -62,15 +70,44 @@ def plan_compile_count() -> int:
 def rhs_preserves_fold(b: np.ndarray) -> bool:
     """Whether *b* is free of ``-0.0`` entries.
 
-    The segment-sum scatter (:func:`repro.sparse.scatter_add_fold`) seeds
-    each accumulator with ``0.0 + base``, which differs from the in-place
-    fold only by flipping a ``-0.0`` base to ``+0.0`` — a difference that
-    can reach the iterate through ``s = b - ext`` only where *b* itself
-    holds a negative zero.  Every practically occurring right-hand side
-    passes; the backend dispatch degrades gracefully when one does not.
+    With mixed γ and all-deferred writes every race correction of the
+    block loop is a ``±0.0``, which ``np.add.at`` folds into the off-block
+    sum: a ``+0.0`` correction flips a ``-0.0`` sum to ``+0.0``.  That
+    flip reaches the iterate through ``s = b - ext`` only where *b* itself
+    holds a negative zero, so the whole-sweep kernels, which skip the
+    corrections, are exact for such regimes only when this holds
+    (:func:`repro.perf.fused_sweep_exact`).  Every practically occurring
+    right-hand side passes; the dispatch keeps the block loop when one
+    does not.
     """
     b = np.asarray(b)
     return not bool(np.any((b == 0.0) & np.signbit(b)))
+
+
+class BlockUpdate(NamedTuple):
+    """One block update of the reference loop (Algorithm 1's body, Eq. (4)).
+
+    The block gathers ``b − external · x`` over its *read* rows, runs the
+    local Jacobi sweeps there and writes the *owned* part of the result
+    to the *write* rows.  A disjoint block reads and writes its own rows;
+    an extended (restricted-Schwarz) block also reads and sweeps up to
+    ``overlap`` halo rows on each side.
+    """
+
+    #: Rows gathered and swept, global numbering.
+    read: slice
+    #: The written rows inside the read range.
+    owned: slice
+    #: The written rows, global numbering.
+    write: slice
+    #: Out-of-range entries of the read rows, full column space.
+    external: CSRMatrix
+    #: Read-range row of every external entry.
+    ext_rows: np.ndarray
+    #: In-range off-diagonal entries, read-range column numbering.
+    local: CSRMatrix
+    #: Diagonal of the read rows.
+    diag: np.ndarray
 
 
 class SweepPlan:
@@ -104,13 +141,9 @@ class SweepPlan:
         self._view = weakref.ref(view)
         self.partition = view.partition
         self.ennz = view.classification.ennz
-        self._ext_rows: Optional[List[np.ndarray]] = None
-        self._scatter_base: Optional[List[np.ndarray]] = None
         self._local_c: Optional[List[CSRMatrix]] = None
-        self._warmed_reference = False
+        self._updates = {}
         self._warmed_fused = False
-        self._warmed_ras = False
-        self._ras_ennz: Optional[np.ndarray] = None
         self._stencil = None
         self._stencil_kernels = None
         self._padded = None
@@ -128,36 +161,49 @@ class SweepPlan:
     # ------------------------------------------------------------------ #
 
     @property
-    def ext_rows(self) -> List[np.ndarray]:
-        """Per-block scatter segment ids: local row of every external entry."""
-        if self._ext_rows is None:
-            self._ext_rows = [blk.external._expanded_rows() for blk in self.view.blocks]
-        return self._ext_rows
-
-    @property
-    def scatter_base(self) -> List[np.ndarray]:
-        """Per-block base ids (``arange(block_rows)``), shared across equal sizes."""
-        if self._scatter_base is None:
-            by_size = {}
-            self._scatter_base = [
-                by_size.setdefault(blk.nrows, np.arange(blk.nrows, dtype=np.int64))
-                for blk in self.view.blocks
-            ]
-        return self._scatter_base
-
-    @property
     def local_c(self) -> List[CSRMatrix]:
         """Per-block compressed (block-local-column) local off-diagonal parts."""
         if self._local_c is None:
             self._local_c = [blk.local_off_compressed() for blk in self.view.blocks]
         return self._local_c
 
-    def warm_reference(self, gamma: Optional[np.ndarray] = None) -> "SweepPlan":
+    def block_updates(self, extended: bool = False) -> List[BlockUpdate]:
+        """The reference loop's :class:`BlockUpdate` records, gather plans warmed (cached).
+
+        One per block: the view's disjoint :attr:`~repro.sparse.BlockRowView.blocks`,
+        or with *extended* its :meth:`~repro.sparse.BlockRowView.ras_blocks`
+        (``schwarz="ras"``; never built at ``overlap=0``).
+        """
+        updates = self._updates.get(extended)
+        if updates is None:
+            if extended:
+                parts = [
+                    (slice(b.elo, b.ehi), b.owned, slice(b.start, b.stop), b.external, b.local_off, b.diag)
+                    for b in self.view.ras_blocks()
+                ]
+            else:
+                parts = [
+                    (b.rows, slice(0, b.nrows), b.rows, b.external, lc, b.diag)
+                    for b, lc in zip(self.view.blocks, self.local_c)
+                ]
+            updates = []
+            for read, owned, write, external, local, diag in parts:
+                external.warm_plan()
+                local.warm_plan()
+                updates.append(
+                    BlockUpdate(read, owned, write, external, external._expanded_rows(), local, diag)
+                )
+            self._updates[extended] = updates
+        return updates
+
+    def warm_reference(
+        self, gamma: Optional[np.ndarray] = None, *, extended: bool = False
+    ) -> "SweepPlan":
         """Compile, once, the structures of the block loop that will run.
 
-        Without *gamma*: everything the per-block reference loop uses —
-        every block's warmed ELL gather plans, scatter segment ids and
-        bases.  With the γ profile of the sweeps a
+        Without *gamma*: the per-block reference loop's
+        :meth:`block_updates` (of the extended blocks with *extended*).
+        With the γ profile of the sweeps a
         :class:`repro.perf.LevelSweepExecutor` will run: *instead* of
         those, the padded-ELL local panels, plus the warmed restacked
         external matrix when a position reads the snapshot (γ < 1), its
@@ -174,13 +220,8 @@ class SweepPlan:
             if np.any(gamma >= 1.0):
                 self.padded_external
                 self.coupling
-        elif not self._warmed_reference:
-            for blk, lc in zip(self.view.blocks, self.local_c):
-                blk.external.warm_plan()
-                lc.warm_plan()
-            self.ext_rows
-            self.scatter_base
-            self._warmed_reference = True
+        else:
+            self.block_updates(extended)
         return self
 
     # ------------------------------------------------------------------ #
@@ -328,36 +369,6 @@ class SweepPlan:
             program = LevelProgram(self, orders, local_iterations, omega)
             self._programs[key] = program
         return program
-
-    # ------------------------------------------------------------------ #
-    # restricted-Schwarz extended-block structures
-    # ------------------------------------------------------------------ #
-
-    @property
-    def ras_ennz(self) -> np.ndarray:
-        """Per-extended-block external nonzero counts (RAS freshness-draw sizes)."""
-        if self._ras_ennz is None:
-            self._ras_ennz = np.array(
-                [blk.external.nnz for blk in self.view.ras_blocks()], dtype=np.int64
-            )
-        return self._ras_ennz
-
-    def warm_ras(self) -> "SweepPlan":
-        """Materialise and warm the extended-block (RAS) kernel structures.
-
-        Builds the view's :meth:`~repro.sparse.BlockRowView.ras_blocks`
-        and their gather plans so an async-RAS engine's first timed sweep
-        does no compilation — the same contract :meth:`warm_reference`
-        gives the disjoint loop.  Never called at ``overlap=0``; the
-        classic structures stay the only ones built then.
-        """
-        if not self._warmed_ras:
-            for blk in self.view.ras_blocks():
-                blk.external.warm_plan()
-                blk.local_off.warm_plan()
-            self.ras_ennz
-            self._warmed_ras = True
-        return self
 
     # ------------------------------------------------------------------ #
     # matrix-free stencil structures

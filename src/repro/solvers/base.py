@@ -24,7 +24,7 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from .._util import check_finite, check_square, check_vector
+from .._util import check_system, check_vector
 from ..runtime import RunLoop, RunOutcome, StoppingCriterion
 from ..runtime.recorder import RunRecorder
 from ..sparse import CSRMatrix
@@ -251,10 +251,8 @@ class IterativeSolver(abc.ABC):
         that own their loop (CG, GMRES) call this exactly like
         :meth:`solve` does.
         """
-        n = check_square(A.shape, f"{self.name} matrix")
-        check_finite(A.data, "A")
-        b = check_finite(check_vector(b, n, "b"), "b")
-        x = np.zeros(n) if x0 is None else check_finite(check_vector(x0, n, "x0"), "x0").copy()
+        b, x0 = check_system(A, b, x0, f"{self.name} matrix")
+        x = np.zeros(len(b)) if x0 is None else x0.copy()
         return b, x
 
     def _note_preconditioner(self, result: SolveResult, M) -> None:

@@ -12,7 +12,7 @@ convenience.
 """
 
 from .coo import COOMatrix
-from .csr import CSRMatrix, scatter_add_fold
+from .csr import CSRMatrix
 from .ell import ELLMatrix, SlicedELLMatrix
 from .blocked import BlockRowView, RASBlock, RowBlock
 from .linalg import (
@@ -26,7 +26,6 @@ from .linalg import (
 __all__ = [
     "COOMatrix",
     "CSRMatrix",
-    "scatter_add_fold",
     "ELLMatrix",
     "SlicedELLMatrix",
     "BlockRowView",

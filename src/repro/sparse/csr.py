@@ -21,7 +21,7 @@ import numpy as np
 from .._util import as_float_array, as_index_array
 from .dia import DiagonalPlane, accumulate_planes, entry_offsets, plane_gate
 
-__all__ = ["CSRMatrix", "scatter_add_fold"]
+__all__ = ["CSRMatrix"]
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -44,43 +44,6 @@ def _segment_sums(values: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np
     if values.shape[-1]:
         out[..., nonempty] = np.add.reduceat(values, starts[nonempty], axis=-1)
     return out
-
-
-def scatter_add_fold(
-    base: np.ndarray,
-    ids: np.ndarray,
-    weights: np.ndarray,
-    *,
-    base_ids: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """``np.add.at(base, ids, weights)`` as one :func:`np.bincount` segment sum.
-
-    ``ufunc.at`` pays its generic-dispatch machinery per call and never
-    vectorises; ``bincount`` is a single C loop.  Both accumulate strictly
-    in listed order, so seeding every bin with its base value makes the
-    per-accumulator fold ``0.0 + base[r] + w_1 + w_2 + ...`` — bitwise the
-    in-place fold ``base[r] + w_1 + w_2 + ...`` for every base value
-    except a ``-0.0``, whose seed addition flips it to ``+0.0``.  (The two
-    zeros subtract identically from any non-negative-zero value, so the
-    flip cannot reach an iterate through ``s = b - ext`` unless *b* itself
-    carries ``-0.0`` entries; callers that must preserve even that case
-    guard on it — see :func:`repro.perf.rhs_preserves_fold`.)
-
-    *base* may be any shape; *ids* index its flattened form.  *base_ids*,
-    when given, must be ``arange(base.size)`` — pass a precomputed one to
-    keep hot paths allocation-light.  Returns a new array of *base*'s
-    shape; *base* is not modified.
-    """
-    flat = base.ravel()
-    n = flat.shape[0]
-    if base_ids is None:
-        base_ids = np.arange(n, dtype=np.int64)
-    out = np.bincount(
-        np.concatenate([base_ids, ids]),
-        weights=np.concatenate([flat, weights]),
-        minlength=n,
-    )
-    return out.reshape(base.shape)
 
 
 class CSRMatrix:

@@ -21,6 +21,14 @@ def test_validation():
     with pytest.raises(ValueError):
         ThreadedAsyncSolver(omega=0.0)
 
+@pytest.mark.parametrize("which", ["A", "b", "x0"])
+def test_non_finite_input_rejected(small_spd, which):
+    # A NaN used to run the workers into a NaN "diverged" result.
+    A, b, x0 = small_spd.copy(), np.ones(60), np.zeros(60)
+    {"A": A.data, "b": b, "x0": x0}[which][3] = np.inf if which == "x0" else np.nan
+    with pytest.raises(ValueError, match=f"^{which} has non-finite"):
+        ThreadedAsyncSolver(block_size=10).solve(A, b, x0)
+
 
 def test_name():
     assert ThreadedAsyncSolver(local_iterations=3).name == "threaded-async-(3)"

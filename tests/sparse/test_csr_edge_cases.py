@@ -1,19 +1,16 @@
-"""Edge cases of the packed SpMV kernels and the segment-sum scatter.
+"""Edge cases of the packed SpMV kernels.
 
 ``CSRMatrix.matvec`` / ``matvec_rows`` route every product through
 ``_packed_product`` over the lazily built length-class (ELL) plan; the
 block decomposition feeds it degenerate shapes — blocks whose external
 part is empty, rows with zero nonzeros, single-row blocks — that the
-dense-backed tests never exercise.  ``scatter_add_fold`` is the
-``np.add.at`` replacement used by the sweep executors and must match it
-bitwise (modulo the documented ``-0.0`` base flip).
+dense-backed tests never exercise.
 """
 
 import numpy as np
 import pytest
 
 from repro.sparse import BlockRowView, CSRMatrix
-from repro.sparse.csr import scatter_add_fold
 
 
 def _dense_cases():
@@ -117,42 +114,3 @@ def test_empty_external_block():
         assert np.array_equal(
             blk.external.matvec(np.tile(x, (3, 1))), np.zeros((3, blk.nrows))
         )
-
-
-# --------------------------------------------------------------------- #
-# scatter_add_fold
-# --------------------------------------------------------------------- #
-
-
-def test_scatter_add_fold_matches_add_at():
-    gen = np.random.default_rng(12)
-    base = gen.standard_normal(40)
-    ids = gen.integers(0, 40, size=300)
-    weights = gen.standard_normal(300)
-    expected = base.copy()
-    np.add.at(expected, ids, weights)
-    got = scatter_add_fold(base, ids, weights)
-    assert np.array_equal(got, expected)
-    # base is untouched; precomputed base_ids give the same result.
-    assert np.array_equal(
-        got, scatter_add_fold(base, ids, weights, base_ids=np.arange(40, dtype=np.int64))
-    )
-
-
-def test_scatter_add_fold_2d_base_flat_ids():
-    gen = np.random.default_rng(13)
-    base = gen.standard_normal((3, 8))
-    ids = gen.integers(0, base.size, size=50)
-    weights = gen.standard_normal(50)
-    expected = base.copy()
-    np.add.at(expected.reshape(-1), ids, weights)
-    assert np.array_equal(scatter_add_fold(base, ids, weights), expected)
-
-
-def test_scatter_add_fold_empty_and_zero_flip():
-    base = np.array([1.0, -0.0, 0.0])
-    # No updates: the fold still flips the -0.0 base (documented), values
-    # are otherwise identical.
-    out = scatter_add_fold(base, np.array([], dtype=np.int64), np.array([]))
-    assert np.array_equal(out, np.array([1.0, 0.0, 0.0]))
-    assert not np.signbit(out[1])
