@@ -24,9 +24,10 @@ This module is the CPU analogue of that kernel family, split in two:
   vectors (the diagonal-storage form of the matrix, split into external
   and block-local parts along the view's partition) applied with
   offset-shifted slice arithmetic.  One sweep performs no CSR gather and
-  no per-block Python loop: each diagonal is either one contiguous
-  ``acc[lo:hi] += w * x[lo+o:hi+o]`` multiply-add or, for sparse
-  diagonals (block-crossing couplings), one short fancy-indexed update.
+  no per-block Python loop: per row tile, each diagonal is either one
+  contiguous ``acc[lo:hi] += w * x[lo+o:hi+o]`` multiply-add or, for
+  sparse diagonals (block-crossing couplings), one short fancy-indexed
+  update, and the tile's Jacobi update follows while it is in cache.
   The plane kernel and the offset-plane gate (:data:`MAX_OFFSETS`,
   :data:`MIN_FILL`) live in :mod:`repro.sparse.dia`, shared with
   :meth:`repro.sparse.CSRMatrix.residual`.
@@ -81,6 +82,8 @@ from ..sparse.dia import (
     accumulate_planes,
     entry_offsets,
     plane_gate,
+    row_tiles,
+    tile_shape,
 )
 
 __all__ = [
@@ -374,7 +377,11 @@ class StencilKernels:
     per replica row.
 
     Diagonals accumulate in ascending-offset order — ascending column
-    order, the same per-row order as the packed CSR kernels.
+    order, the same per-row order as the packed CSR kernels.  Both
+    methods run one row tile at a time (:func:`repro.sparse.dia.row_tiles`)
+    with tile-sized accumulators, so a tile's plane products and its
+    elementwise update stay in cache; per row the operations are those of
+    a whole-vector pass, bit for bit.
     """
 
     def __init__(self, view: BlockRowView, desc: StencilDescriptor):
@@ -393,9 +400,10 @@ class StencilKernels:
             for mask, planes in ((~same_block, self._external), (same_block, self._local)):
                 if mask.any():
                     planes.append(DiagonalPlane(o, r[mask], v[mask]))
-        # Reusable work buffers, keyed by operand shape: freshly mapped
-        # 2 MB temporaries cost page faults on every sweep, which at fine
-        # decompositions rivals the arithmetic itself.
+        # Reusable work buffers, keyed by shape — tile-sized plane
+        # accumulator and product scratch, full-length z0/z1 iterates:
+        # freshly mapped temporaries cost page faults on every sweep,
+        # which at fine decompositions rivals the arithmetic itself.
         self._bufs: dict = {}
 
     def _scratch(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
@@ -409,15 +417,12 @@ class StencilKernels:
         """(external, local) weight-plane counts (diagnostics)."""
         return len(self._external), len(self._local)
 
-    def _accumulate(
-        self, planes: List[DiagonalPlane], x: np.ndarray, out: np.ndarray
-    ) -> np.ndarray:
-        """``out = sum of planes applied to x`` on the reused scratch buffer."""
-        return accumulate_planes(planes, x, out, self._scratch("plane", out.shape))
-
     def apply_external(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
         """``out = E @ x`` — the whole-system external gather, matrix-free."""
-        return self._accumulate(self._external, x, out)
+        scratch = self._scratch("plane", tile_shape(out.shape))
+        for lo, hi in row_tiles(self.n):
+            accumulate_planes(self._external, x, out[..., lo:hi], scratch[..., : hi - lo], lo, hi)
+        return out
 
     def local_sweeps(
         self,
@@ -438,38 +443,34 @@ class StencilKernels:
         iterate lands there — *out* may alias *z* (the engine's in-place
         update) but must not alias *s*; intermediate iterates live in
         internal reused buffers.
+
+        Each iteration runs tile by tile: the tile's local product and its
+        ``(s - L z) / d`` update (ω blend included) complete before the
+        next tile starts.  A tile reads *z* rows outside itself, so no
+        iteration writes into its own *z*: an *out* that aliases *z* gets
+        the iterate from a scratch vector once the last iteration is done.
         """
-        acc = self._scratch("acc", s.shape)
+        acc = self._scratch("acc", tile_shape(s.shape))
+        scratch = self._scratch("plane", acc.shape)
         for it in range(sweeps):
-            self._accumulate(self._local, z, acc)
-            last = it == sweeps - 1
-            if omega == 1.0:
-                # new = (s - acc) / diag reads neither z nor new: the
-                # final iteration may write straight into out, aliases
-                # included.
-                new = (
-                    out
-                    if last and out is not None
-                    else self._scratch("z0" if it & 1 == 0 else "z1", s.shape)
-                )
-                np.subtract(s, acc, out=new)
-                np.divide(new, self.diag, out=new)
+            if it == sweeps - 1 and out is not None and not np.may_share_memory(out, z):
+                new = out
             else:
-                t = self._scratch("t", s.shape)
-                np.subtract(s, acc, out=t)
-                np.divide(t, self.diag, out=t)
-                np.multiply(t, omega, out=t)  # omega * new
-                if last and out is not None and out is z:
-                    np.multiply(z, 1.0 - omega, out=z)
-                    np.add(z, t, out=z)
-                    new = z
+                new = self._scratch("z0" if it & 1 == 0 else "z1", s.shape)
+            for lo, hi in row_tiles(self.n):
+                a = acc[..., : hi - lo]
+                accumulate_planes(self._local, z, a, scratch[..., : hi - lo], lo, hi)
+                nt = new[..., lo:hi]
+                np.subtract(s[..., lo:hi], a, out=a)
+                if omega == 1.0:
+                    np.divide(a, self.diag[lo:hi], out=nt)
                 else:
-                    new = (
-                        out
-                        if last and out is not None
-                        else self._scratch("z0" if it & 1 == 0 else "z1", s.shape)
-                    )
-                    np.multiply(z, 1.0 - omega, out=new)
-                    np.add(new, t, out=new)
+                    np.divide(a, self.diag[lo:hi], out=a)
+                    np.multiply(a, omega, out=a)  # omega * new
+                    np.multiply(z[..., lo:hi], 1.0 - omega, out=nt)
+                    np.add(nt, a, out=nt)
             z = new
+        if out is not None and sweeps and z is not out:
+            out[...] = z
+            z = out
         return z

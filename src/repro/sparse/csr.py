@@ -19,7 +19,14 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .._util import as_float_array, as_index_array
-from .dia import DiagonalPlane, accumulate_planes, entry_offsets, plane_gate
+from .dia import (
+    DiagonalPlane,
+    accumulate_planes,
+    entry_offsets,
+    plane_gate,
+    row_tiles,
+    tile_shape,
+)
 
 __all__ = ["CSRMatrix"]
 
@@ -391,6 +398,11 @@ class CSRMatrix:
         the order the ELL panels of :meth:`matvec` sum each row in — so the
         result equals ``b - A.matvec(x)`` under ``np.array_equal`` for
         finite operands, differing at most in the sign of an exact zero.
+        The planes run one row tile at a time
+        (:func:`repro.sparse.dia.row_tiles`): each tile of ``A @ x`` lands
+        in *r*'s tile and is subtracted from *b*'s while still in cache,
+        with a tile-sized product scratch; an ``(R, ncols)`` operand tiles
+        along its last axis.
         :meth:`matvec` itself stays on the ELL plan, the kernel it shares
         with :meth:`matvec_rows` and with the per-block parts the sweep
         executors multiply, so every product stays bitwise consistent
@@ -400,12 +412,17 @@ class CSRMatrix:
         planes = self._dia_plan()
         if planes is None:
             r = self.matvec(x, out=out)
-        else:
-            x, r = self._operand(x, out)
-            # A per-call scratch, not a cached one: the matrix is shared by
-            # concurrent solves (threaded solver, serve).
-            accumulate_planes(planes, x, r, np.empty_like(r))
-        np.subtract(b, r, out=r)
+            np.subtract(b, r, out=r)
+            return r
+        x, r = self._operand(x, out)
+        b = np.asarray(b)
+        # A per-call scratch, not a cached one: the matrix is shared by
+        # concurrent solves (threaded solver, serve).
+        scratch = np.empty(tile_shape(r.shape))
+        for lo, hi in row_tiles(self.nrows):
+            rt = r[..., lo:hi]
+            accumulate_planes(planes, x, rt, scratch[..., : hi - lo], lo, hi)
+            np.subtract(b[..., lo:hi], rt, out=rt)
         return r
 
     def diagonal(self) -> np.ndarray:

@@ -6,7 +6,39 @@ import numpy as np
 import pytest
 
 from repro.matrices import get_matrix
-from repro.sparse import CSRMatrix
+from repro.sparse import CSRMatrix, dia
+
+#: Row tiles the plane-kernel tests run under: the default (``None``; one
+#: tile for every test system), 100 rows (one z-plane of a 10³ grid) and
+#: 37 rows (aligned with no block, grid line or plane).
+TILE_ROWS = (None, 100, 37)
+TILE_IDS = ["default" if t is None else f"tile{t}" for t in TILE_ROWS]
+
+
+def tiled(values):
+    """Parametrize *values* × :data:`TILE_ROWS` for the indirect ``tile`` fixture.
+
+    The default tile keeps each value's own test id; the others append
+    ``-tile<rows>``.
+    """
+    return [
+        pytest.param(v, t, id=str(v) if t is None else f"{v}-{tid}")
+        for v in values
+        for t, tid in zip(TILE_ROWS, TILE_IDS)
+    ]
+
+
+@pytest.fixture
+def tile(request, monkeypatch):
+    """Patch ``repro.sparse.dia._TILE_ROWS`` to the parametrized row count.
+
+    ``None`` (also the value when the test is not parametrized) keeps the
+    default.
+    """
+    rows = getattr(request, "param", None)
+    if rows is not None:
+        monkeypatch.setattr(dia, "_TILE_ROWS", rows)
+    return rows
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,7 @@ from repro.matrices.grids3d import stencil_laplacian_3d
 from repro.perf import compile_sweep_plan
 from repro.solvers import StoppingCriterion
 from repro.sparse import BlockRowView
+from tests.conftest import TILE_IDS, TILE_ROWS, tiled
 
 
 @pytest.fixture(scope="module")
@@ -76,8 +77,8 @@ ENGAGING = {
 }
 
 
-@pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))
-def test_stencil_bitwise_matches_reference(lap3d, regime):
+@pytest.mark.parametrize("regime, tile", tiled(sorted(ENGAGING)), indirect=["tile"])
+def test_stencil_bitwise_matches_reference(lap3d, regime, tile):
     b = _rhs(lap3d)
     cfg = ENGAGING[regime]
     eng_s, iters_s, probe_s = _run(lap3d, b, dataclasses.replace(cfg, backend="stencil"))
@@ -121,9 +122,11 @@ def test_forced_stencil_refuses_irregular_matrix(trefethen_small):
         AsyncEngine(view, _rhs(trefethen_small), cfg)
 
 
-def test_one_row_blocks_bitwise():
+@pytest.mark.parametrize("tile", TILE_ROWS, ids=TILE_IDS, indirect=True)
+def test_one_row_blocks_bitwise(tile):
     # Degenerate decomposition: every block is one row, every coupling is
-    # external.  The stencil executor must still match the per-block loop.
+    # external.  The stencil executor must still match the per-block loop;
+    # with no local planes, each tile must still zero its accumulator.
     A = stencil_laplacian_2d(16)
     b = _rhs(A)
     cfg = AsyncConfig(order="gpu", stale_read_prob=1.0, local_iterations=2, block_size=1)
@@ -135,8 +138,8 @@ def test_one_row_blocks_bitwise():
     assert np.array_equal(probe_s, probe_r)
 
 
-@pytest.mark.parametrize("stencil", ["19pt", "27pt"])
-def test_wide_stencils_bitwise(stencil):
+@pytest.mark.parametrize("stencil, tile", tiled(["19pt", "27pt"]), indirect=["tile"])
+def test_wide_stencils_bitwise(stencil, tile):
     A = stencil_laplacian_3d(12, stencil=stencil)
     b = _rhs(A)
     cfg = ENGAGING["snapshot-gpu-k1"]
@@ -147,7 +150,8 @@ def test_wide_stencils_bitwise(stencil):
         assert np.array_equal(xs, xr)
 
 
-def test_batched_stacked_variant_bitwise(lap3d):
+@pytest.mark.parametrize("tile", TILE_ROWS, ids=TILE_IDS, indirect=True)
+def test_batched_stacked_variant_bitwise(lap3d, tile):
     # The batched engine runs the weight planes over an (R, n) stack; each
     # replica must reproduce the sequential engine for seed0 + r, bit for
     # bit, exactly like the fused collapse it generalises.

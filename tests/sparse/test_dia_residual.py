@@ -17,6 +17,7 @@ from repro.matrices import get_matrix, stencil_laplacian_3d
 from repro.solvers import StoppingCriterion
 from repro.sparse import BlockRowView, CSRMatrix
 from repro.sparse.dia import MAX_OFFSETS
+from tests.conftest import tiled
 
 PLANE_MATRICES = [
     "lap3d7pt_32",
@@ -35,8 +36,8 @@ def test_plane_rows_fit_the_ell_panels():
     assert MAX_OFFSETS <= CSRMatrix._ELL_MAX_WIDTH
 
 
-@pytest.mark.parametrize("name", PLANE_MATRICES)
-def test_plane_residual_equals_ell(name):
+@pytest.mark.parametrize("name, tile", tiled(PLANE_MATRICES), indirect=["tile"])
+def test_plane_residual_equals_ell(name, tile):
     A = get_matrix(name)
     n = A.shape[0]
     rng = np.random.default_rng(3)
@@ -69,9 +70,11 @@ def test_residual_keeps_validation():
         A.residual(np.ones((1, 1, A.shape[0])), b)
 
 
-def test_plane_residual_is_reentrant():
+@pytest.mark.parametrize("tile", [None, 37], ids=["default", "tile37"], indirect=True)
+def test_plane_residual_is_reentrant(tile):
     # Threads share one matrix (threaded solver, serve): concurrent calls,
-    # the first of which builds the plan, must each get their own result.
+    # the first of which builds the plan, must each get their own result —
+    # across every tile, which is what the per-call scratch guards.
     A = stencil_laplacian_3d(16)
     n = A.shape[0]
     rng = np.random.default_rng(5)
