@@ -81,17 +81,20 @@ def check_finite(x: np.ndarray, name: str = "vector") -> np.ndarray:
 
 
 def check_system(
-    A, b: np.ndarray, x0: Optional[np.ndarray] = None, what: str = "matrix"
+    A, b: np.ndarray, x0: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
     """Validate a solve's inputs; return ``(b, x0)`` as ``float64`` vectors.
 
-    Every solver entry point calls this, so each bad input raises the same
-    :class:`ValueError`: a non-square *A* (named *what*), a *b* or *x0*
-    not of length n, or a NaN or infinite entry in *A*, *b* or *x0*.
-    *x0* stays ``None`` when not given; otherwise it may be the caller's
-    own array, so copy it before iterating in place.
+    The one validation step of every solve (``IterativeSolver.solve``) and
+    of every serve request, so each bad input raises the same
+    :class:`ValueError`: a non-square or empty *A*, a *b* or *x0* not of
+    length n, or a NaN or infinite entry in *A*, *b* or *x0*.  *x0* stays
+    ``None`` when not given; otherwise it may be the caller's own array,
+    so copy it before iterating in place.
     """
-    n = check_square(A.shape, what)
+    n = check_square(A.shape, "A")
+    if n == 0:
+        raise ValueError("A is empty (0 x 0); a solve needs at least one row")
     check_finite(A.data, "A")
     b = check_finite(check_vector(b, n, "b"), "b")
     if x0 is not None:

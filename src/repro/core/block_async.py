@@ -4,6 +4,10 @@
 wave scheduler, asynchronous engine, optional fault scenario — behind the
 package-wide :class:`repro.solvers.IterativeSolver` interface, so its
 residual histories are directly comparable with the synchronous baselines'.
+It is two hooks on that template: ``_view`` builds the configured
+partition and block view, and ``_run`` drives one :class:`AsyncEngine`
+through :meth:`AsyncEngine.run` — the engine run loop that serve, the
+ensembles and the self-healing solver drive too.
 
 Iteration counting follows the paper's convention (§4.3): one *global
 iteration* updates every component once at the outer level, regardless of
@@ -14,12 +18,10 @@ how many local Jacobi sweeps (*k*) run inside each block — the local sweeps
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .._util import check_system
 from ..partition import Partition, make_partition
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
@@ -29,12 +31,6 @@ from .fault import FaultScenario
 from .schedules import AsyncConfig
 
 __all__ = ["BlockAsyncSolver"]
-
-
-@dataclass
-class _AsyncState:
-    view: BlockRowView
-    engine: AsyncEngine
 
 
 class BlockAsyncSolver(IterativeSolver):
@@ -118,63 +114,33 @@ class BlockAsyncSolver(IterativeSolver):
         self.partition = partition if partition is not None else config.partition
         self.name = config.method_name
 
-    def solve(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        """Solve ``A x = b`` on the configured partition.
-
-        Builds the :class:`repro.partition.Partition` and block view up
-        front, then routes through the shared partition-aware driver: the
-        default ``uniform`` path is bitwise the historical flow, while
-        permuting strategies iterate in partition order and report the
-        solution back in original row order (see the class docstring).
-        """
-        check_system(A, b, x0, f"{self.name} matrix")
+    def _view(self, A: CSRMatrix) -> BlockRowView:
         part = make_partition(A, self.partition, block_size=self.config.block_size)
-        view = BlockRowView(A, partition=part)
-        return self._solve_partitioned(view, A, b, x0)
+        return BlockRowView(A, partition=part)
 
-    def _setup(self, A: CSRMatrix, b: np.ndarray) -> _AsyncState:
-        view = self._pending_view
-        if view is None or view.matrix is not A:
-            part = make_partition(A, self.partition, block_size=self.config.block_size)
-            if part.perm is not None:
-                raise ValueError(
-                    "permuting partitions must go through solve(); "
-                    "_setup received the unpermuted matrix"
-                )
-            view = BlockRowView(A, partition=part)
+    def _run(
+        self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: BlockRowView
+    ) -> SolveResult:
         engine = AsyncEngine(view, b, self.config, fault=self.fault)
-        engine.recorder = self.recorder
-        return _AsyncState(view=view, engine=engine)
-
-    def _iterate(self, state: _AsyncState, x: np.ndarray) -> np.ndarray:
-        return state.engine.sweep(x)
-
-    def _finalize(self, state: _AsyncState, result: SolveResult) -> None:
+        result = engine.run(
+            x,
+            stopping=self.stopping,
+            residual_every=self.residual_every,
+            recorder=self.recorder,
+            method=self.name,
+        )
         result.info.update(
             {
-                **state.engine.decisions(),
-                "nblocks": state.view.nblocks,
+                "nblocks": view.nblocks,
                 "block_size": self.config.block_size,
                 "local_iterations": self.config.local_iterations,
-                "update_counts": state.engine.update_counts.copy(),
-                "staleness_bound": state.engine.scheduler.staleness_bound(),
-                "off_block_fraction": state.view.off_block_fraction(),
+                "update_counts": engine.update_counts.copy(),
+                "staleness_bound": engine.scheduler.staleness_bound(),
+                "off_block_fraction": view.off_block_fraction(),
                 "order": self.config.order,
-                "partition": state.view.partition_telemetry(),
+                "partition": view.partition_telemetry(),
             }
         )
         if self.fault is not None:
             result.info["fault"] = self.fault.label
-        if self.recorder is not None:
-            self.recorder.annotate(
-                **state.engine.decisions(),
-                nblocks=state.view.nblocks,
-                staleness_bound=state.engine.scheduler.staleness_bound(),
-                update_counts=state.engine.update_counts.tolist(),
-                partition=state.view.partition_telemetry(),
-            )
+        return result

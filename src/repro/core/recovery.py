@@ -23,9 +23,8 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._util import check_system
 from ..runtime.recorder import RunRecorder
-from ..solvers.base import SolveResult, StoppingCriterion
+from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
 from .detection import SilentErrorDetector
 from .engine import AsyncEngine
@@ -36,7 +35,7 @@ from .schedules import AsyncConfig
 __all__ = ["SelfHealingSolver"]
 
 
-class SelfHealingSolver:
+class SelfHealingSolver(IterativeSolver):
     """async-(k) with an automatic detect/localize/heal loop.
 
     Parameters
@@ -79,26 +78,27 @@ class SelfHealingSolver:
             raise ValueError("suspects_per_alert must be >= 1")
         if heal_cooldown < 0:
             raise ValueError("heal_cooldown must be >= 0")
+        super().__init__(stopping or StoppingCriterion(maxiter=300), recorder=recorder)
         self.config = config if config is not None else AsyncConfig(local_iterations=5)
         self.fault = fault
         self.detector = detector
         self.suspects_per_alert = suspects_per_alert
         self.heal_cooldown = heal_cooldown
-        self.stopping = stopping if stopping is not None else StoppingCriterion(maxiter=300)
-        self.recorder = recorder
         self.name = f"self-healing-{self.config.method_name}"
 
-    def solve(self, A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray] = None) -> SolveResult:
+    def _view(self, A: CSRMatrix) -> BlockRowView:
+        return BlockRowView(A, block_size=self.config.block_size)
+
+    def _run(
+        self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: BlockRowView
+    ) -> SolveResult:
         """Solve ``A x = b``, surviving the configured fault unaided."""
-        b, x0 = check_system(A, b, x0, "self-healing matrix")
-        view = BlockRowView(A, block_size=self.config.block_size)
         engine = AsyncEngine(view, b, self.config, fault=self.fault)
         localizer = FaultLocalizer(view, b)
         detector = (
             self.detector if self.detector is not None else SilentErrorDetector(window=8, warmup=16)
         )
 
-        x = np.zeros(len(b)) if x0 is None else x0.copy()
         b_norm = float(np.linalg.norm(b))
         heals: List[dict] = []
         state = {"cooldown": 0}

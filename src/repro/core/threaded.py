@@ -40,10 +40,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from .._util import check_system
 from ..runtime import RunLoop, StopRun
 from ..runtime.recorder import RunRecorder
-from ..solvers.base import SolveResult, StoppingCriterion
+from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
 
 __all__ = ["ThreadedAsyncSolver"]
@@ -59,7 +58,7 @@ class _SharedState:
     passes: Optional[np.ndarray] = None
 
 
-class ThreadedAsyncSolver:
+class ThreadedAsyncSolver(IterativeSolver):
     """async-(k) on real threads — genuinely nondeterministic.
 
     Parameters
@@ -120,16 +119,15 @@ class ThreadedAsyncSolver:
             raise ValueError("workers must be >= 1")
         if omega <= 0:
             raise ValueError("omega must be positive")
+        if switch_interval <= 0:
+            raise ValueError("switch_interval must be positive")
+        super().__init__(stopping or StoppingCriterion(maxiter=500), recorder=recorder)
         self.local_iterations = local_iterations
         self.block_size = block_size
         self.workers = workers
         self.omega = omega
-        self.stopping = stopping if stopping is not None else StoppingCriterion(maxiter=500)
         self.poll_interval = poll_interval
-        if switch_interval <= 0:
-            raise ValueError("switch_interval must be positive")
         self.switch_interval = switch_interval
-        self.recorder = recorder
         self.name = f"threaded-async-({local_iterations})"
 
     # ------------------------------------------------------------------ #
@@ -156,12 +154,13 @@ class ThreadedAsyncSolver:
         # A finished worker lets the others keep refining until the
         # monitor stops the run; it simply exits (its components stay).
 
-    def solve(self, A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray] = None) -> SolveResult:
-        """Run the threaded iteration until tolerance or pass budget."""
-        b, x0 = check_system(A, b, x0, "threaded-async matrix")
-        view = BlockRowView(A, block_size=self.block_size)
-        x = np.zeros(len(b)) if x0 is None else x0.copy()
+    def _view(self, A: CSRMatrix) -> BlockRowView:
+        return BlockRowView(A, block_size=self.block_size)
 
+    def _run(
+        self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: BlockRowView
+    ) -> SolveResult:
+        """Run the threaded iteration until tolerance or pass budget."""
         assignment: List[List] = [[] for _ in range(self.workers)]
         for blk in view.blocks:
             assignment[blk.index % self.workers].append(blk)
@@ -177,7 +176,7 @@ class ThreadedAsyncSolver:
         threshold = self.stopping.threshold(b_norm)
         residual0 = float(np.linalg.norm(A.residual(x, b)))
         residuals = [residual0]
-        converged = residual0 <= threshold
+        converged = self.stopping.converged(residual0, threshold)
 
         threads = [
             threading.Thread(target=self._worker, args=(w, blocks, b, state), daemon=True)
@@ -225,7 +224,7 @@ class ThreadedAsyncSolver:
             residuals = list(outcome.residuals)
             # Final, race-free residual.
             residuals.append(float(np.linalg.norm(A.residual(x, b))))
-            converged = residuals[-1] <= threshold
+            converged = self.stopping.converged(residuals[-1], threshold)
             if self.recorder is not None:
                 self.recorder.record_residual(outcome.sweeps, residuals[-1])
                 self.recorder.annotate(

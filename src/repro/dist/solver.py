@@ -9,6 +9,12 @@ free).  The driver's step is "wait until every live shard finished sweep
 ``it + 1``, then read the shared iterate"; the workers meanwhile run the
 inner sweeps through the ordinary engine stack (:mod:`repro.dist.worker`).
 
+``solve`` is the inherited template: it validates the inputs and this
+solver's ``_view`` builds the partition's block view in the calling
+process, so bad input — a zero diagonal included — raises before any
+worker spawns; ``_run`` drives the workers on the view's permuted system
+and the template maps the solution back to original row order.
+
 With ``shards=1`` the runtime is strict lock-step and the whole pipeline
 is bitwise-identical to :class:`repro.core.BlockAsyncSolver` — same
 iterates, same residual history, same telemetry residuals (asserted by
@@ -29,13 +35,12 @@ from typing import Any, Dict, List, Optional, Union
 
 import numpy as np
 
-from .._util import check_system
 from ..core.schedules import AsyncConfig
 from ..partition import Partition, make_partition
 from ..runtime import RunLoop, StoppingCriterion
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult
-from ..sparse import CSRMatrix
+from ..sparse import BlockRowView, CSRMatrix
 from .plan import make_shard_plan
 from .runtime import DIST_SCHEMA, DistRuntime
 
@@ -143,44 +148,23 @@ class DistAsyncSolver(IterativeSolver):
         )
         self.last_telemetry: Optional[Dict[str, Any]] = None
 
-    # IterativeSolver's template hooks are unused: the distributed solve
-    # owns its whole drive (processes cannot be stepped from _iterate).
-    def _setup(self, A, b):  # pragma: no cover - contract stub
-        raise NotImplementedError("DistAsyncSolver drives its own loop")
-
-    def _iterate(self, state, x):  # pragma: no cover - contract stub
-        raise NotImplementedError("DistAsyncSolver drives its own loop")
-
-    # ------------------------------------------------------------------ #
-
-    def solve(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        """Solve ``A x = b`` across the configured worker processes.
-
-        Raises :class:`ValueError` when *A*, *b* or *x0* has a non-finite
-        entry, before any worker starts.
-        """
-        b, x0 = check_system(A, b, x0, f"{self.name} matrix")
+    def _view(self, A: CSRMatrix) -> BlockRowView:
         part = make_partition(A, self.partition, block_size=self.config.block_size)
-        Ap = part.permute_matrix(A)
-        bp = part.permute_vector(b)
-        x0p = None if x0 is None else part.permute_vector(x0)
-        plan = make_shard_plan(
-            part, self.shards, placement=self.placement, A=Ap
-        )
-        x = np.zeros(len(b)) if x0p is None else x0p.copy()
+        return BlockRowView(A, partition=part)
+
+    def _run(
+        self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: BlockRowView
+    ) -> SolveResult:
+        part = view.partition
+        plan = make_shard_plan(part, self.shards, placement=self.placement, A=A)
         recorder = self.recorder if self.recorder is not None else RunRecorder()
-        b_norm = float(np.linalg.norm(bp))
+        b_norm = float(np.linalg.norm(b))
         loop = RunLoop(
             self.stopping, residual_every=self.residual_every, recorder=recorder
         )
         runtime = DistRuntime(
-            Ap,
-            bp,
+            A,
+            b,
             plan,
             self.config,
             x0=x,
@@ -198,7 +182,7 @@ class DistAsyncSolver(IterativeSolver):
             return None
 
         def residual_norm(xv: np.ndarray) -> float:
-            return float(np.linalg.norm(Ap.residual(xv, bp)))
+            return float(np.linalg.norm(A.residual(xv, b)))
 
         with runtime:
             outcome = loop.run(
@@ -226,12 +210,13 @@ class DistAsyncSolver(IterativeSolver):
             residuals = np.append(residuals, settled_res)
             riters = np.append(riters, max(max_epoch, int(riters[-1]) + 1))
             recorder.record_residual(int(riters[-1]), settled_res)
-            threshold = self.stopping.threshold(b_norm)
-            converged = bool(settled_res <= threshold)
+            converged = self.stopping.converged(
+                settled_res, self.stopping.threshold(b_norm)
+            )
 
         dist_info = self._dist_summary(plan, payloads, recoveries, runtime.lead)
         result = SolveResult(
-            x=part.unpermute_vector(settled) if part.perm is not None else settled,
+            x=settled,
             residuals=residuals,
             converged=converged,
             method=self.name,
@@ -255,7 +240,6 @@ class DistAsyncSolver(IterativeSolver):
             m = min(len(counts), bhi - blo)
             update_counts[blo : blo + m] += counts[:m]
             sched_bound = max(sched_bound, int(p.get("scheduler_staleness_bound", 0)))
-        part.ensure_stats(Ap)
         result.info.update(
             {
                 "backend": backends[0] if len(backends) == 1 else backends,
@@ -264,20 +248,18 @@ class DistAsyncSolver(IterativeSolver):
                 "local_iterations": self.config.local_iterations,
                 "update_counts": update_counts,
                 "staleness_bound": sched_bound,
-                "off_block_fraction": float(part.stats.off_block_fraction),
+                "off_block_fraction": view.off_block_fraction(),
                 "order": self.config.order,
-                "partition": part.telemetry(),
+                "partition": view.partition_telemetry(),
                 "dist": dist_info,
             }
         )
-        if part.perm is not None:
-            result.info["permuted"] = True
         recorder.annotate(
             backend=result.info["backend"],
             nblocks=part.nblocks,
             staleness_bound=sched_bound,
             update_counts=update_counts.tolist(),
-            partition=part.telemetry(),
+            partition=view.partition_telemetry(),
             dist=dist_info,
         )
         self.last_telemetry = {

@@ -35,6 +35,7 @@ Three driving styles cover the package:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
@@ -80,6 +81,11 @@ class StoppingCriterion:
         if self.relative and b_norm > 0:
             return self.tol * b_norm
         return self.tol
+
+    def converged(self, res_norm: float, threshold: float) -> bool:
+        """Whether *res_norm* meets *threshold*; a non-finite one never does
+        (not even against the infinite threshold of an overflowing ``||b||``)."""
+        return math.isfinite(res_norm) and res_norm <= threshold
 
     def diverged(self, res_norm: float) -> bool:
         """Whether *res_norm* signals blow-up."""
@@ -181,7 +187,7 @@ class RunLedger:
         self.residuals.append(res0)
         if self.recorder is not None:
             self.recorder.record_residual(0, res0)
-        self.converged = res0 <= self.threshold
+        self.converged = self.stopping.converged(res0, self.threshold)
         return self.converged
 
     def record(self, iteration: int, res: float) -> None:
@@ -201,7 +207,7 @@ class RunLedger:
     def check(self, res: float) -> bool:
         """Apply the stopping rule to *res*; returns whether to stop."""
         res = float(res)
-        if res <= self.threshold:
+        if self.stopping.converged(res, self.threshold):
             self.converged = True
         elif self.stopping.diverged(res):
             self.diverged = True
@@ -312,7 +318,7 @@ class RunLoop:
         riters: List[int] = [0]
         if rec is not None:
             rec.record_residual(0, res0)
-        converged = res0 <= threshold
+        converged = st.converged(res0, threshold)
         diverged = False
         stop_reason: Optional[str] = None
         if observer is not None:
@@ -340,7 +346,7 @@ class RunLoop:
                 continue
             residuals.append(res)
             riters.append(it)
-            if res <= threshold:
+            if st.converged(res, threshold):
                 converged = True
             elif st.diverged(res):
                 diverged = True
@@ -399,19 +405,13 @@ class RunLoop:
         rec = self.recorder
         b_arr = np.asarray(b_norm, dtype=float)
         per_replica = b_arr.ndim > 0
-        if per_replica:
-            if st.relative:
-                threshold = np.where(b_arr > 0, st.tol * b_arr, st.tol)
-            else:
-                threshold = np.full(b_arr.shape, st.tol)
-        else:
-            threshold = st.threshold(float(b_arr))
         R = int(X.shape[0])
+        thresholds = [st.threshold(v) for v in np.broadcast_to(b_arr, (R,)).tolist()]
         if rec is not None:
             rec.open_run(
                 method=method,
                 b_norm=b_arr.tolist() if per_replica else float(b_arr),
-                threshold=threshold.tolist() if per_replica else threshold,
+                threshold=thresholds if per_replica else st.threshold(float(b_arr)),
                 maxiter=st.maxiter,
                 residual_every=m,
                 tol=st.tol,
@@ -424,7 +424,7 @@ class RunLoop:
         r0 = np.asarray(r0, dtype=float)
         histories: List[List[float]] = [[float(r0[r])] for r in range(R)]
         riters: List[int] = [0]
-        converged = r0 <= threshold
+        converged = np.array([st.converged(h[0], t) for h, t in zip(histories, thresholds)], dtype=bool)
         diverged = np.zeros(R, dtype=bool)
         active = [r for r in range(R) if not converged[r]]
         if rec is not None and R:
@@ -444,7 +444,7 @@ class RunLoop:
                 for i, r in enumerate(active):
                     v = float(res[i])
                     histories[r].append(v)
-                    if v <= (threshold[r] if per_replica else threshold):
+                    if st.converged(v, thresholds[r]):
                         converged[r] = True
                     elif st.diverged(v):
                         diverged[r] = True

@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from .._util import check_vector
+from .._util import check_system
 from ..core.engine import AsyncEngine, BatchedAsyncEngine
 from ..core.schedules import AsyncConfig
 from ..runtime import RunRecorder, StoppingCriterion
@@ -191,10 +191,11 @@ class SolveService:
         ``None`` means the request was queued (its response arrives from a
         later :meth:`pump` / :meth:`drain`).  When submitting displaces a
         lower-priority queued job, that job's rejection response is
-        delivered by the next pump.
+        delivered by the next pump.  Raises :class:`ValueError` — before
+        anything is queued — for a system no solver accepts (the checks of
+        :meth:`repro.solvers.IterativeSolver.solve`).
         """
-        n = request.A.shape[0]
-        request.b = check_vector(request.b, n, "b")
+        request.b, _ = check_system(request.A, request.b)
         config = request.config if request.config is not None else self.config
         stopping = request.stopping if request.stopping is not None else self.stopping
         now = self._clock()

@@ -173,9 +173,9 @@ def run_job_stream(
             raise JobStreamError(f"line {lineno}: invalid JSON: {exc}") from None
         try:
             request = parse_job(obj, service, matrices=matrices, load_matrix=load_matrix)
-        except JobStreamError as exc:
+            rejection = service.submit(request)
+        except ValueError as exc:  # JobStreamError, or a system submit refuses
             raise JobStreamError(f"line {lineno}: {exc}") from None
-        rejection = service.submit(request)
         if rejection is not None:
             deliver(rejection)
     for response in service.drain():

@@ -9,6 +9,12 @@ returning a :class:`SolveResult` that records the *l2 residual norm at every
 global iteration* (the quantity all of the paper's convergence figures
 plot), plus convergence status and method-specific info.
 
+:meth:`IterativeSolver.solve` is the only implementation of that call:
+it validates the inputs once (:func:`repro._util.check_system`), moves a
+partition-aware solver onto its block view's permuted system and maps the
+solution back.  Subclasses supply the method through the ``_view`` /
+``_run`` / ``_setup`` / ``_iterate`` hooks and never override ``solve``.
+
 The loop itself lives in :mod:`repro.runtime`: every solver delegates its
 driving to :class:`repro.runtime.RunLoop`, which owns the stopping rule
 (:class:`StoppingCriterion`, defined there and re-exported here), the
@@ -18,16 +24,15 @@ divergence guard, the ``residual_every`` recording cadence and the optional
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 import numpy as np
 
-from .._util import check_system, check_vector
+from .._util import check_system
 from ..runtime import RunLoop, RunOutcome, StoppingCriterion
 from ..runtime.recorder import RunRecorder
-from ..sparse import CSRMatrix
+from ..sparse import BlockRowView, CSRMatrix
 
 __all__ = ["StoppingCriterion", "SolveResult", "IterativeSolver"]
 
@@ -140,13 +145,16 @@ class SolveResult:
         )
 
 
-class IterativeSolver(abc.ABC):
+class IterativeSolver:
     """Base class for all iterative solvers.
 
-    Subclasses implement :meth:`_setup` (per-matrix precomputation) and
-    :meth:`_iterate` (one global iteration, in place); the base class hands
-    the driving to :class:`repro.runtime.RunLoop` so all methods stop,
-    guard against divergence and report histories in exactly the same way.
+    :meth:`solve` is final: the one entry point of every solver.
+    Subclasses customise it through hooks — :meth:`_view` (the block view
+    of a partition-aware solver, default ``None``) and :meth:`_run` (the
+    method, on the validated and permuted system).  The default
+    :meth:`_run` drives :meth:`_setup` and :meth:`_iterate` through
+    :class:`repro.runtime.RunLoop`, so all methods stop, guard against
+    divergence and report histories in exactly the same way.
 
     Parameters
     ----------
@@ -163,10 +171,6 @@ class IterativeSolver(abc.ABC):
     #: Method tag used in results and reports; subclasses override.
     name = "iterative"
 
-    #: A prebuilt block view handed from a partition-aware ``solve``
-    #: override to ``_setup`` (see :meth:`_solve_partitioned`).
-    _pending_view = None
-
     def __init__(
         self,
         stopping: Optional[StoppingCriterion] = None,
@@ -180,17 +184,75 @@ class IterativeSolver(abc.ABC):
         self.residual_every = int(residual_every)
         self.recorder = recorder
 
+    # --- the one entry point ----------------------------------------------
+
+    def solve(
+        self,
+        A: CSRMatrix,
+        b: np.ndarray,
+        x0: Optional[np.ndarray] = None,
+    ) -> SolveResult:
+        """Run the method on ``A x = b`` until convergence or maxiter.
+
+        Raises :class:`ValueError`, before any view is built, for a
+        non-square or empty *A*, a wrongly sized *b*/*x0* or a non-finite
+        entry in any of them.  A permuting partition iterates in partition
+        order (histories and stopping see the permuted system); ``x``
+        returns in original row order with ``info["permuted"]`` set.
+        """
+        b, x0 = check_system(A, b, x0)
+        view = self._view(A)
+        if view is not None:
+            A = view.matrix
+            b = view.permute_vector(b)
+            if x0 is not None:
+                x0 = view.permute_vector(x0)
+        x = np.zeros(len(b)) if x0 is None else x0.copy()
+        result = self._run(A, b, x, view)
+        if view is not None and view.perm is not None:
+            result.x = view.unpermute_vector(result.x)
+            result.info["permuted"] = True
+        return result
+
     # --- subclass protocol ------------------------------------------------
 
-    @abc.abstractmethod
+    def _view(self, A: CSRMatrix) -> Optional[BlockRowView]:
+        """The block view a partition-aware solver runs on, or ``None``."""
+        return None
+
+    def _run(
+        self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: Optional[BlockRowView]
+    ) -> SolveResult:
+        """Solve from the private iterate *x* (in *view*'s order, if any).
+
+        The default drives :meth:`_setup` — handed the view as a third
+        argument when there is one — and :meth:`_iterate` through the loop.
+        """
+        state = self._setup(A, b) if view is None else self._setup(A, b, view)
+        b_norm = float(np.linalg.norm(b))
+        outcome = self._run_loop().run(
+            x,
+            lambda x, it: self._iterate(state, x),
+            lambda x: float(np.linalg.norm(A.residual(x, b))),
+            b_norm=b_norm,
+            method=self.name,
+        )
+        result = self._result_from(outcome, b_norm)
+        self._finalize(state, result)
+        return result
+
     def _setup(self, A: CSRMatrix, b: np.ndarray) -> Any:
         """Precompute per-system state (splittings, schedules, ...)."""
+        raise NotImplementedError
 
-    @abc.abstractmethod
     def _iterate(self, state: Any, x: np.ndarray) -> np.ndarray:
         """Perform one global iteration, returning the new iterate."""
+        raise NotImplementedError
 
-    # --- driver -----------------------------------------------------------
+    def _finalize(self, state: Any, result: SolveResult) -> None:
+        """Hook for subclasses to attach extra info to the result."""
+
+    # --- helpers ------------------------------------------------------------
 
     def _run_loop(self) -> RunLoop:
         """The configured :class:`repro.runtime.RunLoop` for one solve."""
@@ -215,46 +277,6 @@ class IterativeSolver(abc.ABC):
             result.info["sweeps"] = outcome.sweeps
         return result
 
-    def solve(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        """Run the method on ``A x = b`` until convergence or maxiter.
-
-        Raises :class:`ValueError` when *A*, *b* or *x0* has a non-finite
-        entry.
-        """
-        b, x = self._checked_inputs(A, b, x0)
-        state = self._setup(A, b)
-
-        b_norm = float(np.linalg.norm(b))
-        outcome = self._run_loop().run(
-            x,
-            lambda x, it: self._iterate(state, x),
-            lambda x: float(np.linalg.norm(A.residual(x, b))),
-            b_norm=b_norm,
-            method=self.name,
-        )
-        result = self._result_from(outcome, b_norm)
-        self._finalize(state, result)
-        return result
-
-    def _checked_inputs(
-        self, A: CSRMatrix, b: np.ndarray, x0: Optional[np.ndarray]
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Validated ``(b, x)`` of a solve: *x* is a copy of *x0*, or zeros.
-
-        Raises :class:`ValueError` for a non-square *A*, a wrongly shaped
-        *b* or *x0*, or a non-finite entry in any of the three.  Solvers
-        that own their loop (CG, GMRES) call this exactly like
-        :meth:`solve` does.
-        """
-        b, x0 = check_system(A, b, x0, f"{self.name} matrix")
-        x = np.zeros(len(b)) if x0 is None else x0.copy()
-        return b, x
-
     def _note_preconditioner(self, result: SolveResult, M) -> None:
         """Attach the preconditioner's decisions to *result* and the recorder.
 
@@ -269,38 +291,3 @@ class IterativeSolver(abc.ABC):
         result.info["precond"] = facts
         if self.recorder is not None:
             self.recorder.annotate(precond=facts)
-
-    def _solve_partitioned(
-        self,
-        view,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        """Run the standard solve on *view*'s (possibly permuted) system.
-
-        Partition-aware solvers build a :class:`repro.sparse.BlockRowView`
-        up front and route their ``solve`` through here.  When the view
-        carries no row permutation this is exactly :meth:`solve` — same
-        arrays, same flow, bitwise-identical histories.  With a
-        permutation, the iteration runs in **partition order** (the
-        residual history and stopping rule are evaluated on the permuted
-        system, which is the system the blocks actually sweep) and the
-        final iterate is mapped back to original row order before being
-        returned.
-        """
-        self._pending_view = view
-        try:
-            if view.perm is None:
-                return IterativeSolver.solve(self, A, b, x0)
-            n = view.n
-            x0p = None if x0 is None else view.permute_vector(check_vector(x0, n, "x0"))
-            result = IterativeSolver.solve(self, view.matrix, view.permute_vector(b), x0p)
-            result.x = view.unpermute_vector(result.x)
-            result.info["permuted"] = True
-            return result
-        finally:
-            self._pending_view = None
-
-    def _finalize(self, state: Any, result: SolveResult) -> None:
-        """Hook for subclasses to attach extra info to the result."""

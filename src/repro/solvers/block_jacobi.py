@@ -24,10 +24,9 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
-from .._util import check_square, check_vector
 from ..partition import Partition, make_partition
 from ..sparse import BlockRowView, CSRMatrix
-from .base import IterativeSolver, SolveResult, StoppingCriterion
+from .base import IterativeSolver, StoppingCriterion
 
 __all__ = ["BlockJacobiSolver", "local_jacobi_sweeps"]
 
@@ -122,31 +121,13 @@ class BlockJacobiSolver(IterativeSolver):
             else f"two-stage({block_size},q={inner_sweeps})"
         )
 
-    def solve(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        """Solve ``A x = b`` on the configured partition (see class docs)."""
-        n = check_square(A.shape, f"{self.name} matrix")
-        check_vector(b, n, "b")
+    def _view(self, A: CSRMatrix) -> BlockRowView:
         part = make_partition(A, self.partition, block_size=self.block_size)
-        view = BlockRowView(A, partition=part)
-        return self._solve_partitioned(view, A, b, x0)
+        return BlockRowView(A, partition=part)
 
-    def _setup(self, A: CSRMatrix, b: np.ndarray) -> _BJState:
+    def _setup(self, A: CSRMatrix, b: np.ndarray, view: BlockRowView) -> _BJState:
         import scipy.linalg
 
-        view = self._pending_view
-        if view is None or view.matrix is not A:
-            part = make_partition(A, self.partition, block_size=self.block_size)
-            if part.perm is not None:
-                raise ValueError(
-                    "permuting partitions must go through solve(); "
-                    "_setup received the unpermuted matrix"
-                )
-            view = BlockRowView(A, partition=part)
         lu = None
         if self.inner == "exact":
             lu = []

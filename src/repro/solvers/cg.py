@@ -7,9 +7,10 @@ exists for the X2 extension experiment — using the block-asynchronous
 method itself as a preconditioner (the paper's §5 outlook).
 
 Unlike the relaxation solvers, CG carries recurrence state across
-iterations, so it implements its own loop instead of the
-:class:`IterativeSolver` template's stateless iterate — but it returns the
-same :class:`SolveResult` with the same per-iteration residual recording.
+iterations, so it overrides the template's ``_run`` with its own step
+closure instead of a stateless ``_iterate`` — it still enters through the
+shared ``solve`` and returns the same :class:`SolveResult` with the same
+per-iteration residual recording.
 """
 
 from __future__ import annotations
@@ -61,20 +62,7 @@ class ConjugateGradientSolver(IterativeSolver):
         if preconditioner is not None:
             self.name = "pcg"
 
-    # The template hooks are unused; CG owns its loop.
-    def _setup(self, A: CSRMatrix, b: np.ndarray) -> None:  # pragma: no cover
-        raise NotImplementedError
-
-    def _iterate(self, state, x: np.ndarray) -> np.ndarray:  # pragma: no cover
-        raise NotImplementedError
-
-    def solve(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        b, x = self._checked_inputs(A, b, x0)
+    def _run(self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view) -> SolveResult:
         b_norm = float(np.linalg.norm(b))
         M = self.preconditioner
 

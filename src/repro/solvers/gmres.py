@@ -69,20 +69,7 @@ class GMRESSolver(IterativeSolver):
         self.preconditioner = preconditioner
         self.name = f"gmres({restart})" if preconditioner is None else f"pgmres({restart})"
 
-    # The template hooks are unused; GMRES owns its loop.
-    def _setup(self, A: CSRMatrix, b: np.ndarray):  # pragma: no cover
-        raise NotImplementedError
-
-    def _iterate(self, state, x):  # pragma: no cover
-        raise NotImplementedError
-
-    def solve(
-        self,
-        A: CSRMatrix,
-        b: np.ndarray,
-        x0: Optional[np.ndarray] = None,
-    ) -> SolveResult:
-        b, x = self._checked_inputs(A, b, x0)
+    def _run(self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view) -> SolveResult:
         n = len(b)
         M = self.preconditioner
 

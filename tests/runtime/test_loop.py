@@ -206,3 +206,30 @@ def test_ledger_records_and_amends():
 def test_residual_every_validation():
     with pytest.raises(ValueError):
         RunLoop(StoppingCriterion(), residual_every=0)
+
+
+def test_infinite_residual_never_converges():
+    # An overflowing ||b|| makes the relative threshold infinite; an
+    # infinite residual must still not count as convergence, in every
+    # driving style.
+    inf = float("inf")
+    stopping = StoppingCriterion(tol=1e-10, maxiter=5)
+    assert stopping.threshold(inf) == inf
+    assert not stopping.converged(inf, inf)
+    assert not stopping.converged(float("nan"), inf)
+    assert stopping.converged(1e300, inf)
+
+    out = RunLoop(stopping).run(
+        np.zeros(1), lambda x, it: x, lambda x: inf, b_norm=inf
+    )
+    assert not out.converged and out.diverged
+
+    X = np.zeros((2, 1))
+    batched = RunLoop(stopping).run_batched(
+        X, lambda reps: None, lambda reps: np.full(len(reps), inf), b_norm=inf
+    )
+    assert not batched.converged.any() and batched.diverged.all()
+
+    ledger = RunLoop(stopping).ledger(b_norm=inf)
+    assert not ledger.start(inf)
+    assert ledger.check(inf) and ledger.diverged and not ledger.converged

@@ -277,3 +277,34 @@ def test_request_validation(small_spd):
         SolveService(max_batch=0)
     with pytest.raises(ValueError):
         SolveService(max_queue=0)
+
+
+def test_submit_rejects_non_finite_b(small_spd):
+    # Running it would report converged=True with an infinite residual.
+    b = np.ones(60)
+    b[3] = np.inf
+    service = _service()
+    with pytest.raises(ValueError, match="^b has non-finite"):
+        service.solve(small_spd, b)
+    assert service.queue_depth == 0
+
+
+def test_submit_rejects_non_finite_matrix(small_spd):
+    A = small_spd.copy()
+    A.data[4] = np.nan
+    service = _service()
+    with pytest.raises(ValueError, match="^A has non-finite"):
+        service.solve(A, np.ones(60))
+    assert service.queue_depth == 0
+
+
+def test_submit_rejects_bad_krylov_request_before_queueing(small_spd):
+    # The pcg solver's own check used to raise from drain(), after the
+    # request was queued and admitted; submit refuses it up front.
+    b = np.ones(60)
+    b[3] = np.inf
+    service = _service()
+    with pytest.raises(ValueError, match="^b has non-finite"):
+        service.submit(SolveRequest(A=small_spd, b=b, method="pcg"))
+    assert service.queue_depth == 0
+    assert service.drain() == []

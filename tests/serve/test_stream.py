@@ -122,3 +122,13 @@ def test_parse_job_rejects_bad_schwarz_and_spec(small_spd):
             service,
             load_matrix=_loader(small_spd),
         )
+
+
+def test_run_job_stream_refused_system_reports_lineno(small_spd):
+    service = SolveService()
+    with pytest.raises(JobStreamError, match="^line 2: b has non-finite"):
+        run_job_stream(
+            ['{"matrix": "toy"}', '{"matrix": "toy", "rhs": [Infinity' + ", 1" * 59 + "]}"],
+            service,
+            load_matrix=_loader(small_spd),
+        )
