@@ -11,12 +11,14 @@ about the *simulated* schedule model is load-bearing for convergence.
 
 Semantics per worker: loop over its assigned blocks; per block, gather the
 off-block contribution from the live shared iterate (racy by design),
-run *k* local Jacobi sweeps, write back.  Workers stop when a monitor
-observes the (racily computed) residual under tolerance, or after a sweep
-budget.  The §2.2 well-posedness conditions hold by construction: every
-block belongs to exactly one worker that updates it every pass (condition
-1), and staleness is bounded by one worker pass (condition 2) as long as
-every worker keeps making progress.
+run *k* local Jacobi sweeps, write back.  A monitor samples the (racily
+computed) residual; when a sample dips under tolerance it pauses the
+workers and checks the residual of the quiet iterate, resuming them on a
+miss.  The run ends on a race-free pass, divergence, or when every worker
+has spent its pass budget.  The §2.2 well-posedness conditions hold by
+construction: every block belongs to exactly one worker that updates it
+every pass (condition 1), and staleness is bounded by one worker pass
+(condition 2) as long as every worker keeps making progress.
 
 This engine is **not reproducible** run to run — that is the point.  Tests
 assert outcome properties (convergence, well-posedness, accuracy), never
@@ -136,7 +138,7 @@ class ThreadedAsyncSolver(IterativeSolver):
         x = state.x  # the shared iterate — all reads/writes are racy
         k = self.local_iterations
         omega = self.omega
-        for _ in range(self.stopping.maxiter):
+        while state.passes[wid] < self.stopping.maxiter:
             if state.stop.is_set():
                 break
             for blk in blocks:
@@ -178,18 +180,31 @@ class ThreadedAsyncSolver(IterativeSolver):
         residuals = [residual0]
         converged = self.stopping.converged(residual0, threshold)
 
-        threads = [
-            threading.Thread(target=self._worker, args=(w, blocks, b, state), daemon=True)
-            for w, blocks in enumerate(assignment)
-        ]
+        threads: List[threading.Thread] = []
+
+        def start() -> None:
+            # Workers with passes left (re)start; the pass counters carry on.
+            state.stop.clear()
+            threads[:] = [
+                threading.Thread(target=self._worker, args=(w, blocks, b, state), daemon=True)
+                for w, blocks in enumerate(assignment)
+                if state.passes[w] < self.stopping.maxiter
+            ]
+            for t in threads:
+                t.start()
+
+        def halt() -> None:
+            state.stop.set()
+            for t in threads:
+                t.join()
+
         if not converged:
             import dataclasses
             import sys
 
             previous_switch = sys.getswitchinterval()
             sys.setswitchinterval(self.switch_interval)
-            for t in threads:
-                t.start()
+            start()
 
             def step(x, it):
                 # The monitor performs no numerical work: workers own the
@@ -200,9 +215,21 @@ class ThreadedAsyncSolver(IterativeSolver):
                     raise StopRun("workers-exhausted")
                 time.sleep(self.poll_interval)
 
+            def sample(x) -> float:
+                res = float(np.linalg.norm(A.residual(x, b)))
+                if self.stopping.converged(res, threshold):
+                    # A sample taken while workers write can dip under the
+                    # threshold while the iterate does not: check the
+                    # paused workers' iterate, and resume them on a miss.
+                    halt()
+                    res = float(np.linalg.norm(A.residual(x, b)))
+                    if not self.stopping.converged(res, threshold):
+                        start()
+                return res
+
             # The monitor's pass budget lives with the workers, not here:
-            # it keeps sampling until tolerance, divergence, or worker
-            # exhaustion ends the run.
+            # it keeps sampling until a race-free pass, divergence, or
+            # worker exhaustion ends the run.
             monitor = RunLoop(
                 dataclasses.replace(self.stopping, maxiter=sys.maxsize),
                 recorder=self.recorder,
@@ -211,15 +238,13 @@ class ThreadedAsyncSolver(IterativeSolver):
                 outcome = monitor.run(
                     x,
                     step,
-                    lambda x: float(np.linalg.norm(A.residual(x, b))),
+                    sample,
                     b_norm=b_norm,
                     method=self.name,
                     r0=residual0,
                 )
             finally:
-                state.stop.set()
-                for t in threads:
-                    t.join()
+                halt()
                 sys.setswitchinterval(previous_switch)
             residuals = list(outcome.residuals)
             # Final, race-free residual.

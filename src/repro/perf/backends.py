@@ -65,7 +65,7 @@ import numpy as np
 from .._util import cumulative_segments
 from ..solvers.block_jacobi import local_jacobi_sweeps
 from .plan import SweepPlan
-from .program import _jacobi_sweeps, _longest_paths, _row_sums
+from .program import _jacobi_sweeps, _longest_paths, _ranges, _row_sums
 from .ras import RASWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -191,9 +191,9 @@ def _levels_fit(plan: SweepPlan, scheduler: "WaveScheduler") -> bool:
     """
     gamma = scheduler.gamma_profile()
     race = gamma[(gamma > 0.0) & (gamma < 1.0)]
-    if np.any(race != race[:1]) or plan.padded_local is None:
+    if np.any(race != race[:1]) or not plan.fits_panels(plan.local_off):
         return False
-    return bool(np.all(gamma < 1.0)) or plan.padded_external is not None
+    return bool(np.all(gamma < 1.0)) or plan.fits_panels(plan.external)
 
 
 def consume_schedule_draws(
@@ -388,19 +388,26 @@ class LevelSweepExecutor:
     block at a γ = 1 position, the owners of its fresh entries at a mixed
     one — and, at a γ = 1 position, no lower than any later-positioned,
     non-deferred block it couples to, so none of those has written when it
-    reads.  A fresh entry reads the live value only when its owner precedes
-    it in the lane's order and is not deferred, the snapshot value
-    otherwise, exactly as in the loop.
+    reads.  The levels are assigned on (lane, owner, reader) block pairs,
+    not on entries.  A fresh entry reads the live value only when its
+    owner precedes it in the lane's order and is not deferred, the
+    snapshot value otherwise, exactly as in the loop.
 
-    Each level runs all its (lane, block) pairs at once, with every read
-    of the level before any of its writes: one race-correction
-    ``np.add.at`` (the in-place fold itself, so a ``-0.0`` right-hand
-    side needs no fallback), one ``s = b − ext``, and *k* local Jacobi
-    sweeps over the padded-ELL panels of
-    :attr:`repro.perf.SweepPlan.padded_local` — on contiguous slices, with
-    no index gather, when the level is one block.  Iterates move in a
-    ``(R, n + 1)`` work copy whose last column is the pads' ``+0.0`` slot;
-    the caller's *X* stays the sweep-start snapshot until the copy-back.
+    Everything a level touches is laid out block-major, in the plan's
+    slots (:class:`repro.perf.plan.BlockSlots`: every block owns whole
+    slots of one common height, as many as it needs) — the plan's
+    :class:`repro.perf.plan.BlockPanels`, and per lane the work copy,
+    the right-hand side and the snapshot external part.  A level gathers
+    its operands as one ``take`` of its blocks' slots per array and runs
+    all its (lane, block) pairs at once, with every read of the level
+    before any of its writes: one race-correction ``np.add.at`` (the
+    in-place fold itself, so a ``-0.0`` right-hand side needs no
+    fallback), one ``s = b − ext`` and *k* local Jacobi sweeps over the
+    padded panels.  Pad rows stay
+    zero and are never copied out.  Iterates move in an
+    ``(R · nslots + 1, width)`` work copy whose last row holds the pads'
+    ``+0.0`` slot; the caller's *X* stays the sweep-start snapshot until
+    the copy-back.
 
     Lanes are native: a batched sweep is one level loop over all its
     replicas.  Deterministic schedules (no freshness or defer draws) reuse
@@ -418,25 +425,26 @@ class LevelSweepExecutor:
         self.plan = plan.warm_reference(gamma)
         self.config = config
         view = plan.view
-        self.n = view.n
         self.nb = view.nblocks
-        self.starts = view.boundaries[:-1]
-        self.sizes = np.diff(view.boundaries)
-        self.diag = plan.diag
-        self.lcols, self.ldata = plan.padded_local
+        self.width, self.first, self.slot, self.rows = plan.slots
+        self.nslots = int(self.first[-1])
+        self.count = np.diff(self.first)
+        self.lcols, self.ldata, self.diag = plan.block_panels
         self.gamma = gamma
         self.mixed = (gamma > 0.0) & (gamma < 1.0)
         self.snapshot = bool(np.any(gamma < 1.0))
         self.live = bool(np.any(gamma >= 1.0))
         self.E = plan.external
-        self.eptr = self.E.indptr[self.starts]
+        self.ennz = plan.ennz
         if self.mixed.any():
             #: The one race rate of the mixed positions (see _levels_fit).
             self.race = gamma[self.mixed][0]
+            self.starts = view.boundaries[:-1]
+            self.eptr = self.E.indptr[self.starts]
+            self.e_owner = plan.entry_blocks[1]
             self.e_rows = self.E._expanded_rows()
-            self.e_reader, self.e_owner = plan.entry_blocks
         if self.live:
-            self.ecols, self.edata = plan.padded_external
+            self.ecols, self.edata = plan.block_external
             self.readers, self.owners = plan.coupling
         self._cache = {}
         self.levels_run = 0
@@ -448,35 +456,44 @@ class LevelSweepExecutor:
         return self.levels_run / self.sweeps_run if self.sweeps_run else 0.0
 
     def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
-        n, nb = self.n, self.nb
+        M, S, rows = self.width, self.nslots, self.rows
         reps = np.asarray(reps, dtype=np.int64)
         R = len(reps)
         orders, pos, defer, hits = self._draw(lanes, reps)
-        nlev, lv, nodes, bounds, fresh = self._assign_levels(orders, pos, defer, hits)
-        if fresh is not None:
-            fresh, ebounds = self._fresh_by_level(fresh, X, reps, lv, nodes, bounds)
+        (nlev, nodes, bounds), elive = self._assign_levels(orders, pos, defer, hits)
 
-        XW = np.empty((R, n + 1))
-        XW[:, n] = 0.0
-        EXT = np.empty((R, n)) if self.snapshot else None
-        for i, r in enumerate(reps):
-            XW[i, :n] = X[r]
-            if EXT is not None:
-                self.E.matvec(X[r], out=EXT[i])
-        live_node = (self.gamma[pos] >= 1.0).ravel()
-        defer_node = defer.ravel()
+        # Slot-major work copy; its last row holds the external pads' +0.0.
+        XW = np.zeros((R * S + 1, M))
+        XL = XW[:-1].reshape(R, S * M)
+        XL[:, rows] = X[reps]
+        fresh = None
+        if hits is not None:
+            fresh, ebounds = self._fresh_by_level(hits, elive, XW, nodes, bounds)
+        EXT = None
+        if self.snapshot:
+            EXT = np.zeros((R, S * M))
+            for i, r in enumerate(reps):
+                EXT[i, rows] = self.E.matvec(X[r])
+            EXT = EXT.reshape(R * S, M)
+        # A shared right-hand side is read by plan slot, a stack by work-copy slot.
+        b = lanes.b if lanes.b.ndim == 1 else lanes.b[reps]
+        B = np.zeros(b.shape[:-1] + (S * M,))
+        B[..., rows] = b
+        B = B.reshape(-1, M)
+        live_node = (self.gamma[pos] >= 1.0).ravel()[nodes] if self.live and self.snapshot else None
+        defer_node = defer.ravel()[nodes]
         late = []
-        for lvl in range(len(bounds) - 1):
+        for g in range(len(bounds) - 1):
+            lo, hi = bounds[g], bounds[g + 1]
             efresh = None
-            if fresh is not None and ebounds[lvl + 1] > ebounds[lvl]:
-                e = slice(ebounds[lvl], ebounds[lvl + 1])
+            if fresh is not None and ebounds[g + 1] > ebounds[g]:
+                e = slice(ebounds[g], ebounds[g + 1])
                 efresh = tuple(a[e] for a in fresh)
-            nd = nodes[bounds[lvl] : bounds[lvl + 1]]
-            self._level(nd, XW, EXT, efresh, lanes.b, reps, live_node[nd], defer_node[nd], late)
-        XWf = XW.reshape(-1)
-        for flat, z in late:
-            XWf[flat] = z
-        X[reps] = XW[:, :n]
+            live = live_node[lo:hi] if live_node is not None else None
+            self._level(nodes[lo:hi], XW, EXT, B, b.ndim == 1, efresh, live, defer_node[lo:hi], late)
+        for ws, z in late:
+            XW[ws] = z
+        X[reps] = XL[:, rows]
         self.levels_run += nlev
         self.sweeps_run += 1
 
@@ -484,10 +501,10 @@ class LevelSweepExecutor:
         """Each lane's order and every double its loop would draw, in one call.
 
         Per position the loop draws the fresh mask (mixed γ), then the
-        defer double.  Returns ``(orders, pos, defer, hits)``:
-        *pos* and *defer* indexed by (lane, block), *hits* the fresh
-        entries as flat indices into all lanes' concatenated masks (or
-        ``None`` without mixed positions).
+        defer double.  Returns ``(orders, pos, defer, hits)``: *pos* and
+        *defer* indexed by (lane, block), *hits* the fresh entries as
+        ``(entry, lane, reader position, reader block)``, or ``None``
+        without mixed positions.
         """
         nb = self.nb
         R = len(reps)
@@ -495,49 +512,62 @@ class LevelSweepExecutor:
         orders = np.empty((R, nb), dtype=np.int64)
         for i, r in enumerate(reps):
             orders[i] = lanes.schedulers[r].plan_for_sweep(lanes.sweep_index, lanes.rngs[r])[0]
+        lane = np.arange(R)[:, None]
         pos = np.empty_like(orders)
-        pos[np.arange(R)[:, None], orders] = np.arange(nb)
-        fsz = np.where(self.mixed, self.plan.ennz[orders], 0)
-        cnt = fsz + (dwp > 0.0)
-        defer = np.zeros((R, nb), dtype=bool)
+        pos[lane, orders] = np.arange(nb)
+        # One segment per (lane, position): its fresh doubles, then its defer double.
+        cnt = np.where(self.mixed, self.ennz[orders], 0)
+        if dwp > 0.0:
+            cnt += 1
+        end = np.cumsum(cnt, axis=1)
+        mixed = self.mixed.any()
         hits = []
+        udefer = np.empty((R, nb))
         base = 0
         for i, r in enumerate(reps):
-            u = lanes.rngs[r].random(int(cnt[i].sum()))
-            if dwp > 0.0:
-                last = np.cumsum(cnt[i]) - 1
-                defer[i, orders[i]] = u[last] < dwp
-                u = np.delete(u, last)
-            if self.mixed.any():
+            u = lanes.rngs[r].random(int(end[i, -1]))
+            if mixed:
                 hits.append(np.flatnonzero(u < self.race) + base)
                 base += len(u)
-        if not self.mixed.any():
+            if dwp > 0.0:
+                udefer[i] = u[end[i] - 1]
+        defer = np.zeros((R, nb), dtype=bool)
+        if dwp > 0.0:
+            defer[lane, orders] = udefer < dwp
+        if not mixed:
             return orders, pos, defer, None
-        # Hit j lies in the (lane, position) segment holding it.
-        j = np.concatenate(hits)
-        seg_start = cumulative_segments(fsz.ravel())
-        seg = np.searchsorted(seg_start, j, side="right") - 1
-        ent = self.eptr[orders.ravel()[seg]] + (j - seg_start[seg])
-        return orders, pos, defer, (ent, seg // nb)
+        j = hits[0] if R == 1 else np.concatenate(hits)
+        cnt, end = cnt.reshape(-1), cumulative_segments(cnt.reshape(-1))[1:]
+        seg = np.searchsorted(end, j, side="right")
+        at = j - end[seg] + cnt[seg]
+        if dwp > 0.0:
+            # A defer double is no fresh entry.
+            fresh = at < cnt[seg] - 1
+            seg, at = seg[fresh], at[fresh]
+        reader = orders.reshape(-1)[seg]
+        return orders, pos, defer, (self.eptr[reader] + at, seg // nb, seg % nb, reader)
 
     def _assign_levels(self, orders, pos, defer, hits):
-        """Dependency levels of the (lane, block) nodes, and the fresh entries.
+        """Dependency levels of the (lane, block) nodes, and the fresh entries' reads.
 
-        Returns :meth:`_split_levels` of the levels, then *fresh*:
-        ``(ent, lane, reader, live)`` per fresh entry, or ``None``.
+        Returns :meth:`_split_levels` of the levels, then per fresh entry
+        whether its owner writes visibly before it reads (or ``None``).
         """
         nb = self.nb
         R = len(orders)
         src, dst, wgt = [], [], []
-        fresh = None
+        elive = None
         if hits is not None:
-            ent, eln = hits
-            rd, ow = self.e_reader[ent], self.e_owner[ent]
-            elive = (pos[eln, ow] < pos[eln, rd]) & ~defer[eln, ow]
-            src.append(eln[elive] * nb + ow[elive])
-            dst.append(eln[elive] * nb + rd[elive])
-            wgt.append(np.ones(int(elive.sum()), dtype=np.int64))
-            fresh = (ent, eln, rd, elive)
+            ent, eln, rpos, rd = hits
+            owner = eln * nb + self.e_owner[ent]
+            elive = pos.reshape(-1)[owner] < rpos
+            if self.config.deferred_write_prob > 0.0:
+                elive &= ~defer.reshape(-1)[owner]
+            # One edge per (lane, owner, reader) pair, however many entries form it.
+            pair = np.unique(owner[elive] * nb + rd[elive])
+            src.append(pair // nb)
+            dst.append(pair // (nb * nb) * nb + pair % nb)
+            wgt.append(np.ones(len(pair), dtype=np.int64))
         if self.live:
             P = len(self.readers)
             L = np.repeat(np.arange(R), P)
@@ -550,131 +580,130 @@ class LevelSweepExecutor:
             src += [L[dep] * nb + PO[dep], L[anti] * nb + PR[anti]]
             dst += [L[dep] * nb + PR[dep], L[anti] * nb + PO[anti]]
             wgt += [np.ones(int(dep.sum()), dtype=np.int64), np.zeros(int(anti.sum()), dtype=np.int64)]
-        if fresh is not None or self.config.deferred_write_prob > 0.0:
-            return self._split_levels(_longest_paths(R * nb, src, dst, wgt), R) + (fresh,)
+        if hits is not None or self.config.deferred_write_prob > 0.0:
+            return self._split_levels(_longest_paths(R * nb, src, dst, wgt), R), elive
         key = orders.tobytes()
         split = self._cache.get(key)
         if split is None:
             if len(self._cache) >= self._CACHE_MAX:
                 self._cache.clear()
             split = self._cache[key] = self._split_levels(_longest_paths(R * nb, src, dst, wgt), R)
-        return split + (fresh,)
+        return split, elive
 
     def _split_levels(self, lv, R):
         """Cut each level into lane groups of about :attr:`_GROUP_ROWS` rows.
 
         Pairs of different lanes never read each other, so a level's lane
         groups may run one after another: this bounds the per-level work
-        arrays, not the result.  Returns the group of every node (the new
-        ``lv``), the nodes in group order and the group boundaries, after
-        the level count.
+        arrays, not the result.  A (level, lane) run of nodes stays whole,
+        and every node counts its slots' rows.  Returns the level count,
+        the nodes in group order and the group boundaries.
         """
-        nb = self.nb
         nodes = np.argsort(lv, kind="stable")
-        sizes = self.sizes[nodes % nb]
-        crows = cumulative_segments(sizes)
-        lv_sorted = lv[nodes]
-        level_rows = crows[:-1] - crows[cumulative_segments(np.bincount(lv_sorted))[lv_sorted]]
-        # Every node takes the group of its (level, lane) run's first node.
-        run = lv_sorted * R + nodes // nb
-        first = np.flatnonzero(np.diff(run, prepend=-1))
-        group = np.repeat(level_rows[first] // self._GROUP_ROWS, np.diff(np.append(first, len(run))))
-        key = lv_sorted * (int(group.max()) + 1) + group
-        cut = np.flatnonzero(np.diff(key, prepend=-1))
-        sub = np.empty_like(lv)
-        sub[nodes] = np.repeat(np.arange(len(cut)), np.diff(np.append(cut, len(key))))
-        return int(lv_sorted[-1]) + 1, sub, nodes, np.append(cut, len(key))
+        cut = cumulative_segments(np.bincount(lv))
+        nlev = len(cut) - 1
+        if R > 1:
+            # Every run takes the group of the rows before it in its level.
+            lv_sorted = lv[nodes]
+            before = cumulative_segments(self.count[nodes % self.nb])
+            first = np.flatnonzero(np.diff(lv_sorted * R + nodes // self.nb, prepend=-1))
+            level = lv_sorted[first]
+            group = (before[first] - before[cut[level]]) * self.width // self._GROUP_ROWS
+            new = (np.diff(level, prepend=-1) != 0) | (np.diff(group, prepend=-1) != 0)
+            cut = np.append(first[new], len(lv))
+        return nlev, nodes, cut
 
-    def _fresh_by_level(self, fresh, X, reps, lv, nodes, bounds):
-        """The fresh entries grouped by level, with what their corrections read.
+    def _fresh_by_level(self, hits, elive, XW, nodes, bounds):
+        """The fresh entries grouped like the nodes, with what their corrections read.
 
         Returns ``((epos, data, eflat, snap, live), ebounds)``: per entry its
-        row inside its level's concatenated rows, its value, its column in
-        the flat work copy, its snapshot operand and whether its owner
-        writes visibly first; entries of level *l* are
-        ``ebounds[l]:ebounds[l + 1]``, in lane, block and entry order.
+        place in its group's gathered slots, its value, its place in the
+        flat work copy, its snapshot operand (read from *XW* before any
+        write) and whether its owner writes visibly first; entries of
+        group *g* are ``ebounds[g]:ebounds[g + 1]``, in lane, block and
+        entry order.
         """
-        n, nb = self.n, self.nb
-        ent, eln, rd, elive = fresh
-        csz = cumulative_segments(self.sizes[nodes % nb])
-        node_off = np.empty(len(lv), dtype=np.int64)
-        node_off[nodes] = csz[:-1] - csz[bounds[:-1]][lv[nodes]]
-        enode = eln * nb + rd
-        epos = node_off[enode] + self.e_rows[ent] - self.starts[rd]
-        elv = lv[enode]
-        by_level = np.argsort(elv, kind="stable")
-        ebounds = cumulative_segments(np.bincount(elv, minlength=len(bounds) - 1))
-        ent, eln, elive, epos = (a[by_level] for a in (ent, eln, elive, epos))
-        cols = self.E.indices[ent]
-        return (epos, self.E.data[ent], eln * (n + 1) + cols, X[reps[eln], cols], elive), ebounds
+        nb, M = self.nb, self.width
+        ent, eln, _, rd = hits
+        group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        before = cumulative_segments(self.count[nodes % nb])
+        total = int(before[-1])
+        rank = np.empty(len(nodes), dtype=np.int64)
+        # First gathered slot of every node inside its group's operands.
+        rank[nodes] = (before[:-1] - before[bounds[group]]) + group * total
+        key = rank[eln * nb + rd]
+        by_group = np.argsort(key // total, kind="stable")
+        key = key[by_group]
+        ebounds = np.searchsorted(key, np.arange(len(bounds)) * total)
+        ent, eln = ent[by_group], eln[by_group]
+        epos = key % total * M + self.e_rows[ent] - self.starts[rd[by_group]]
+        eflat = eln * (self.nslots * M) + self.slot[self.E.indices[ent]]
+        return (epos, self.E.data[ent], eflat, XW.reshape(-1)[eflat], elive[by_group]), ebounds
 
-    def _level(self, nd, XW, EXT, fresh, b, reps, live, deferred, late) -> None:
+    def _level(self, nd, XW, EXT, B, shared, fresh, live, deferred, late) -> None:
         """Update the (lane, block) pairs *nd* of one level: reads, then writes.
 
-        *live* / *deferred* flag the pairs at γ = 1 positions and the
-        pairs whose write waits for the sweep end (appended to *late*);
-        *fresh* holds the level's race-corrected entries.
+        *B* is the slot-major right-hand side, one block set for all lanes
+        when *shared*; *live* flags the pairs at γ = 1 positions (``None``:
+        all or none, as the γ profile says); *deferred* the pairs whose
+        write waits for the sweep end (appended to *late*); *fresh* holds
+        the level's race-corrected entries.
         """
-        n, nb = self.n, self.nb
-        XWf = XW.reshape(-1)
-        li, bk = nd // nb, nd % nb
-        if len(nd) == 1:
-            # One block: contiguous slices, block-local columns as they are.
-            i, lo = int(li[0]), int(self.starts[bk[0]])
-            m = int(self.sizes[bk[0]])
-            rows = slice(lo, lo + m)
-            flat = slice(i * (n + 1) + lo, i * (n + 1) + lo + m)
-            lcols = self.lcols[:, rows]
-            bv = b[reps[i], rows] if b.ndim == 2 else b[rows]
-            if live[0]:
-                ext = _row_sums(XW[i].take(self.ecols[:, rows], mode="clip") * self.edata[:, rows])
-            else:
-                ext = EXT[i, rows].copy()
+        M = self.width
+        bk = nd % self.nb
+        cnt = self.count[bk]
+        start = cumulative_segments(cnt)
+        m = int(start[-1])
+        # Plan slots of the pairs' blocks and the pair owning each gathered slot.
+        if m == len(nd):
+            ps, own = self.first[bk], slice(None)
         else:
-            sz = self.sizes[bk]
-            off = cumulative_segments(sz)
-            m = int(off[-1])
-            rows = np.repeat(self.starts[bk] - off[:-1], sz) + np.arange(m)
-            lrow = np.repeat(li, sz)
-            flat = lrow * (n + 1) + rows
-            lcols = self.lcols[:, rows]
-            lcols += np.repeat(off[:-1], sz)
-            bv = b.reshape(-1)[reps[lrow] * n + rows] if b.ndim == 2 else b[rows]
-            ext = EXT.reshape(-1)[lrow * n + rows] if EXT is not None else np.empty(m)
-            if live.any():
-                lr = np.repeat(live, sz)
-                idx = self.ecols[:, rows[lr]] + lrow[lr] * (n + 1)
-                ext[lr] = _row_sums(XWf.take(idx, mode="clip") * self.edata[:, rows[lr]])
+            ps, own = _ranges(self.first[bk], cnt), np.repeat(np.arange(len(nd)), cnt)
+        lane = (nd // self.nb * self.nslots)[own]
+        ws = ps + lane
+        if EXT is None:
+            ext = self._live_external(ps, lane, XW)
+        else:
+            ext = EXT.take(ws, axis=0)
+            if live is not None and live.any():
+                live = live[own]
+                ext[live] = self._live_external(ps[live], lane[live], XW)
         if fresh is not None:
             epos, edata, eflat, esnap, elive = fresh
             # A fresh entry whose owner has not (visibly) written in this
             # lane's order reads the snapshot: an exact zero delta.
-            xv = np.where(elive, XWf[eflat], esnap)
-            np.add.at(ext, epos, edata * (xv - esnap))
-        s = np.subtract(bv, ext, out=ext)
-        z = self._local_sweeps(s, XWf[flat], lcols, self.ldata[:, rows], self.diag[rows])
-        if not deferred.any():
-            XWf[flat] = z
-        elif len(nd) == 1:
-            late.append((flat, z))
-        else:
-            dr = np.repeat(deferred, sz)
-            XWf[flat[~dr]] = z[~dr]
-            late.append((flat[dr], z[dr]))
-
-    def _local_sweeps(self, s, z0, lcols, ldata, d) -> np.ndarray:
-        """*k* Jacobi sweeps ``z ← (s − L z) / d`` over padded panels.
-
-        *lcols* index a work vector whose trailing slot is the pads'
-        ``+0.0`` (see :func:`repro.perf.program._jacobi_sweeps`).
-        """
-        m = len(s)
-        zbuf = np.empty(m + 1)
-        zbuf[m] = 0.0
-        zbuf[:m] = z0
+            xv = np.where(elive, XW.reshape(-1).take(eflat), esnap)
+            np.add.at(ext.reshape(-1), epos, edata * (xv - esnap))
+        s = np.subtract(B.take(ps if shared else ws, axis=0), ext, out=ext)
+        # The blocks' iterates, then the +0.0 slot every pad clips to.
+        zbuf = np.empty(m * M + 1)
+        zbuf[-1] = 0.0
+        z = zbuf[:-1].reshape(m, M)
+        XW.take(ws, axis=0, out=z)
+        lcols = self.lcols.take(ps, axis=1)
+        lcols += (start[:-1][own] * M)[:, None]
         vals = np.empty(lcols.shape)
         cfg = self.config
-        return _jacobi_sweeps(s, zbuf, lcols, ldata, d, vals, vals, cfg.local_iterations, cfg.omega)
+        z = _jacobi_sweeps(
+            s, zbuf, z, lcols, self.ldata.take(ps, axis=1), self.diag.take(ps, axis=0),
+            vals, vals, cfg.local_iterations, cfg.omega,
+        )
+        if not deferred.any():
+            XW[ws] = z
+        else:
+            deferred = deferred[own]
+            XW[ws[~deferred]] = z[~deferred]
+            late.append((ws[deferred], z[deferred]))
+
+    def _live_external(self, ps, lane, XW) -> np.ndarray:
+        """Off-block sums of the slots *ps* (work-copy slots ``ps + lane``) over current values."""
+        idx = self.ecols.take(ps, axis=1)
+        if lane.any():
+            # Lane offsets; pads stay past the end and clip to the +0.0.
+            idx += (lane * self.width)[:, None]
+        vals = XW.reshape(-1).take(idx, mode="clip")
+        vals *= self.edata.take(ps, axis=1)
+        return _row_sums(vals)
 
 
 def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray):

@@ -21,8 +21,10 @@ construction, into the structures both execution backends consume:
   off-diagonal matrices with warmed gather plans, plus the concatenated
   diagonal — one multi-vector-shaped kernel set for the entire sweep;
 * **levels** (the dependency-level block loop): padded-ELL panels of the
-  local and external parts, the entry-to-block maps of the restacked
-  external matrix, and the block coupling graph;
+  local and external parts, laid out block-major (every block in whole
+  slots of one common height, :class:`BlockSlots`, :class:`BlockPanels`), the
+  entry-to-block maps of the restacked external matrix, and the block
+  coupling graph;
 * **level programs** (draw-free schedules): compiled
   :class:`repro.perf.program.LevelProgram` objects, cached per
   (orders, k, ω) by :meth:`SweepPlan.level_program`.
@@ -35,15 +37,18 @@ batched, preconditioner-internal — shares a single compilation.
 from __future__ import annotations
 
 import weakref
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from .._util import cumulative_segments
 from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
 from .program import LevelProgram
 
 __all__ = [
+    "BlockPanels",
+    "BlockSlots",
     "BlockUpdate",
     "SweepPlan",
     "compile_sweep_plan",
@@ -110,6 +115,67 @@ class BlockUpdate(NamedTuple):
     diag: np.ndarray
 
 
+class BlockSlots(NamedTuple):
+    """Where the level executor's block-major layout puts each row (:attr:`SweepPlan.slots`).
+
+    The layout is a run of *slots* of ``width`` rows each.  Block ``j``
+    owns the ``first[j + 1] - first[j]`` consecutive slots from
+    ``first[j]``; its rows fill them in order, and pad rows fill the rest
+    of its last slot.  Gathering whole blocks is then one ``take`` of
+    slots per array.  On a uniform partition ``width`` is the block size
+    and every block owns one slot.
+    """
+
+    #: Rows per slot (see :func:`_slot_width`).
+    width: int
+    #: ``(nblocks + 1,)`` first slot of every block, then the slot count.
+    first: np.ndarray
+    #: Block-major position of every row: ``first[block] * width + row in block``.
+    slot: np.ndarray
+    #: The rows in a slot-major vector: a prefix slice when they are its
+    #: first ``n`` entries, else :attr:`slot` itself.
+    rows: Union[slice, np.ndarray]
+
+
+class BlockPanels(NamedTuple):
+    """The level executor's local operands, block-major (:attr:`SweepPlan.block_panels`).
+
+    Laid out by :attr:`SweepPlan.slots`.  A pad row has only pad entries
+    and a unit diagonal, and no real row reads it.
+    """
+
+    #: ``(W, nslots, width)`` block-local columns of the local panels,
+    #: :attr:`SweepPlan.PAD_SENTINEL` on pads.
+    lcols: np.ndarray
+    #: ``(W, nslots, width)`` values of the local panels, ``-0.0`` on pads.
+    ldata: np.ndarray
+    #: ``(nslots, width)`` diagonal, ``1.0`` on pad rows.
+    diag: np.ndarray
+
+
+#: What one more slot costs the level executor, in laid-out rows.  On
+#: fv1 (async-(5), gpu order, block 128) a padded row cost ≈0.12 µs of
+#: level time per sweep and a slot 0.04–0.18 µs (widths 1–128 forced).
+_SLOT_COST_ROWS = 1
+
+
+def _slot_width(heights: np.ndarray) -> int:
+    """The slot height of the block-major layout for blocks of *heights* rows.
+
+    Among the block heights and 1, the width that minimises the laid-out
+    rows plus :data:`_SLOT_COST_ROWS` per slot (the larger one on a tie).
+    A uniform partition gets its block size, with only its last block
+    padded; one outsized block among small ones owns several slots
+    instead of padding every other block to its height.  Width 1 lays out
+    exactly the rows, so the layout never costs more than ``n`` rows and
+    ``n`` slots.
+    """
+    h, count = np.unique(np.asarray(heights, dtype=np.int64), return_counts=True)
+    width = np.union1d(h, [1])[::-1]
+    nslots = (-(-h // width[:, None]) * count).sum(axis=1)
+    return int(width[np.argmin((width + _SLOT_COST_ROWS) * nslots)])
+
+
 class SweepPlan:
     """Compiled execution structures of one block decomposition.
 
@@ -148,6 +214,9 @@ class SweepPlan:
         self._stencil_kernels = None
         self._padded = None
         self._padded_ext = None
+        self._slots = None
+        self._blocked = None
+        self._blocked_ext = None
         self._entry_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._coupling: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._programs = {}
@@ -205,20 +274,23 @@ class SweepPlan:
         :meth:`block_updates` (of the extended blocks with *extended*).
         With the γ profile of the sweeps a
         :class:`repro.perf.LevelSweepExecutor` will run: *instead* of
-        those, the padded-ELL local panels, plus the warmed restacked
-        external matrix when a position reads the snapshot (γ < 1), its
-        entry-to-block maps when one races (0 < γ < 1), and the padded
-        external panels and the block coupling graph (derived from those
-        maps) when one reads live (γ = 1).
+        those, the block-major local panels (:attr:`block_panels`), plus
+        the warmed restacked external matrix when a position reads the
+        snapshot (γ < 1), its entry-to-block maps and entry rows when one
+        races (0 < γ < 1), and the block-major external panels and the
+        block coupling graph (derived from those maps) when one reads live
+        (γ = 1).
         """
         if gamma is not None:
-            self.padded_local
+            if self.block_panels is None:
+                return self
             if np.any(gamma < 1.0):
                 self.external.warm_plan()
             if np.any((gamma > 0.0) & (gamma < 1.0)):
                 self.entry_blocks
+                self.external._expanded_rows()
             if np.any(gamma >= 1.0):
-                self.padded_external
+                self.block_external
                 self.coupling
         else:
             self.block_updates(extended)
@@ -269,20 +341,65 @@ class SweepPlan:
         system.  See :meth:`_pad` for why a padded row sums bitwise like the
         packed ELL product of :meth:`repro.sparse.CSRMatrix.matvec`.
         ``None`` when a row is wider than the packed kernel's panel cap.
+        The panels are stored block-major (:attr:`block_panels`); these
+        are views of them, or copies where the slots are not the rows.
+        No executor reads them: they are the row view for tests and
+        inspection (level programs gather rows with :meth:`panel_rows`).
         """
-        if self._padded is None:
-            self._padded = self._pad(self.local_off, local=True)
-        return self._padded or None
+        return self._rows_of(self._panels(external=False))
 
     @property
     def padded_external(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """:attr:`padded_local` of the external parts, with global columns."""
-        if self._padded_ext is None:
-            self._padded_ext = self._pad(self.external, local=False)
-        return self._padded_ext or None
+        return self._rows_of(self._panels(external=True))
+
+    def _panels(self, *, external: bool):
+        """The block-major storage of the local (or external) panels, built once; ``False`` without."""
+        if external:
+            if self._padded_ext is None:
+                self._padded_ext = self._pad(self.external, local=False)
+            return self._padded_ext
+        if self._padded is None:
+            self._padded = self._pad(self.local_off, local=True)
+        return self._padded
+
+    @staticmethod
+    def fits_panels(part: CSRMatrix) -> bool:
+        """Whether *part* gets padded panels: no row wider than the packed kernel's panel cap."""
+        return int(part.row_nnz().max(initial=0)) <= CSRMatrix._ELL_MAX_WIDTH
+
+    @property
+    def slots(self) -> BlockSlots:
+        """The block-major layout of the level executor's operands (cached)."""
+        if self._slots is None:
+            view = self.view
+            heights = np.diff(view.boundaries)
+            width = _slot_width(heights)
+            first = cumulative_segments(-(-heights // width))
+            bor = self.block_of_row
+            slot = first[bor] * width + (np.arange(view.n, dtype=np.int64) - view.boundaries[:-1][bor])
+            rows = slice(0, view.n) if slot[-1] == view.n - 1 else slot
+            self._slots = BlockSlots(width, first, slot, rows)
+        return self._slots
+
+    def panel_rows(self, rows: np.ndarray, *, external: bool) -> Tuple[np.ndarray, np.ndarray]:
+        """Rows *rows* of :attr:`padded_local` (or :attr:`padded_external`), as copies.
+
+        Gathered from the block-major storage, one ``take`` per panel: a
+        ``take`` on the ``(W, n)`` views would copy them whole first.
+        """
+        at = self.slots.slot[rows]
+        return tuple(a.reshape(len(a), -1).take(at, axis=1) for a in self._panels(external=external))
+
+    def _rows_of(self, panels):
+        """Block-major ``(W, nslots, width)`` *panels* as ``(W, n)`` rows, or ``None``."""
+        if not panels:
+            return None
+        rows = self.slots.rows
+        return tuple(a.reshape(len(a), -1)[:, rows] for a in panels)
 
     def _pad(self, part: CSRMatrix, *, local: bool):
-        """Uniform-width (padded ELL) layout of a stacked part's rows.
+        """Uniform-width (padded ELL) layout of a stacked part's rows, block-major.
 
         Pad entries hold the value ``-0.0`` and the :attr:`PAD_SENTINEL`
         column that resolves to a ``+0.0`` operand slot, so every pad
@@ -296,24 +413,68 @@ class SweepPlan:
         rows get ``+0.0`` as their first pad.  Rows wider than the packed
         kernel's panel cap are summed by ``reduceat`` (a different order),
         so such a system gets ``False`` (no panels).
+
+        Each row sits at its :attr:`slots` place, so the panels come out
+        ``(W, nslots, width)``; the pad rows that end a block's last slot
+        hold only pads.
         """
-        lengths = part.row_nnz()
-        W = int(lengths.max(initial=0))
-        if W > CSRMatrix._ELL_MAX_WIDTH:
+        if not self.fits_panels(part):
             return False
-        W = max(1, W)
+        lengths = part.row_nnz()
+        W = max(1, int(lengths.max(initial=0)))
         n = self.view.n
+        width, first, slot, prefix = self.slots
         rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
-        slot = np.arange(len(rows), dtype=np.int64) - part.indptr[rows]
+        lane = np.arange(len(rows), dtype=np.int64) - part.indptr[rows]
         indices = part.indices
         if local:
             indices = indices - self.view.boundaries[:-1][self.block_of_row[rows]]
-        cols = np.full((W, n), self.PAD_SENTINEL, dtype=np.int64)
-        data = np.full((W, n), -0.0)
-        cols[slot, rows] = indices
-        data[slot, rows] = part.data
-        data[0, lengths == 0] = 0.0
-        return cols, data
+        shape = (W, int(first[-1]) * width)
+        cols = np.full(shape, self.PAD_SENTINEL, dtype=np.int64)
+        data = np.full(shape, -0.0)
+        at = rows if isinstance(prefix, slice) else slot[rows]
+        cols[lane, at] = indices
+        data[lane, at] = part.data
+        data[0, slot[lengths == 0]] = 0.0
+        shape = (W, int(first[-1]), width)
+        return cols.reshape(shape), data.reshape(shape)
+
+    @property
+    def block_panels(self) -> Optional[BlockPanels]:
+        """The local panels and the diagonal, block-major (cached).
+
+        ``None`` without padded panels.  Built in a few whole-array
+        passes, no loop over blocks.
+        """
+        if self._blocked is None:
+            panels = self._panels(external=False)
+            if not panels:
+                self._blocked = False
+            else:
+                width, first, _, rows = self.slots
+                diag = np.ones(int(first[-1]) * width)
+                diag[rows] = self.diag
+                self._blocked = BlockPanels(*panels, diag.reshape(-1, width))
+        return self._blocked or None
+
+    @property
+    def block_external(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The external panels block-major, columns as slot places (cached).
+
+        ``(cols, data)``, both ``(W, nslots, width)``: a real entry's
+        column is the :attr:`slots` place of its global column, a pad
+        keeps :attr:`PAD_SENTINEL`.  Where the slots are the rows these
+        are :attr:`padded_external`'s own arrays.
+        """
+        if self._blocked_ext is None:
+            cols, data = self._panels(external=True)
+            _, _, slot, rows = self.slots
+            if not isinstance(rows, slice):
+                real = cols != self.PAD_SENTINEL
+                cols = cols.copy()
+                cols[real] = slot[cols[real]]
+            self._blocked_ext = (cols, data)
+        return self._blocked_ext
 
     @property
     def block_of_row(self) -> np.ndarray:

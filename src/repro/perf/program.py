@@ -80,17 +80,17 @@ def _longest_paths(nnodes: int, src: list, dst: list, w: list) -> np.ndarray:
     return lv
 
 
-def _jacobi_sweeps(s, zbuf, lcols, ldata, d, vals, vrows, k: int, omega: float) -> np.ndarray:
+def _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, vals, vrows, k: int, omega: float) -> np.ndarray:
     """*k* Jacobi sweeps ``z ← (s − L z) / d`` over padded-ELL panels, in place.
 
-    *zbuf* holds the iterate ``z`` in its first ``m = len(s)`` slots and
-    the pads' ``+0.0`` in its last, which every pad of *lcols* reaches
-    (directly or clipped).  *vals* is the ``(W, m)`` product buffer and
-    *vrows* its lanes — *vals* itself, or a prepared list of its row
-    views.  Every step is one IEEE operation in the order of
+    *zbuf* holds the iterate ``z`` — a view of its first ``s.size``
+    slots, shaped like *s* and *d* — and the pads' ``+0.0`` in its last
+    slot, which every pad of *lcols* reaches (directly or clipped).  *vals*
+    is the *lcols*-shaped product buffer and *vrows* its lanes — *vals*
+    itself, or a prepared list of its row views.  Every step is one IEEE
+    operation in the order of
     :func:`repro.solvers.block_jacobi.local_jacobi_sweeps`.  Returns ``z``.
     """
-    z = zbuf[: len(s)]
     for _ in range(k):
         zbuf.take(lcols, out=vals, mode="clip")
         vals *= ldata
@@ -220,8 +220,6 @@ class LevelProgram:
         point at the exact ``+0.0`` slot of their operand — the set's local
         work vector, or the work vector — so the gathers need no clipping.
         """
-        lcols, ldata = plan.padded_local
-        ecols, edata = plan.padded_external
         gb = np.array([b for blocks in sets for b in blocks], dtype=np.int64)
         nset = np.array([len(blocks) for blocks in sets], dtype=np.int64)
         first = cumulative_segments(nset)[:-1]
@@ -231,13 +229,13 @@ class LevelProgram:
         within = cumulative_segments(gsz)[:-1]
         within -= np.repeat(within[first], nset)
         rows = _ranges(starts[gb], gsz)
-        g_lcols = lcols.take(rows, axis=1)
+        g_lcols, g_ldata = plan.panel_rows(rows, external=False)
+        g_ecols, g_edata = plan.panel_rows(rows, external=True)
         pad = g_lcols == plan.PAD_SENTINEL
         g_lcols += np.repeat(within, gsz)
         np.copyto(g_lcols, np.repeat(np.diff(bounds), np.diff(bounds)), where=pad)
-        g_ecols = ecols.take(rows, axis=1)
         np.copyto(g_ecols, n, where=g_ecols == plan.PAD_SENTINEL)
-        g_ldata, g_edata, g_diag = ldata.take(rows, axis=1), edata.take(rows, axis=1), plan.diag[rows]
+        g_diag = plan.diag[rows]
         out = {}
         for blocks, a, b in zip(sets, bounds[:-1], bounds[1:]):
             if blocks[-1] - blocks[0] == len(blocks) - 1:
@@ -266,6 +264,6 @@ class LevelProgram:
                 b.take(rows, out=s)
                 s -= ext
                 XW.take(rows, out=z)
-            XW[rows] = _jacobi_sweeps(s, zbuf, lcols, ldata, d, vals, vrows, k, omega)
+            XW[rows] = _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, vals, vrows, k, omega)
         x[...] = XW[:n]
         return x

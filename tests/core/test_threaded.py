@@ -9,6 +9,7 @@ import pytest
 
 from repro.core.threaded import ThreadedAsyncSolver
 from repro.solvers import StoppingCriterion
+from repro.sparse import CSRMatrix
 
 
 def test_validation():
@@ -127,3 +128,29 @@ def test_surplus_worker_telemetry_consistent(small_spd):
     assert r.info["workers"] == 2  # 60 rows / 30 = 2 blocks, 6 workers dropped
     assert len(passes) == r.info["workers"]
     assert all(p > 0 for p in passes)
+
+
+def test_racy_sample_under_threshold_resumes_workers(monkeypatch, trefethen_small):
+    # The monitor samples the residual while workers write: such a sample
+    # can read under the threshold while the iterate is not.  Force that
+    # on the first sample; the run must confirm on a quiet iterate, miss,
+    # resume the workers and still converge.
+    A = trefethen_small
+    b = A.matvec(np.ones(A.shape[0]))
+    real = CSRMatrix.residual
+    calls = []
+
+    def residual(self, x, rhs):
+        calls.append(len(calls))
+        r = real(self, x, rhs)
+        # Evaluation 1 is the initial residual, evaluation 2 the first sample.
+        return np.zeros_like(r) if len(calls) == 2 else r
+
+    monkeypatch.setattr(CSRMatrix, "residual", residual)
+    stopping = StoppingCriterion(tol=1e-9, maxiter=3000)
+    r = ThreadedAsyncSolver(
+        local_iterations=5, block_size=64, workers=2, poll_interval=1e-6, stopping=stopping,
+    ).solve(A, b)
+    assert r.converged
+    assert r.residuals[-1] <= stopping.threshold(r.b_norm)
+    assert len(calls) > 3
