@@ -1,6 +1,6 @@
-"""Asynchronous restricted additive Schwarz vs async-(k) (:mod:`repro.perf.ras`).
+"""Asynchronous restricted additive Schwarz vs async-(k).
 
-``+oK`` overlapped partitions with ``schwarz="ras"`` run each block's
+``+oK`` overlapped partitions (async-RAS) run each block's
 inner sweeps on an extended local system (``overlap`` halo rows per
 side) and fold only the owned rows back — the restricted-Schwarz analog
 of Eq. (4)'s block sweep.  Two properties are gated here:
@@ -70,7 +70,6 @@ def sweeps_to_tol(A, b, overlap: int):
         order="gpu",
         seed=0,
         partition=spec,
-        schwarz="ras" if overlap else "none",
     )
     solver = BlockAsyncSolver(cfg, stopping=StoppingCriterion(tol=TOL, maxiter=MAXITER))
     result = solver.solve(A, b)
@@ -88,7 +87,6 @@ def time_engine(A, b, overlap: int) -> float:
         order="gpu",
         seed=0,
         partition=spec,
-        schwarz="ras" if overlap else "none",
         backend="auto" if overlap else "reference",
     )
     view = BlockRowView(A, partition=make_partition(A, spec, block_size=BLOCK_SIZE))

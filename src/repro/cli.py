@@ -80,7 +80,6 @@ def _build_solver(args, recorder=None, A=None):
             omega=args.omega,
             backend=args.backend,
             partition=getattr(args, "partition", "uniform"),
-            schwarz=getattr(args, "schwarz", "none"),
             residual_every=every,
         )
         return make_outer_solver(
@@ -118,7 +117,6 @@ def _build_solver(args, recorder=None, A=None):
         omega=args.omega,
         backend=args.backend,
         partition=partition,
-        schwarz=getattr(args, "schwarz", "none"),
         residual_every=every,
     )
     shards = getattr(args, "shards", 0)
@@ -241,7 +239,6 @@ def _cmd_serve(args) -> int:
             omega=args.omega,
             backend=args.backend,
             partition=args.partition,
-            schwarz=args.schwarz,
             residual_every=args.residual_every,
         )
         service = SolveService(
@@ -379,16 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="row-block decomposition strategy for --solver=async/block-jacobi: "
         "uniform[:block_size], work_balanced[:nblocks], rcm[:block_size], "
         "clustered[:block_size] (default uniform — the paper's CUDA-grid cut; "
-        "PARAM falls back to --block-size); append +oK for K overlap rows "
-        "per block side (used with --schwarz)",
-    )
-    ps.add_argument(
-        "--schwarz",
-        choices=("none", "ras", "wras"),
-        default="none",
-        help="restricted-Schwarz mode on +oK overlapped partitions: ras "
-        "(owned rows write; the paper-faithful asynchronous default) or "
-        "wras (partition-of-unity weighted, synchronous accumulate)",
+        "PARAM falls back to --block-size); append +oK (K > 0) to run "
+        "async restricted additive Schwarz with K overlap rows per block side",
     )
     ps.add_argument(
         "--shards",
@@ -456,14 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="STRATEGY[:PARAM][+oK]",
         default="uniform",
         help="default decomposition spec (non-permuting strategies only: "
-        "uniform[:block_size], work_balanced[:nblocks]; +oK adds K "
-        "overlap rows per block side for --schwarz)",
-    )
-    pv.add_argument(
-        "--schwarz",
-        choices=("none", "ras", "wras"),
-        default="none",
-        help="default restricted-Schwarz mode on +oK overlapped partitions",
+        "uniform[:block_size], work_balanced[:nblocks]; +oK (K > 0) runs "
+        "async restricted additive Schwarz with K overlap rows per block side)",
     )
     pv.add_argument("--residual-every", type=int, default=1, metavar="M")
     pv.add_argument(

@@ -54,8 +54,8 @@ class BlockAsyncSolver(IterativeSolver):
         :class:`repro.partition.Partition`.  Overrides
         ``config.partition``; the default ``"uniform"`` reproduces the
         historical ``block_size`` cuts bitwise.  An ``+oK`` overlap
-        suffix combined with ``config.schwarz="ras"``/``"wras"`` runs
-        asynchronous restricted-Schwarz sweeps on the extended blocks.  Strategies carrying a
+        suffix (K > 0) runs asynchronous restricted additive Schwarz
+        (async-RAS) sweeps on the extended blocks.  Strategies carrying a
         row permutation (``rcm``, ``clustered``) iterate on the permuted
         system — residual histories are reported in that (partition)
         order, matching a direct solve of the permuted system bitwise —

@@ -58,7 +58,7 @@ class _SweepLanes:
     :meth:`rhs`, ``fault``, :meth:`frozen_blocks`), so one
     executor object serves :class:`AsyncEngine` (R = 1) and
     :class:`BatchedAsyncEngine` alike.  Backend resolution — including the
-    overlapped Schwarz modes' ``"ras"`` — is one call for both engines.
+    ``"ras"`` of an overlapped (``+oK``) partition — is one call for both engines.
     """
 
     def __init__(
@@ -141,7 +141,7 @@ class AsyncEngine(_SweepLanes):
         Number of completed global sweeps.
     backend:
         Resolved sweep-execution backend (see :mod:`repro.perf`):
-        ``"ras"`` in an overlapped Schwarz mode; otherwise, with
+        ``"ras"`` on an overlapped (``+oK``) partition; otherwise, with
         ``config.backend="auto"``, ``"stencil"`` or ``"fused"`` wherever a
         whole-sweep executor is bitwise the reference loop — snapshot-read
         regimes (γ ≡ 0) and all-deferred writes, with no fault; stencil

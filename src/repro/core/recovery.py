@@ -23,6 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from ..partition import parse_partition_spec
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
@@ -80,6 +81,11 @@ class SelfHealingSolver(IterativeSolver):
             raise ValueError("heal_cooldown must be >= 0")
         super().__init__(stopping or StoppingCriterion(maxiter=300), recorder=recorder)
         self.config = config if config is not None else AsyncConfig(local_iterations=5)
+        if parse_partition_spec(self.config.partition)[2] > 0:
+            raise ValueError(
+                "SelfHealingSolver sweeps disjoint uniform blocks; async-RAS (an "
+                "'+oK' partition) supports no fault scenarios — drop the suffix"
+            )
         self.fault = fault
         self.detector = detector
         self.suspects_per_alert = suspects_per_alert

@@ -65,7 +65,6 @@ __all__ = [
     "WaveScheduler",
     "UPDATE_ORDERS",
     "BACKENDS",
-    "SCHWARZ_MODES",
     "replica_rngs",
 ]
 
@@ -94,15 +93,6 @@ UPDATE_ORDERS = ("synchronous", "sequential", "reversed", "random", "gpu")
 #: their path (an error where it is not exact, or — stencil — where
 #: detection fails); ``"reference"`` forces the per-block loop everywhere.
 BACKENDS = ("auto", "stencil", "fused", "reference")
-
-#: Recognised Schwarz modes: ``"none"`` is the paper's disjoint
-#: block-asynchronous method; ``"ras"`` sweeps each block's *extended*
-#: (overlapped) system and folds back only owned rows (restricted additive
-#: Schwarz); ``"wras"`` folds every extended row with partition-of-unity
-#: weights (weighted RAS).  The overlapped modes engage only when the
-#: partition spec carries an ``+oK`` suffix with K > 0 — at overlap 0 they
-#: are bitwise the disjoint method and run the classic pipeline.
-SCHWARZ_MODES = ("none", "ras", "wras")
 
 
 @dataclass(frozen=True)
@@ -139,13 +129,10 @@ class AsyncConfig:
         (the default — bitwise-identical to the historical
         ``block_size`` cuts), ``"work_balanced"``, ``"rcm"``,
         ``"clustered"``.  A missing param falls back to
-        :attr:`block_size`; an ``+oK`` suffix sets the halo depth the
-        Schwarz modes sweep past each block's owned rows.
-    schwarz:
-        Schwarz mode, one of :data:`SCHWARZ_MODES`.  ``"ras"``/``"wras"``
-        sweep extended (overlapped) block systems and restrict the
-        fold-back; with a zero-overlap partition they are bitwise
-        ``"none"`` and the engines run the classic pipeline unchanged.
+        :attr:`block_size`.  An ``+oK`` suffix with K > 0 selects async
+        restricted additive Schwarz (async-RAS): every block sweeps its
+        owned rows widened by K halo rows on each side and writes back
+        only the owned ones.  ``+o0`` is the paper's disjoint method.
     seed:
         Master seed of the run — two runs with the same seed are bitwise
         identical; different seeds model different nondeterministic
@@ -171,7 +158,6 @@ class AsyncConfig:
     jitter_swaps: int = 2
     backend: str = "auto"
     partition: str = "uniform"
-    schwarz: str = "none"
     seed: RNGLike = 0
     residual_every: int = 1
 
@@ -197,31 +183,15 @@ class AsyncConfig:
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
         parse_partition_spec(self.partition)  # raises ValueError on bad specs
-        if self.schwarz not in SCHWARZ_MODES:
-            raise ValueError(f"schwarz must be one of {SCHWARZ_MODES}, got {self.schwarz!r}")
         if self.residual_every < 1:
             raise ValueError("residual_every must be >= 1")
 
     @property
-    def schwarz_overlap(self) -> int:
-        """The halo depth the Schwarz mode will sweep with (0 when inactive).
-
-        Nonzero exactly when :attr:`schwarz` is an overlapped mode *and*
-        the partition spec carries a positive ``+oK`` suffix — the single
-        predicate every dispatch site uses, so "RAS requested but overlap
-        0" degenerates to the classic engines everywhere at once.
-        """
-        if self.schwarz == "none":
-            return 0
-        return parse_partition_spec(self.partition)[2]
-
-    @property
     def method_name(self) -> str:
         """Paper-style tag, e.g. ``async-(5)`` or ``async-RAS(5,o2)``."""
-        overlap = self.schwarz_overlap
+        overlap = parse_partition_spec(self.partition)[2]
         if overlap > 0:
-            tag = "RAS" if self.schwarz == "ras" else "wRAS"
-            return f"async-{tag}({self.local_iterations},o{overlap})"
+            return f"async-RAS({self.local_iterations},o{overlap})"
         return f"async-({self.local_iterations})"
 
 

@@ -36,7 +36,7 @@ from typing import Any, Dict, List, Optional, Union
 import numpy as np
 
 from ..core.schedules import AsyncConfig
-from ..partition import Partition, make_partition
+from ..partition import Partition, make_partition, parse_partition_spec
 from ..runtime import RunLoop, StoppingCriterion
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult
@@ -140,6 +140,16 @@ class DistAsyncSolver(IterativeSolver):
         self.heartbeat_timeout = float(heartbeat_timeout)
         self.advance_timeout = float(advance_timeout)
         self.partition = partition if partition is not None else config.partition
+        overlap = (
+            self.partition.overlap
+            if isinstance(self.partition, Partition)
+            else parse_partition_spec(self.partition)[2]
+        )
+        if overlap > 0:
+            raise ValueError(
+                "repro.dist shards run disjoint blocks; async-RAS (an '+oK' "
+                "partition) runs in-process only — drop the suffix or --shards"
+            )
         self.fault_injector = fault_injector
         self.name = (
             config.method_name

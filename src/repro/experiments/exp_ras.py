@@ -11,8 +11,6 @@ bitwise, not a re-implementation.
 
 from __future__ import annotations
 
-import numpy as np
-
 from ..core.block_async import BlockAsyncSolver
 from ..matrices import default_rhs, get_matrix
 from ..partition import make_partition
@@ -29,14 +27,9 @@ _BLOCK_SIZE = 128
 _TOL = 1e-10
 
 
-def _sweeps_to_tol(A, b, k: int, overlap: int, schwarz: str, maxiter: int):
+def _sweeps_to_tol(A, b, k: int, overlap: int, maxiter: int):
     spec = f"uniform:{_BLOCK_SIZE}" + (f"+o{overlap}" if overlap else "")
-    cfg = paper_async_config(
-        k,
-        block_size=_BLOCK_SIZE,
-        partition=spec,
-        schwarz=schwarz if overlap else "none",
-    )
+    cfg = paper_async_config(k, block_size=_BLOCK_SIZE, partition=spec)
     solver = BlockAsyncSolver(cfg, stopping=StoppingCriterion(tol=_TOL, maxiter=maxiter))
     result = solver.solve(A, b)
     it = iterations_to_tolerance(result, _TOL)
@@ -57,7 +50,7 @@ def run(quick: bool = True) -> ExperimentResult:
         b = default_rhs(A)
         base = None
         for overlap in overlaps:
-            sweeps, method = _sweeps_to_tol(A, b, k, overlap, "ras", maxiter)
+            sweeps, method = _sweeps_to_tol(A, b, k, overlap, maxiter)
             if overlap == 0:
                 base = sweeps
             shown = sweeps if sweeps is not None else f">{maxiter}"
@@ -70,7 +63,7 @@ def run(quick: bool = True) -> ExperimentResult:
     convergence = TableArtifact(
         title=(
             f"Sweeps to relative residual {_TOL:g} "
-            f"(k={k}, uniform:{_BLOCK_SIZE} blocks, +oK overlap, schwarz=ras)"
+            f"(k={k}, uniform:{_BLOCK_SIZE} blocks, +oK overlap = async-RAS)"
         ),
         headers=["matrix", "method", "overlap", "sweeps", "speedup vs o=0"],
         rows=conv_rows,
@@ -106,9 +99,9 @@ def run(quick: bool = True) -> ExperimentResult:
     )
 
     notes = [
-        "o=0 rows run the unchanged async-(k) engine (schwarz dispatch only "
-        "engages on overlapped partitions), so the baseline is the historical "
-        "solver bitwise.",
+        "o=0 rows run the unchanged async-(k) engine (RAS engages only on "
+        "overlapped partitions), so the baseline is the historical solver "
+        "bitwise.",
         "Overlap pays through the halo-captured coupling column: once the "
         "extended blocks see most of the off-block mass, each block solves "
         "nearly the full local physics and sweeps drop sharply; past that "

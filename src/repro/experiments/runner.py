@@ -69,7 +69,6 @@ def paper_async_config(
     omega: float = 1.0,
     backend: str = "auto",
     partition: str = "uniform",
-    schwarz: str = "none",
     residual_every: int = 1,
 ) -> AsyncConfig:
     """The experiment-standard async-(k) configuration.
@@ -80,9 +79,8 @@ def paper_async_config(
     knob only, never a change in iterates.  *partition* selects the
     row-block decomposition strategy (``strategy[:param][+oK]``, see
     :mod:`repro.partition.strategies`; the default ``"uniform"`` is the
-    paper's CUDA-grid cut).  *schwarz* selects the restricted-Schwarz
-    mode run on ``+oK`` overlapped partitions
-    (:data:`repro.core.schedules.SCHWARZ_MODES`).  *residual_every* sets the full-residual
+    paper's CUDA-grid cut; an ``+oK`` suffix runs async restricted
+    additive Schwarz).  *residual_every* sets the full-residual
     recording cadence (paper figures use 1; see
     :class:`repro.runtime.RunLoop`).
     """
@@ -95,7 +93,6 @@ def paper_async_config(
         omega=omega,
         backend=backend,
         partition=partition,
-        schwarz=schwarz,
         residual_every=residual_every,
     )
 

@@ -44,6 +44,7 @@ import numpy as np
 from .._util import check_finite
 from ..core.engine import AsyncEngine
 from ..core.schedules import AsyncConfig
+from ..partition import make_partition, parse_partition_spec, spec_permutes
 from ..solvers.scaling import estimate_tau
 from ..sparse import BlockRowView, CSRMatrix
 
@@ -116,7 +117,8 @@ class AsyncSweepPreconditioner:
         Optional pre-built :class:`BlockRowView` of *A* to share a
         compiled :class:`~repro.perf.SweepPlan` (e.g. the serve layer's
         ``PlanCache`` entry).  Its partition must match the config's
-        ``block_size``/``partition``.
+        ``block_size``/``partition``; without one the view is cut from
+        ``config.partition`` (a non-permuting, non-overlapped spec).
 
     Examples
     --------
@@ -140,10 +142,17 @@ class AsyncSweepPreconditioner:
             raise ValueError("sweeps must be >= 1" if freeze else "sweeps must be >= 0")
         check_finite(A.data, "A")
         base = config if config is not None else AsyncConfig(local_iterations=2, block_size=256)
-        if base.schwarz != "none":
+        if parse_partition_spec(base.partition)[2] > 0:
             raise ValueError(
                 "AsyncSweepPreconditioner does not support Schwarz inner sweeps; "
-                "use schwarz='none' (overlap belongs to the outer solve)"
+                f"drop the '+oK' suffix from partition {base.partition!r} "
+                "(overlap belongs to the outer solve)"
+            )
+        if spec_permutes(base.partition):
+            raise ValueError(
+                "AsyncSweepPreconditioner applies in original row order; "
+                f"partition {base.partition!r} permutes rows — use a "
+                "non-permuting strategy (uniform, work_balanced)"
             )
         if freeze:
             order = base.order if base.order in _DETERMINISTIC_ORDERS else "sequential"
@@ -160,9 +169,10 @@ class AsyncSweepPreconditioner:
         self.symmetrize = symmetrize
         self.frozen = freeze
         self.A = A
-        self.view = (
-            view if view is not None else BlockRowView(A, block_size=self.config.block_size)
-        )
+        if view is None:
+            part = make_partition(A, self.config.partition, block_size=self.config.block_size)
+            view = BlockRowView(A, partition=part)
+        self.view = view
         self._forward: Optional[AsyncEngine] = None
         self._reverse: Optional[AsyncEngine] = None
         self._program = None

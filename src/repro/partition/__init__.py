@@ -20,6 +20,7 @@ from .strategies import (
     make_partition,
     parse_partition_spec,
     register_strategy,
+    spec_permutes,
 )
 
 __all__ = [
@@ -38,4 +39,5 @@ __all__ = [
     "partition_rows_by_work",
     "placement_telemetry",
     "register_strategy",
+    "spec_permutes",
 ]

@@ -260,7 +260,6 @@ class Partition:
     _inv_perm: Optional[np.ndarray] = field(default=None, repr=False)
     _permuted_source: Any = field(default=None, repr=False)
     _permuted_matrix: Any = field(default=None, repr=False)
-    _weights: Dict[str, Any] = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         b = as_index_array(self.boundaries, "boundaries")
@@ -305,50 +304,6 @@ class Partition:
         lo = np.maximum(self.boundaries[:-1] - self.overlap, 0)
         hi = np.minimum(self.boundaries[1:] + self.overlap, self.n)
         return np.stack([lo, hi], axis=1)
-
-    def coverage_counts(self) -> np.ndarray:
-        """Per-row count of extended blocks containing the row.
-
-        All ones at ``overlap=0`` (the blocks are disjoint); rows within
-        :attr:`overlap` of a cut are covered by every neighbour whose halo
-        reaches them.  This is the partition-of-unity denominator for the
-        weighted-RAS restriction weights.
-        """
-        ranges = self.halo_ranges()
-        delta = np.zeros(self.n + 1, dtype=np.int64)
-        np.add.at(delta, ranges[:, 0], 1)
-        np.add.at(delta, ranges[:, 1], -1)
-        return np.cumsum(delta[:-1])
-
-    def restriction_weights(self, variant: str = "ras") -> list:
-        """Per-block fold-back weights over the extended ranges (cached).
-
-        ``"ras"`` (restricted additive Schwarz): weight 1 on the rows the
-        block owns, 0 on halo rows — each row is written by exactly one
-        block.  ``"wras"`` (weighted RAS): weight ``1 / coverage`` on every
-        extended row, so the weights over all blocks sum to exactly 1 on
-        each row (a partition of unity) and overlapped updates average.
-        """
-        if variant not in ("ras", "wras"):
-            raise ValueError(f'variant must be "ras" or "wras", got {variant!r}')
-        cached = self._weights.get(variant)
-        if cached is not None:
-            return cached
-        ranges = self.halo_ranges()
-        weights = []
-        if variant == "ras":
-            for k in range(self.nblocks):
-                elo, ehi = int(ranges[k, 0]), int(ranges[k, 1])
-                w = np.zeros(ehi - elo, dtype=np.float64)
-                w[int(self.boundaries[k]) - elo : int(self.boundaries[k + 1]) - elo] = 1.0
-                weights.append(w)
-        else:
-            inv = 1.0 / self.coverage_counts().astype(np.float64)
-            for k in range(self.nblocks):
-                elo, ehi = int(ranges[k, 0]), int(ranges[k, 1])
-                weights.append(inv[elo:ehi].copy())
-        self._weights[variant] = weights
-        return weights
 
     @property
     def inverse_perm(self) -> Optional[np.ndarray]:

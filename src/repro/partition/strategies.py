@@ -18,9 +18,9 @@ Strategies are registered by name and selected with a
     uniform blocks — directly minimises off-block coupling mass.
 
 Any spec may carry an ``+oK`` overlap suffix (e.g. ``work_balanced:8+o2``)
-setting :attr:`Partition.overlap` — the halo depth restricted-Schwarz
-sweeps read past each block's owned rows.  ``+o0`` is accepted and means
-the disjoint default.
+setting :attr:`Partition.overlap` — the halo depth async restricted
+additive Schwarz (async-RAS) sweeps read past each block's owned rows.
+``+o0`` is accepted and means the disjoint default.
 
 Matrix-analysis imports happen lazily inside the builders so this package
 never drags ``repro.matrices`` (and its ``repro.sparse`` dependency) into
@@ -30,7 +30,7 @@ import cycles.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Callable, Dict, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "make_partition",
     "parse_partition_spec",
     "register_strategy",
+    "spec_permutes",
 ]
 
 #: A builder maps (A, n, param, block_size) -> (boundaries, perm-or-None).
@@ -52,15 +53,36 @@ StrategyBuilder = Callable[..., Tuple[np.ndarray, Optional[np.ndarray]]]
 
 _REGISTRY: Dict[str, StrategyBuilder] = {}
 
+#: Names of the registered strategies that reorder rows.
+_PERMUTING: Set[str] = set()
 
-def register_strategy(name: str) -> Callable[[StrategyBuilder], StrategyBuilder]:
-    """Decorator registering a partition strategy under *name*."""
+
+def register_strategy(
+    name: str, *, permutes: bool = False
+) -> Callable[[StrategyBuilder], StrategyBuilder]:
+    """Decorator registering a partition strategy under *name*.
+
+    A builder that returns a row permutation must be registered with
+    *permutes* (:func:`make_partition` checks).
+    """
 
     def deco(fn: StrategyBuilder) -> StrategyBuilder:
         _REGISTRY[name] = fn
+        if permutes:
+            _PERMUTING.add(name)
         return fn
 
     return deco
+
+
+def spec_permutes(spec: str) -> bool:
+    """Whether a ``strategy[:param][+oK]`` spec's strategy reorders rows.
+
+    Decided from the spec alone — nothing is cut — so callers that solve
+    in original row order (the serve layer, an inner-sweep
+    preconditioner) can refuse a permuting spec up front.
+    """
+    return parse_partition_spec(spec)[0] in _PERMUTING
 
 
 def available_strategies() -> Tuple[str, ...]:
@@ -127,14 +149,14 @@ def _work_balanced(A: "CSRMatrix", n: int, param: Optional[int], block_size: int
     return partition_rows_by_work(A, nblocks), None
 
 
-@register_strategy("rcm")
+@register_strategy("rcm", permutes=True)
 def _rcm(A: "CSRMatrix", n: int, param: Optional[int], block_size: int):
     from ..matrices.rcm import reverse_cuthill_mckee
 
     return partition_rows(n, min(param or block_size, n)), reverse_cuthill_mckee(A)
 
 
-@register_strategy("clustered")
+@register_strategy("clustered", permutes=True)
 def _clustered(A: "CSRMatrix", n: int, param: Optional[int], block_size: int):
     from ..matrices.clustering import cluster_reorder
 
@@ -165,6 +187,11 @@ def make_partition(
         return spec
     name, param, overlap = parse_partition_spec(spec)
     boundaries, perm = _REGISTRY[name](A, n, param, int(block_size))
+    if perm is not None and name not in _PERMUTING:
+        raise ValueError(
+            f"partition strategy {name!r} returned a row permutation but was "
+            "registered without permutes=True"
+        )
     return Partition(
         boundaries=boundaries, perm=perm, strategy=name, spec=spec, overlap=overlap
     )

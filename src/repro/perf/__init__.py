@@ -12,7 +12,7 @@ sweep computes; this subpackage decides *how* it executes:
   their matrix-free offset-shifted sweep kernels;
 * :mod:`repro.perf.backends` dispatches each engine — sequential and
   batched alike — to one shared executor: the per-block loop over
-  extended blocks (or the weighted fold) in overlapped Schwarz modes, the
+  extended blocks on an overlapped (``+oK``, async-RAS) partition, the
   whole-sweep executor over the matrix-free
   stencil kernels where detection succeeds or over the stacked CSR
   kernels wherever that is bitwise-exact for the configured asynchronism
@@ -45,7 +45,6 @@ from .backends import (
 )
 from .plan import SweepPlan, compile_sweep_plan, plan_compile_count, rhs_preserves_fold
 from .program import LevelProgram
-from .ras import RASWorkspace
 from .stencil import StencilDescriptor, StencilKernels, detect_stencil
 
 __all__ = [
@@ -58,7 +57,6 @@ __all__ = [
     "resolve_backend",
     "consume_schedule_draws",
     "make_executor",
-    "RASWorkspace",
     "LevelSweepExecutor",
     "LevelProgram",
     "ReferenceSweepExecutor",

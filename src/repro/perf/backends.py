@@ -16,7 +16,7 @@ lane's generator exactly as a sequential run would.
   :meth:`repro.perf.SweepPlan.block_updates`: warmed ELL gather plans,
   compressed block-local inner sweeps with one write-back per block.
   The oracle of every other executor, the fault path, and — over the
-  extended blocks — the overlapped ``schwarz="ras"`` loop (backend
+  extended blocks of an ``+oK`` partition — the async-RAS loop (backend
   ``"ras"``).
 * :class:`LevelSweepExecutor` — the same loop run as a few dependency
   levels of independent blocks (resolved name ``"levels"``): what
@@ -31,8 +31,6 @@ lane's generator exactly as a sequential run would.
   matrix-free offset-shifted slice kernels of :mod:`repro.perf.stencil`
   for stencil-regular systems (backend ``"stencil"``, engaged only when
   structure detection on the plan succeeds).
-* :class:`repro.perf.ras.RASWorkspace` — the weighted ``schwarz="wras"``
-  fold over the extended blocks (backend ``"ras"``).
 
 **Exactness contract.** The whole-sweep paths engage only where their
 result is bitwise the reference loop's — same iterates *and* same
@@ -66,7 +64,6 @@ from .._util import cumulative_segments
 from ..solvers.block_jacobi import local_jacobi_sweeps
 from .plan import SweepPlan
 from .program import _jacobi_sweeps, _longest_paths, _ranges, _row_sums
-from .ras import RASWorkspace
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.schedules import AsyncConfig, WaveScheduler
@@ -116,8 +113,8 @@ def resolve_backend(
 ) -> str:
     """Resolve ``config.backend`` to the executor actually used.
 
-    An overlapped Schwarz mode (``config.schwarz != "none"`` on a *plan*
-    whose partition has ``overlap > 0``) always resolves to ``"ras"``; it
+    A *plan* whose partition has ``overlap > 0`` (an ``+oK`` spec:
+    async restricted additive Schwarz) always resolves to ``"ras"``; it
     supports neither faults nor the forced whole-sweep backends.
     Otherwise ``"auto"`` prefers **stencil > fused > levels**: in the
     whole-sweep exact regimes it runs the matrix-free stencil executor
@@ -131,16 +128,16 @@ def resolve_backend(
     fallback would make ``--backend=fused`` timings lie.
     """
     requested = config.backend
-    if config.schwarz != "none" and plan.partition.overlap > 0:
+    if plan.partition.overlap > 0:
         if has_fault:
             raise ValueError(
-                "Schwarz modes do not support fault scenarios; use "
-                "schwarz='none' for fault experiments"
+                "async-RAS (an overlapped '+oK' partition) does not support "
+                "fault scenarios; drop the '+oK' suffix for fault experiments"
             )
         if requested in ("fused", "stencil"):
             raise ValueError(
                 f"backend={requested!r} cannot execute async-RAS sweeps; "
-                "use backend='auto' or 'reference' with schwarz modes"
+                "use backend='auto' or 'reference' on an overlapped partition"
             )
         return "ras"
     if requested == "reference":
@@ -292,9 +289,9 @@ class ReferenceSweepExecutor:
     Identical semantics to the historical ``AsyncEngine.sweep`` loop, run
     over the plan's :class:`repro.perf.plan.BlockUpdate` records — the
     paper's disjoint blocks, or with *extended* the halo-widened blocks of
-    ``schwarz="ras"`` (restricted additive Schwarz: the same update over a
-    subdomain that reads a few rows beyond the ones it writes).  Each
-    block reads the sweep-start snapshot or live memory as its γ says,
+    an ``+oK`` partition (async restricted additive Schwarz: the same
+    update over a subdomain that reads a few rows beyond the ones it
+    writes).  Each block reads the sweep-start snapshot or live memory as its γ says,
     folds its per-entry race corrections in with ``np.add.at``, iterates
     on its read-range slice and writes the owned rows once (nobody reads
     a block's rows until its update completes, so intermediate
@@ -717,7 +714,5 @@ def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: n
     if backend == "reference":
         return ReferenceSweepExecutor(plan, config)
     if backend == "ras":
-        if config.schwarz == "ras":
-            return ReferenceSweepExecutor(plan, config, extended=True)
-        return RASWorkspace(plan, config)
+        return ReferenceSweepExecutor(plan, config, extended=True)
     raise ValueError(f"unknown resolved backend {backend!r}")

@@ -16,7 +16,7 @@ construction, into the structures both execution backends consume:
   local row of every entry (the ``np.add.at`` targets of the race
   corrections), its compressed local part and its diagonal, every gather
   plan warmed — over the paper's disjoint blocks, or over the extended
-  blocks of ``schwarz="ras"``;
+  blocks of an ``+oK`` (async-RAS) partition;
 * **whole-system** (the fused path): the restacked external and local
   off-diagonal matrices with warmed gather plans, plus the concatenated
   diagonal — one multi-vector-shaped kernel set for the entire sweep;
@@ -241,7 +241,7 @@ class SweepPlan:
 
         One per block: the view's disjoint :attr:`~repro.sparse.BlockRowView.blocks`,
         or with *extended* its :meth:`~repro.sparse.BlockRowView.ras_blocks`
-        (``schwarz="ras"``; never built at ``overlap=0``).
+        (async-RAS on an ``+oK`` partition; never built at ``overlap=0``).
         """
         updates = self._updates.get(extended)
         if updates is None:
@@ -331,28 +331,6 @@ class SweepPlan:
     #: ``+0.0`` slot.
     PAD_SENTINEL = np.int64(1) << 48
 
-    @property
-    def padded_local(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Padded-ELL panels of the block-local parts, or ``None`` (cached).
-
-        Returns ``(cols, data)``, both lane-major ``(W, n)``: column *i*
-        holds row *i*'s local off-diagonal entries in stored order, with
-        **block-local** column numbers, W the widest local row of the
-        system.  See :meth:`_pad` for why a padded row sums bitwise like the
-        packed ELL product of :meth:`repro.sparse.CSRMatrix.matvec`.
-        ``None`` when a row is wider than the packed kernel's panel cap.
-        The panels are stored block-major (:attr:`block_panels`); these
-        are views of them, or copies where the slots are not the rows.
-        No executor reads them: they are the row view for tests and
-        inspection (level programs gather rows with :meth:`panel_rows`).
-        """
-        return self._rows_of(self._panels(external=False))
-
-    @property
-    def padded_external(self) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """:attr:`padded_local` of the external parts, with global columns."""
-        return self._rows_of(self._panels(external=True))
-
     def _panels(self, *, external: bool):
         """The block-major storage of the local (or external) panels, built once; ``False`` without."""
         if external:
@@ -383,20 +361,14 @@ class SweepPlan:
         return self._slots
 
     def panel_rows(self, rows: np.ndarray, *, external: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows *rows* of :attr:`padded_local` (or :attr:`padded_external`), as copies.
+        """Rows *rows* of the local (or external) padded panels, ``(W, len(rows))`` copies.
 
-        Gathered from the block-major storage, one ``take`` per panel: a
-        ``take`` on the ``(W, n)`` views would copy them whole first.
+        Gathered from the block-major storage, one ``take`` per panel at
+        the rows' :attr:`slots` places.  Local columns are block-local,
+        external ones global.
         """
         at = self.slots.slot[rows]
         return tuple(a.reshape(len(a), -1).take(at, axis=1) for a in self._panels(external=external))
-
-    def _rows_of(self, panels):
-        """Block-major ``(W, nslots, width)`` *panels* as ``(W, n)`` rows, or ``None``."""
-        if not panels:
-            return None
-        rows = self.slots.rows
-        return tuple(a.reshape(len(a), -1)[:, rows] for a in panels)
 
     def _pad(self, part: CSRMatrix, *, local: bool):
         """Uniform-width (padded ELL) layout of a stacked part's rows, block-major.
@@ -463,8 +435,8 @@ class SweepPlan:
 
         ``(cols, data)``, both ``(W, nslots, width)``: a real entry's
         column is the :attr:`slots` place of its global column, a pad
-        keeps :attr:`PAD_SENTINEL`.  Where the slots are the rows these
-        are :attr:`padded_external`'s own arrays.
+        keeps :attr:`PAD_SENTINEL`.  Where the slots are the rows the
+        columns are the global ones and the arrays are the stored panels.
         """
         if self._blocked_ext is None:
             cols, data = self._panels(external=True)

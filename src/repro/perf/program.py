@@ -16,8 +16,8 @@ sweeps in any orders, into dependency levels of independent updates:
   read-after-write on the block's own rows) — across sweep boundaries too;
 * within a level, every read comes before any write;
 * each level's operands are precomputed — the row slice or index, the
-  padded-ELL panels of :attr:`repro.perf.SweepPlan.padded_local` and
-  :attr:`~repro.perf.SweepPlan.padded_external` rebased to the level, the
+  level's rows of the plan's padded-ELL panels
+  (:meth:`repro.perf.SweepPlan.panel_rows`) rebased to the level, the
   diagonal — so running a level is arithmetic only.
 
 The result is bitwise the per-block loop: every row is updated by the

@@ -20,13 +20,28 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Tuple
 
-from ..partition import Partition, make_partition, parse_partition_spec
+from ..partition import Partition, make_partition, parse_partition_spec, spec_permutes
 from ..perf.plan import SweepPlan, compile_sweep_plan
 from ..sparse import BlockRowView
 from ..sparse.csr import CSRMatrix
 from .fingerprint import matrix_fingerprint
 
-__all__ = ["CacheEntry", "PlanCache"]
+__all__ = ["CacheEntry", "PlanCache", "check_servable_spec"]
+
+
+def check_servable_spec(partition_spec: str) -> None:
+    """Raise :class:`ValueError` for a spec whose strategy permutes rows.
+
+    The service solves in original row order, so only non-permuting
+    strategies (``uniform``, ``work_balanced``) are served.  Decided from
+    the spec alone (:func:`repro.partition.spec_permutes`): nothing is cut.
+    """
+    if spec_permutes(partition_spec):
+        raise ValueError(
+            f"partition spec {partition_spec!r} carries a row permutation; "
+            "the serve layer only supports non-permuting strategies "
+            "(uniform, work_balanced)"
+        )
 
 
 @dataclass
@@ -86,8 +101,8 @@ class PlanCache:
         *A* is content-identical to the cached matrix); a miss cuts the
         partition, builds the view and compiles the sweep plan, evicting
         the least recently used entry if the cache is full.  Permuting
-        partition strategies (``rcm``, ``clustered``) are rejected: the
-        service solves in original row order.  Pass *fingerprint* when the
+        partition strategies (``rcm``, ``clustered``) are rejected before
+        anything is cut (:func:`check_servable_spec`).  Pass *fingerprint* when the
         caller already computed :func:`matrix_fingerprint(A)
         <repro.serve.matrix_fingerprint>` (the service batch keys carry
         it) to skip re-hashing the arrays.
@@ -113,14 +128,9 @@ class PlanCache:
             entry.hits += 1
             self.hits += 1
             return entry, True
+        check_servable_spec(partition_spec)
         self.misses += 1
         partition = make_partition(A, partition_spec, block_size=block_size)
-        if partition.perm is not None:
-            raise ValueError(
-                f"partition spec {partition_spec!r} carries a row permutation; "
-                "the serve cache only supports non-permuting strategies "
-                "(uniform, work_balanced)"
-            )
         view = BlockRowView(A, partition=partition)
         plan = compile_sweep_plan(view)
         entry = CacheEntry(key=key, matrix=A, partition=partition, view=view, plan=plan)

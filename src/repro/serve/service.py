@@ -40,10 +40,11 @@ import numpy as np
 from .._util import check_system
 from ..core.engine import AsyncEngine, BatchedAsyncEngine
 from ..core.schedules import AsyncConfig
+from ..partition import parse_partition_spec
 from ..runtime import RunRecorder, StoppingCriterion
 from ..solvers.base import SolveResult
 from ..sparse.csr import CSRMatrix
-from .cache import PlanCache
+from .cache import PlanCache, check_servable_spec
 from .fingerprint import matrix_fingerprint
 from .jobs import JobQueue, SolveRequest, SolveResponse, _Job, batch_key_of
 
@@ -193,10 +194,18 @@ class SolveService:
         lower-priority queued job, that job's rejection response is
         delivered by the next pump.  Raises :class:`ValueError` — before
         anything is queued — for a system no solver accepts (the checks of
-        :meth:`repro.solvers.IterativeSolver.solve`).
+        :meth:`repro.solvers.IterativeSolver.solve`), for a permuting
+        partition strategy, and for an ``+oK`` partition on a Krylov *method*.
         """
         request.b, _ = check_system(request.A, request.b)
         config = request.config if request.config is not None else self.config
+        check_servable_spec(config.partition)
+        if request.method != "async" and parse_partition_spec(config.partition)[2] > 0:
+            raise ValueError(
+                f"partition spec {config.partition!r} is overlapped (async-RAS), "
+                f"which only method 'async' runs; drop the '+oK' suffix for "
+                f"method {request.method!r}"
+            )
         stopping = request.stopping if request.stopping is not None else self.stopping
         now = self._clock()
         job = _Job(

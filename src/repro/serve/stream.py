@@ -27,11 +27,12 @@ Recognised keys (all optional except ``matrix``):
 ``tol`` / ``maxiter``
     Stopping overrides (:class:`repro.runtime.StoppingCriterion`).
 ``local_iterations`` / ``block_size`` / ``omega`` / ``order`` /
-``backend`` / ``partition`` / ``schwarz`` / ``residual_every``
+``backend`` / ``partition`` / ``residual_every``
     Asynchronism overrides (:class:`repro.core.AsyncConfig`); jobs with
     identical effective configurations on the same matrix batch together.
-    ``partition`` accepts ``+oK`` overlap suffixes and ``schwarz``
-    selects the restricted-Schwarz mode (``"none"``/``"ras"``/``"wras"``).
+    ``partition`` names a non-permuting strategy; an ``+oK`` suffix
+    (K > 0) runs async restricted additive Schwarz (``method`` ``"async"``
+    only).
 
 Blank lines and ``#`` comments are skipped; unknown keys are an error
 (typos should not silently fall back to defaults).
@@ -59,7 +60,6 @@ _CONFIG_KEYS = {
     "order",
     "backend",
     "partition",
-    "schwarz",
     "residual_every",
 }
 _STOPPING_KEYS = {"tol", "maxiter"}

@@ -1,10 +1,10 @@
 """Async restricted additive Schwarz: dispatch, parity, and the o=0 contract.
 
-The RAS executor (:mod:`repro.perf.ras`) only engages when the config
-requests a Schwarz mode *and* the partition actually carries overlap;
-everything else — including ``schwarz="ras"`` on a disjoint partition —
-must run the classic engines bitwise.  Batched RAS replicas must equal
-their sequential counterparts exactly (one shared sweep kernel).
+An ``+oK`` partition (K > 0) is the one spelling of async-RAS: the
+engines resolve backend ``"ras"`` exactly when the partition carries
+overlap, and ``+o0`` must run the classic engines bitwise.  Batched RAS
+replicas must equal their sequential counterparts exactly (one shared
+sweep kernel).
 """
 
 import dataclasses
@@ -38,11 +38,11 @@ def _cfg(**over):
 
 def test_ras_backend_engages_only_with_overlap(small_spd):
     b = default_rhs(small_spd)
-    eng = AsyncEngine(_view(small_spd, "uniform:16+o4"), b, _cfg(schwarz="ras"))
+    eng = AsyncEngine(_view(small_spd, "uniform:16+o4"), b, _cfg())
     assert eng.backend == "ras"
-    # Same mode on a disjoint partition: the classic resolver runs.
-    eng0 = AsyncEngine(_view(small_spd, "uniform:16"), b, _cfg(schwarz="ras"))
-    assert eng0.backend != "ras"
+    # A disjoint partition (with or without an explicit +o0): the classic resolver runs.
+    for spec in ("uniform:16", "uniform:16+o0"):
+        assert AsyncEngine(_view(small_spd, spec), b, _cfg()).backend != "ras"
 
 
 @pytest.mark.parametrize("forced", ["fused", "stencil"])
@@ -50,7 +50,7 @@ def test_ras_rejects_forced_fast_backends(small_spd, forced):
     b = default_rhs(small_spd)
     view = _view(small_spd, "uniform:16+o4")
     with pytest.raises(ValueError, match="cannot execute async-RAS"):
-        AsyncEngine(view, b, _cfg(schwarz="ras", backend=forced))
+        AsyncEngine(view, b, _cfg(backend=forced))
 
 
 def test_ras_rejects_fault_scenarios(small_spd):
@@ -58,15 +58,14 @@ def test_ras_rejects_fault_scenarios(small_spd):
     view = _view(small_spd, "uniform:16+o4")
     fault = FaultScenario(fraction=0.1, t0=1)
     with pytest.raises(ValueError, match="fault"):
-        AsyncEngine(view, b, _cfg(schwarz="ras"), fault=fault)
+        AsyncEngine(view, b, _cfg(), fault=fault)
 
 
 def test_method_names():
     assert _cfg().method_name == "async-(3)"
-    assert _cfg(schwarz="ras", partition="uniform:16+o4").method_name == "async-RAS(3,o4)"
-    assert _cfg(schwarz="wras", partition="uniform:16+o4").method_name == "async-wRAS(3,o4)"
-    # Requested but inert: the name must not claim RAS ran.
-    assert _cfg(schwarz="ras", partition="uniform:16").method_name == "async-(3)"
+    assert _cfg(partition="uniform:16+o4").method_name == "async-RAS(3,o4)"
+    # No overlap: the name must not claim RAS ran.
+    assert _cfg(partition="uniform:16+o0").method_name == "async-(3)"
 
 
 # --------------------------------------------------------------------- #
@@ -74,13 +73,12 @@ def test_method_names():
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("schwarz", ["ras", "wras"])
-def test_schwarz_without_overlap_is_bitwise_the_classic_engine(small_spd, schwarz):
+def test_overlap_zero_is_bitwise_the_classic_engine(small_spd):
     b = default_rhs(small_spd)
     x_none = np.zeros(small_spd.shape[0])
     x_req = np.zeros(small_spd.shape[0])
     eng_none = AsyncEngine(_view(small_spd, "uniform:16"), b, _cfg())
-    eng_req = AsyncEngine(_view(small_spd, "uniform:16+o0"), b, _cfg(schwarz=schwarz))
+    eng_req = AsyncEngine(_view(small_spd, "uniform:16+o0"), b, _cfg(partition="uniform:16+o0"))
     assert eng_req.backend == eng_none.backend
     for _ in range(10):
         eng_none.sweep(x_none)
@@ -95,7 +93,7 @@ def test_solver_path_overlap_zero_bitwise(trefethen_small):
         trefethen_small, b
     )
     r1 = BlockAsyncSolver(
-        _cfg(partition="uniform:32+o0", schwarz="ras"), stopping=stop
+        _cfg(partition="uniform:32+o0"), stopping=stop
     ).solve(trefethen_small, b)
     assert r1.method == r0.method == "async-(3)"
     assert np.array_equal(r0.x, r1.x)
@@ -115,18 +113,17 @@ def test_ras_reduces_sweeps_on_fv1(fv1):
         AsyncConfig(partition="uniform:128", **cfg), stopping=stop
     ).solve(fv1, b)
     ras = BlockAsyncSolver(
-        AsyncConfig(partition="uniform:128+o32", schwarz="ras", **cfg), stopping=stop
+        AsyncConfig(partition="uniform:128+o32", **cfg), stopping=stop
     ).solve(fv1, b)
     assert base.converged and ras.converged
     assert ras.iterations < base.iterations
     assert ras.method == "async-RAS(5,o32)"
 
 
-@pytest.mark.parametrize("schwarz", ["ras", "wras"])
-def test_schwarz_modes_converge(small_spd, schwarz):
+def test_ras_converges(small_spd):
     b = default_rhs(small_spd)
     solver = BlockAsyncSolver(
-        _cfg(partition="uniform:16+o4", schwarz=schwarz),
+        _cfg(partition="uniform:16+o4"),
         stopping=StoppingCriterion(tol=1e-12, maxiter=200),
     )
     result = solver.solve(small_spd, b)
@@ -138,7 +135,7 @@ def test_schwarz_modes_converge(small_spd, schwarz):
 def test_ras_update_counts_cover_every_block(small_spd):
     b = default_rhs(small_spd)
     view = _view(small_spd, "uniform:16+o4")
-    eng = AsyncEngine(view, b, _cfg(schwarz="ras"))
+    eng = AsyncEngine(view, b, _cfg())
     x = np.zeros(small_spd.shape[0])
     for _ in range(7):
         eng.sweep(x)
@@ -150,10 +147,9 @@ def test_ras_update_counts_cover_every_block(small_spd):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("schwarz", ["ras", "wras"])
-def test_batched_ras_matches_sequential_bitwise(small_spd, schwarz):
+def test_batched_ras_matches_sequential_bitwise(small_spd):
     b = default_rhs(small_spd)
-    cfg = _cfg(schwarz=schwarz, seed=7)
+    cfg = _cfg(seed=7)
     view = _view(small_spd, "uniform:16+o4")
     nrep, sweeps = 4, 9
     bat = BatchedAsyncEngine(view, b, cfg, nreplicas=nrep, seed0=7)
@@ -177,4 +173,4 @@ def test_batched_ras_rejects_forced_fast_backends(small_spd):
     b = default_rhs(small_spd)
     view = _view(small_spd, "uniform:16+o4")
     with pytest.raises(ValueError, match="cannot execute async-RAS"):
-        BatchedAsyncEngine(view, b, _cfg(schwarz="ras", backend="fused"), nreplicas=2)
+        BatchedAsyncEngine(view, b, _cfg(backend="fused"), nreplicas=2)

@@ -19,6 +19,14 @@ def test_validation():
     with pytest.raises(ValueError):
         SelfHealingSolver(heal_cooldown=-1)
 
+
+def test_overlapped_partition_refused():
+    # Its blocks are the disjoint uniform cut; an +oK config would only
+    # relabel the run as async-RAS.
+    with pytest.raises(ValueError, match="async-RAS"):
+        SelfHealingSolver(AsyncConfig(partition="uniform:16+o4"))
+
+
 @pytest.mark.parametrize("which", ["A", "b", "x0"])
 def test_non_finite_input_rejected(small_spd, which):
     # A NaN used to run the engine into a NaN "diverged" result.

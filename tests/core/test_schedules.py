@@ -41,7 +41,7 @@ def test_method_name():
         dict(pattern_pool=0),
         dict(jitter_swaps=-1),
         dict(backend="cuda"),
-        dict(schwarz="as"),
+        dict(residual_every=0),
         # The partition spec is validated at config construction, so a
         # typo is caught where it is written, not at first solve.
         dict(partition=""),
@@ -57,16 +57,17 @@ def test_config_validation(kw):
         AsyncConfig(**kw)
 
 
-def test_config_schwarz_overlap_and_method_name():
-    assert AsyncConfig().schwarz_overlap == 0
-    assert AsyncConfig(partition="uniform:16+o4").schwarz_overlap == 0  # no mode
-    cfg = AsyncConfig(partition="uniform:16+o4", schwarz="ras", local_iterations=2)
-    assert cfg.schwarz_overlap == 4
+def test_config_method_name_follows_overlap():
+    # The partition's +oK suffix is the one spelling of async-RAS.
+    assert AsyncConfig(local_iterations=2).method_name == "async-(2)"
+    cfg = AsyncConfig(partition="uniform:16+o4", local_iterations=2)
     assert cfg.method_name == "async-RAS(2,o4)"
-    # Mode requested on a disjoint partition: inert, and named as such.
-    inert = AsyncConfig(partition="uniform:16", schwarz="ras", local_iterations=2)
-    assert inert.schwarz_overlap == 0
-    assert inert.method_name == "async-(2)"
+    assert AsyncConfig(partition="work_balanced:8+o1").method_name == "async-RAS(1,o1)"
+    # +o0 is the disjoint method, and named as such.
+    assert AsyncConfig(partition="uniform:16+o0", local_iterations=2).method_name == "async-(2)"
+    # The knob it replaced is gone, not silently accepted.
+    with pytest.raises(TypeError):
+        AsyncConfig(schwarz="ras")
 
 
 def test_update_orders_registry():

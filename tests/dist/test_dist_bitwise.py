@@ -10,7 +10,7 @@ means the sharded split changed the method instead of just distributing it.
 import numpy as np
 import pytest
 
-from repro.core import BlockAsyncSolver
+from repro.core import AsyncConfig, BlockAsyncSolver
 from repro.dist import DistAsyncSolver
 from repro.runtime import StoppingCriterion
 from repro.runtime.recorder import RunRecorder
@@ -117,3 +117,13 @@ def test_one_shard_method_name_matches(small_system, stopping):
 def test_shards_must_be_positive():
     with pytest.raises(ValueError, match="shards"):
         DistAsyncSolver(shards=0)
+
+
+@pytest.mark.parametrize("partition", ["uniform:16+o2", "work_balanced+o1"])
+def test_overlapped_partition_refused(partition):
+    # In-process, +oK runs async-RAS; shards run disjoint blocks, so a
+    # sharded run would break shards=1 ≡ single-process under an RAS name.
+    with pytest.raises(ValueError, match="async-RAS"):
+        DistAsyncSolver(shards=1, partition=partition)
+    with pytest.raises(ValueError, match="async-RAS"):
+        DistAsyncSolver(AsyncConfig(partition=partition), shards=2)

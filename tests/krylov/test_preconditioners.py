@@ -115,9 +115,25 @@ def test_unfrozen_is_a_smoother_not_an_operator(small_spd):
 
 
 def test_schwarz_configs_rejected(small_spd):
-    cfg = AsyncConfig(local_iterations=1, block_size=16, schwarz="ras", partition="uniform+o1")
-    with pytest.raises(ValueError, match="[Ss]chwarz"):
+    cfg = AsyncConfig(local_iterations=1, block_size=16, partition="uniform+o1")
+    with pytest.raises(ValueError, match="overlap belongs to the outer solve"):
         AsyncSweepPreconditioner(small_spd, config=cfg)
+
+
+@pytest.mark.parametrize("spec", ["rcm", "clustered:16"])
+def test_permuting_partition_rejected(small_spd, spec):
+    # The preconditioner applies in original row order; it used to ignore
+    # the spec and cut uniform blocks.
+    cfg = AsyncConfig(local_iterations=1, block_size=16, partition=spec)
+    with pytest.raises(ValueError, match="permutes rows"):
+        AsyncSweepPreconditioner(small_spd, config=cfg)
+
+
+def test_view_follows_config_partition(small_spd):
+    cfg = AsyncConfig(local_iterations=1, block_size=16, partition="work_balanced:3")
+    M = AsyncSweepPreconditioner(small_spd, config=cfg)
+    assert M.view.partition.strategy == "work_balanced"
+    assert M.view.nblocks == 3
 
 
 def test_shape_and_sweeps_validation(small_spd):

@@ -1,11 +1,10 @@
-"""Overlap halos and restriction weights: the +oK partition machinery.
+"""Overlap halos: the +oK partition machinery.
 
 Property tests for the restricted-Schwarz partition extensions: halo
 ranges clip at the matrix edge and cover exactly the rows reachable
-within ``overlap`` hops on banded systems, restriction weights form a
-partition of unity, and — the bitwise contract — an overlap-0 partition
-is indistinguishable from a pre-overlap one in stats, telemetry and
-fingerprint.
+within ``overlap`` hops on banded systems, and — the bitwise contract —
+an overlap-0 partition is indistinguishable from a pre-overlap one in
+stats, telemetry and fingerprint.
 """
 
 import numpy as np
@@ -75,54 +74,6 @@ def test_halo_captured_fraction_hits_one_past_the_bandwidth():
     assert s1.halo_captured_fraction == 1.0
     assert s1.overlap_rows > 0
     assert s1.duplicated_nnz > 0
-
-
-# --------------------------------------------------------------------- #
-# Restriction weights
-# --------------------------------------------------------------------- #
-
-
-@pytest.mark.parametrize("variant", ["ras", "wras"])
-def test_restriction_weights_form_partition_of_unity(small_spd, variant):
-    p = make_partition(small_spd, "uniform:16+o5")
-    weights = p.restriction_weights(variant)
-    ranges = p.halo_ranges()
-    total = np.zeros(p.n)
-    for k, w in enumerate(weights):
-        elo, ehi = int(ranges[k, 0]), int(ranges[k, 1])
-        assert len(w) == ehi - elo
-        assert np.all(w >= 0.0)
-        total[elo:ehi] += w
-    np.testing.assert_allclose(total, 1.0, rtol=0, atol=1e-12)
-
-
-def test_ras_weights_are_the_owned_row_indicator(small_spd):
-    # "ras" restriction: owned rows write with weight 1, halo rows 0 —
-    # exactly (not approximately), it is the fold-back mask.
-    p = make_partition(small_spd, "uniform:16+o5")
-    ranges = p.halo_ranges()
-    for k, w in enumerate(p.restriction_weights("ras")):
-        start, stop = int(p.boundaries[k]), int(p.boundaries[k + 1])
-        elo = int(ranges[k, 0])
-        expect = np.zeros(int(ranges[k, 1]) - elo)
-        expect[start - elo : stop - elo] = 1.0
-        assert np.array_equal(w, expect)
-
-
-def test_wras_weights_are_inverse_coverage(small_spd):
-    p = make_partition(small_spd, "uniform:16+o5")
-    cov = p.coverage_counts()
-    assert cov.min() >= 1  # every row owned by at least its own block
-    ranges = p.halo_ranges()
-    for k, w in enumerate(p.restriction_weights("wras")):
-        elo, ehi = int(ranges[k, 0]), int(ranges[k, 1])
-        assert np.array_equal(w, 1.0 / cov[elo:ehi])
-
-
-def test_restriction_weights_rejects_unknown_variant(small_spd):
-    p = make_partition(small_spd, "uniform:16+o2")
-    with pytest.raises(ValueError):
-        p.restriction_weights("schwarz")
 
 
 # --------------------------------------------------------------------- #

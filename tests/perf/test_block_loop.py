@@ -1,7 +1,8 @@
 """The one per-block loop against the two loops it replaced.
 
 :class:`repro.perf.ReferenceSweepExecutor` runs the paper's disjoint
-blocks and, over extended blocks, the ``schwarz="ras"`` sweep.  Before
+blocks and, over the extended blocks of an ``+oK`` partition, the
+async-RAS sweep.  Before
 that merge each had its own loop, and both folded the race corrections
 through an ``np.bincount`` segment sum wherever the right-hand side has
 no ``-0.0`` entry (``np.add.at`` otherwise).  Those two loops are kept
@@ -96,7 +97,7 @@ class _DisjointOracle:
 
 
 class _RASOracle:
-    """The extended-block ``schwarz="ras"`` loop before the merge."""
+    """The extended-block async-RAS loop before the merge."""
 
     def __init__(self, view, config):
         self.blocks, self.config = view.ras_blocks(), config
@@ -187,7 +188,7 @@ def test_ras_matches_the_old_extended_loop(trefethen_small, overlap, deferred):
     A = trefethen_small
     view = BlockRowView(A, partition=make_partition(A, f"uniform:{BLOCK}+o{overlap}", block_size=BLOCK))
     assert view.n % BLOCK  # an uneven last block
-    cfg = _cfg(schwarz="ras", deferred_write_prob=deferred)
+    cfg = _cfg(deferred_write_prob=deferred)
     _assert_same_run(view, _rhs(A, False), cfg, _RASOracle, backend="ras")
 
 
@@ -198,7 +199,7 @@ def test_ras_matches_with_relaxation_and_signed_zero_rhs(trefethen_small, omega,
     view = BlockRowView(A, partition=make_partition(A, f"uniform:{BLOCK}+o2", block_size=BLOCK))
     b = _rhs(A, negative_zeros)
     assert rhs_preserves_fold(b) is not negative_zeros
-    cfg = _cfg(schwarz="ras", omega=omega, deferred_write_prob=0.3)
+    cfg = _cfg(omega=omega, deferred_write_prob=0.3)
     _assert_same_run(view, b, cfg, _RASOracle, backend="ras")
 
 
@@ -244,11 +245,3 @@ def test_disjoint_matches_under_faults(trefethen_small, kind):
     cfg = _cfg(deferred_write_prob=0.3)
     # A fault keeps auto on the reference loop.
     _assert_same_run(view, _rhs(A, False), cfg, _DisjointOracle, fault=fault)
-
-
-def test_wras_keeps_its_own_fold(trefethen_small):
-    A = trefethen_small
-    view = BlockRowView(A, partition=make_partition(A, f"uniform:{BLOCK}+o2", block_size=BLOCK))
-    engine = AsyncEngine(view, _rhs(A, False), _cfg(schwarz="wras"))
-    assert engine.backend == "ras"
-    assert not isinstance(engine._executor, ReferenceSweepExecutor)

@@ -149,7 +149,7 @@ def test_service_jobs_differing_only_in_overlap_compile_separately(small_spd):
     r1 = service.solve(small_spd, b, config=AsyncConfig(partition="uniform:10", **cfg))
     r2 = service.solve(
         small_spd, b,
-        config=AsyncConfig(partition="uniform:10+o3", schwarz="ras", **cfg),
+        config=AsyncConfig(partition="uniform:10+o3", **cfg),
     )
     assert r1.completed and r2.completed
     assert service.cache.stats()["misses"] == 2

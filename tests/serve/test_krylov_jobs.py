@@ -114,3 +114,22 @@ def test_parse_job_carries_method_and_precond(small_spd, tmp_path):
         {"matrix": str(mtx), "method": "gmres", "precond": "jacobi"}, service
     )
     assert req.method == "gmres" and req.precond == "jacobi"
+
+
+def test_krylov_on_work_balanced_partition_bitwise_matches_direct(fv1):
+    # The preconditioner used to cut uniform blocks when built directly
+    # while serve handed it the cache's work-balanced view.
+    cfg = AsyncConfig(local_iterations=2, block_size=128, partition="work_balanced")
+    stop = StoppingCriterion(tol=1e-10, maxiter=500)
+    b = default_rhs(fv1)
+    response = _service(config=cfg, stopping=stop).solve(fv1, b, method="pcg", precond="async:2")
+    assert response.completed and response.result.converged
+
+    direct = make_outer_solver("pcg", fv1, precond="async:2", config=cfg, stopping=stop)
+    expected = direct.solve(fv1, b)
+    assert np.array_equal(response.result.x.view(np.int64), expected.x.view(np.int64))
+    assert np.array_equal(
+        np.asarray(response.result.residuals).view(np.int64),
+        np.asarray(expected.residuals).view(np.int64),
+    )
+    assert direct.preconditioner.view.partition.strategy == "work_balanced"

@@ -308,3 +308,35 @@ def test_submit_rejects_bad_krylov_request_before_queueing(small_spd):
         service.submit(SolveRequest(A=small_spd, b=b, method="pcg"))
     assert service.queue_depth == 0
     assert service.drain() == []
+
+
+@pytest.mark.parametrize("spec", ["rcm", "clustered:16"])
+def test_submit_refuses_permuting_partition_before_queueing(small_spd, spec):
+    # A permuting strategy used to pass submit and then raise out of
+    # drain(), taking the queue's good jobs down with it.
+    b = np.ones(60)
+    service = _service()
+    bad = SolveRequest(A=small_spd, b=b, config=AsyncConfig(partition=spec, block_size=16))
+    with pytest.raises(ValueError, match="permutation"):
+        service.submit(bad)
+    assert service.queue_depth == 0
+    good = SolveRequest(A=small_spd, b=b, config=AsyncConfig(block_size=16))
+    assert service.submit(good) is None
+    responses = service.drain()
+    assert [r.status for r in responses] == ["completed"]
+    assert service.stats()["requests"]["completed"] == 1
+
+
+def test_submit_refuses_overlapped_krylov_job(small_spd):
+    # +oK is async-RAS, which only method "async" runs; a pcg job with it
+    # used to run silently on the disjoint blocks.
+    service = _service()
+    cfg = AsyncConfig(local_iterations=2, block_size=16, partition="uniform:16+o2")
+    with pytest.raises(ValueError, match="only method 'async' runs"):
+        service.submit(
+            SolveRequest(A=small_spd, b=np.ones(60), method="pcg", precond="async:2", config=cfg)
+        )
+    assert service.queue_depth == 0
+    # The same partition on the async method is served (as async-RAS).
+    response = service.solve(small_spd, np.ones(60), config=cfg)
+    assert response.completed and response.result.method == "async-RAS(2,o2)"

@@ -101,20 +101,21 @@ def test_run_job_stream_bad_line_reports_lineno(small_spd):
 def test_parse_job_schwarz_override(small_spd):
     service = SolveService()
     req = parse_job(
-        {"matrix": "toy", "partition": "uniform:10+o2", "schwarz": "ras"},
+        {"matrix": "toy", "partition": "uniform:10+o2"},
         service,
         load_matrix=_loader(small_spd),
     )
-    assert req.config.schwarz == "ras"
+    # The +oK suffix alone selects async-RAS.
     assert req.config.partition == "uniform:10+o2"
-    assert req.config.schwarz_overlap == 2
+    assert req.config.method_name == "async-RAS(5,o2)"
 
 
 def test_parse_job_rejects_bad_schwarz_and_spec(small_spd):
     service = SolveService()
-    with pytest.raises(JobStreamError, match="schwarz"):
+    # The retired mode key is an unknown key, not silently ignored.
+    with pytest.raises(JobStreamError, match="unknown job keys: \\['schwarz'\\]"):
         parse_job(
-            {"matrix": "toy", "schwarz": "as"}, service, load_matrix=_loader(small_spd)
+            {"matrix": "toy", "schwarz": "ras"}, service, load_matrix=_loader(small_spd)
         )
     with pytest.raises(JobStreamError, match="overlap suffix"):
         parse_job(
@@ -132,3 +133,19 @@ def test_run_job_stream_refused_system_reports_lineno(small_spd):
             service,
             load_matrix=_loader(small_spd),
         )
+
+
+def test_run_job_stream_permuting_partition_reports_lineno(small_spd):
+    # The rcm job used to pass submission and raise a bare ValueError out
+    # of the drain, after the good job on line 1 had run unreported.
+    service = SolveService()
+    emitted = []
+    with pytest.raises(JobStreamError, match="^line 2: .*row permutation"):
+        run_job_stream(
+            ['{"matrix": "toy", "block_size": 16}', '{"matrix": "toy", "partition": "rcm"}'],
+            service,
+            emit=emitted.append,
+            load_matrix=_loader(small_spd),
+        )
+    assert emitted == []
+    assert service.stats()["requests"]["completed"] == 0

@@ -151,13 +151,21 @@ def _check_view(view):
     readers, owners = plan.entry_blocks
     assert np.array_equal(readers, bor[ref_E._expanded_rows()])
     assert np.array_equal(owners, bor[ref_E.indices])
+    # The block-major panels, read row by row at each row's slot place.
+    slot = plan.slots.slot
+    panels = plan.block_panels
     for got, parts, rebase in (
-        (plan.padded_local, [r[1] for r in ref], b[:-1][bor]),
-        (plan.padded_external, [r[2] for r in ref], None),
+        (panels[:2], [r[1] for r in ref], b[:-1][bor]),
+        (plan.block_external, [r[2] for r in ref], None),
     ):
         cols, data = _reference_pad(parts, n, rebase, plan.PAD_SENTINEL)
-        assert np.array_equal(got[0], cols)
-        assert _same_floats(got[1], data)
+        if rebase is None:  # external columns are slot places
+            real = cols != plan.PAD_SENTINEL
+            cols[real] = slot[cols[real]]
+        got_cols, got_data = (a.reshape(len(a), -1)[:, slot] for a in got)
+        assert np.array_equal(got_cols, cols)
+        assert _same_floats(got_data, data)
+    assert _same_floats(panels.diag.reshape(-1)[slot], view.diagonal_vector())
 
 
 # --------------------------------------------------------------------- #

@@ -251,7 +251,7 @@ def test_serve_command_bad_job_errors(tmp_path, capsys):
 def test_solve_schwarz_ras(capsys):
     code = main(
         ["solve", "Trefethen_2000", "--solver", "async", "--local-iterations", "3",
-         "--partition", "uniform:32+o8", "--schwarz", "ras",
+         "--partition", "uniform:32+o8",
          "--tol", "1e-8", "--maxiter", "300"]
     )
     assert code == 0
@@ -271,15 +271,16 @@ def test_solve_bad_partition_spec_is_a_clean_error(capsys):
     assert "overlap suffix" in capsys.readouterr().err
 
 
-def test_serve_schwarz_flag_threads_to_config(tmp_path, capsys):
+def test_serve_overlap_partition_threads_to_config(tmp_path, capsys):
     import json
 
     jobs = tmp_path / "jobs.jsonl"
     jobs.write_text('{"matrix": "Trefethen_2000", "id": "r", "tol": 1e-6}\n')
     code = main(
-        ["serve", str(jobs), "--partition", "uniform:64+o8", "--schwarz", "ras",
+        ["serve", str(jobs), "--partition", "uniform:64+o8",
          "--block-size", "64", "--local-iterations", "3", "--maxiter", "600"]
     )
     assert code == 0
     response = json.loads(capsys.readouterr().out.strip().splitlines()[0])
     assert response["status"] == "completed"
+    assert response["method"] == "async-RAS(3,o8)"
