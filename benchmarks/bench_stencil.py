@@ -1,8 +1,8 @@
 """Matrix-free stencil backend vs the fused CSR path (:mod:`repro.perf.stencil`).
 
 The backend dispatcher resolves ``backend="auto"`` to the matrix-free
-stencil executor wherever structure detection succeeds and the whole-sweep
-regimes are exact.  On a 64³ 7-point Laplacian — the canonical
+stencil executor wherever the matrix passes the offset-plane gate and the
+whole-sweep regimes are exact.  On a 64³ 7-point Laplacian — the canonical
 constant-coefficient stencil workload — every sweep then runs as a handful
 of offset-shifted slice multiply-adds instead of CSR gathers.  Backends
 are execution strategies, never approximations: every timed cell asserts
@@ -13,6 +13,12 @@ global iteration evaluates — runs on the diagonal-offset planes of
 :mod:`repro.sparse.dia`; a residual row times it against the ELL product
 ``b - A.matvec(x)`` it replaces.
 
+One Trefethen_2000 cell (async-(1), 256 blocks) covers the class the gate
+admits beyond constant-coefficient grids: a per-row prime diagonal on a
+power-of-two band.  It checks that auto resolves stencil with iterates
+bitwise those of forced fused and reference, and reports both paths'
+ms/sweep without a speed bar.
+
 Acceptance bars: the stencil path is ≥ 2× faster per sweep than the fused
 path at 256 blocks (for both async-(1) and async-(2)), with 0 bitwise
 mismatches vs the reference executor; the plane residual is ≥ 2× faster
@@ -20,7 +26,7 @@ than the ELL residual and ``np.array_equal`` to it.
 
 Artifacts: ``benchmarks/artifacts/BENCH_stencil.txt`` (rendered) and
 ``BENCH_stencil.json`` (machine-readable: ``{"sweeps": [...], "residual":
-{...}}``).  Runs standalone (``python benchmarks/bench_stencil.py``) or
+{...}, "trefethen": {...}}``).  Runs standalone (``python benchmarks/bench_stencil.py``) or
 under pytest.
 """
 
@@ -34,7 +40,7 @@ import numpy as np
 
 from repro.core import AsyncConfig
 from repro.core.engine import AsyncEngine
-from repro.matrices import default_rhs, stencil_laplacian_3d
+from repro.matrices import default_rhs, get_matrix, stencil_laplacian_3d
 from repro.sparse import BlockRowView
 
 #: Timed sweeps per cell (after one untimed warm-up sweep).
@@ -57,6 +63,9 @@ RESIDUALS = 50
 
 #: Wall-clock acceptance bar for the plane residual over the ELL one.
 MIN_RESIDUAL_SPEEDUP = 2.0
+
+#: The Trefethen cell: matrix, block count and k.  Reported, not speed-gated.
+TREFETHEN = ("Trefethen_2000", 256, 1)
 
 #: The snapshot-read regime (γ ≡ 0 through full staleness): the schedule
 #: machinery stays fully exercised and all three backends are exact, so
@@ -107,11 +116,37 @@ def time_residual(A, b: np.ndarray) -> dict:
     }
 
 
+def time_trefethen() -> dict:
+    """Fused vs auto (stencil) per-sweep time on the Trefethen cell, bitwise-checked."""
+    name, nblocks, k = TREFETHEN
+    A = get_matrix(name)
+    b = default_rhs(A)
+    view = BlockRowView(A, nblocks=nblocks)
+    _, x_ref, _ = time_backend(view, b, k, "reference")
+    fus_s, x_fus, _ = time_backend(view, b, k, "fused")
+    ste_s, x_ste, eng_ste = time_backend(view, b, k, "auto")
+    bits = x_ste.view(np.int64)
+    return {
+        "matrix": name,
+        "n": view.n,
+        "nblocks": nblocks,
+        "k": k,
+        "sweeps": SWEEPS,
+        "auto_backend": eng_ste.backend,
+        "fused_s_per_sweep": fus_s,
+        "stencil_s_per_sweep": ste_s,
+        "identical": bool(
+            np.array_equal(bits, x_ref.view(np.int64))
+            and np.array_equal(bits, x_fus.view(np.int64))
+        ),
+    }
+
+
 def run_benchmark() -> dict:
-    """The full grid on the 64³ 7-point Laplacian, plus its residual row.
+    """The full grid on the 64³ 7-point Laplacian, its residual row and the Trefethen cell.
 
     ``sweeps`` holds one row per (nblocks, k); ``residual`` the
-    plane-vs-ELL residual timing.
+    plane-vs-ELL residual timing; ``trefethen`` the Trefethen cell.
     """
     A = stencil_laplacian_3d(GRID)
     b = default_rhs(A)
@@ -124,7 +159,7 @@ def run_benchmark() -> dict:
             ste_s, x_ste, eng_ste = time_backend(view, b, k, "auto")
             assert eng_ref.backend == "reference" and eng_fus.backend == "fused"
             assert eng_ste.backend == "stencil", (
-                f"auto resolved {eng_ste.backend!r} — detection failed?"
+                f"auto resolved {eng_ste.backend!r} — the stencil gate refused?"
             )
             rows.append(
                 {
@@ -143,7 +178,7 @@ def run_benchmark() -> dict:
                     ),
                 }
             )
-    return {"sweeps": rows, "residual": time_residual(A, b)}
+    return {"sweeps": rows, "residual": time_residual(A, b), "trefethen": time_trefethen()}
 
 
 def render(result: dict) -> str:
@@ -168,6 +203,13 @@ def render(result: dict) -> str:
         f"{res['plane_s_per_call'] * 1e3:.3f} ms, {res['speedup_vs_ell']:.2f}x, "
         f"bitwise {'yes' if res['identical'] else 'NO'}",
     ]
+    t = result["trefethen"]
+    lines.append(
+        f"{t['matrix']}, {t['nblocks']} blocks, k={t['k']}: auto resolves "
+        f"{t['auto_backend']}; fused {t['fused_s_per_sweep'] * 1e3:.3f} ms, stencil "
+        f"{t['stencil_s_per_sweep'] * 1e3:.3f} ms per sweep, bitwise "
+        f"{'yes' if t['identical'] else 'NO'}"
+    )
     return "\n".join(lines)
 
 
@@ -194,6 +236,9 @@ def _check(result: dict) -> None:
                 + render(result)
             )
     assert res["identical"], "plane residual differs from the ELL residual"
+    t = result["trefethen"]
+    assert t["auto_backend"] == "stencil", f"auto resolved {t['auto_backend']!r} on {t['matrix']}"
+    assert t["identical"], f"backends disagree on {t['matrix']}"
     assert res["speedup_vs_ell"] >= MIN_RESIDUAL_SPEEDUP, (
         f"plane residual only {res['speedup_vs_ell']:.2f}x faster than ELL "
         f"(need {MIN_RESIDUAL_SPEEDUP}x):\n" + render(result)

@@ -28,7 +28,7 @@ from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
 from .engine import AsyncEngine
 from .fault import FaultScenario
-from .schedules import AsyncConfig
+from .schedules import AsyncConfig, method_tag
 
 __all__ = ["BlockAsyncSolver"]
 
@@ -121,6 +121,9 @@ class BlockAsyncSolver(IterativeSolver):
     def _run(
         self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: BlockRowView
     ) -> SolveResult:
+        # The partition actually cut names the run: a ``partition=``
+        # override with an ``+oK`` suffix is async-RAS.
+        self.name = method_tag(self.config.local_iterations, view.partition.overlap)
         engine = AsyncEngine(view, b, self.config, fault=self.fault)
         result = engine.run(
             x,

@@ -145,9 +145,9 @@ class AsyncEngine(_SweepLanes):
         ``config.backend="auto"``, ``"stencil"`` or ``"fused"`` wherever a
         whole-sweep executor is bitwise the reference loop — snapshot-read
         regimes (γ ≡ 0) and all-deferred writes, with no fault; stencil
-        where structure detection succeeds — ``"levels"`` (the block loop
-        as dependency levels) everywhere else, and ``"reference"`` (the
-        per-block loop) under a fault or when forced.
+        where the matrix passes the offset-plane gate — ``"levels"`` (the
+        block loop as dependency levels) everywhere else, and
+        ``"reference"`` (the per-block loop) under a fault or when forced.
     plan:
         The compiled :class:`repro.perf.SweepPlan`, shared by every engine
         built on the same :class:`~repro.sparse.BlockRowView`.

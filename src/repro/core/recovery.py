@@ -23,7 +23,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..partition import parse_partition_spec
+from ..partition import make_partition, parse_partition_spec
 from ..runtime.recorder import RunRecorder
 from ..solvers.base import IterativeSolver, SolveResult, StoppingCriterion
 from ..sparse import BlockRowView, CSRMatrix
@@ -43,7 +43,9 @@ class SelfHealingSolver(IterativeSolver):
     ----------
     config:
         Asynchronism configuration (as for
-        :class:`~repro.core.block_async.BlockAsyncSolver`).
+        :class:`~repro.core.block_async.BlockAsyncSolver`); its
+        ``partition`` spec cuts the blocks and must carry no ``+oK``
+        suffix.
     fault:
         The failure scenario to survive.  Its own ``recovery`` field is
         ignored — recovery here is *earned* by detection, not scheduled.
@@ -83,7 +85,7 @@ class SelfHealingSolver(IterativeSolver):
         self.config = config if config is not None else AsyncConfig(local_iterations=5)
         if parse_partition_spec(self.config.partition)[2] > 0:
             raise ValueError(
-                "SelfHealingSolver sweeps disjoint uniform blocks; async-RAS (an "
+                "SelfHealingSolver sweeps disjoint blocks; async-RAS (an "
                 "'+oK' partition) supports no fault scenarios — drop the suffix"
             )
         self.fault = fault
@@ -93,7 +95,8 @@ class SelfHealingSolver(IterativeSolver):
         self.name = f"self-healing-{self.config.method_name}"
 
     def _view(self, A: CSRMatrix) -> BlockRowView:
-        return BlockRowView(A, block_size=self.config.block_size)
+        part = make_partition(A, self.config.partition, block_size=self.config.block_size)
+        return BlockRowView(A, partition=part)
 
     def _run(
         self, A: CSRMatrix, b: np.ndarray, x: np.ndarray, view: BlockRowView

@@ -86,12 +86,13 @@ def replica_rngs(seed0: int, nreplicas: int) -> List[np.random.Generator]:
 UPDATE_ORDERS = ("synchronous", "sequential", "reversed", "random", "gpu")
 
 #: Recognised sweep-execution backends (see :mod:`repro.perf`):
-#: ``"auto"`` prefers the matrix-free stencil path where structure
-#: detection succeeds, fuses whole sweeps whenever that is exact for the
-#: configured regime, and otherwise runs the block loop as dependency
-#: levels (resolved name ``"levels"``); ``"stencil"``/``"fused"`` demand
-#: their path (an error where it is not exact, or — stencil — where
-#: detection fails); ``"reference"`` forces the per-block loop everywhere.
+#: ``"auto"`` prefers the matrix-free stencil path where the matrix
+#: passes the offset-plane gate, fuses whole sweeps whenever that is
+#: exact for the configured regime, and otherwise runs the block loop as
+#: dependency levels (resolved name ``"levels"``); ``"stencil"``/``"fused"``
+#: demand their path (an error where it is not exact, or — stencil —
+#: where the gate refuses the matrix); ``"reference"`` forces the
+#: per-block loop everywhere.
 BACKENDS = ("auto", "stencil", "fused", "reference")
 
 
@@ -188,11 +189,15 @@ class AsyncConfig:
 
     @property
     def method_name(self) -> str:
-        """Paper-style tag, e.g. ``async-(5)`` or ``async-RAS(5,o2)``."""
-        overlap = parse_partition_spec(self.partition)[2]
-        if overlap > 0:
-            return f"async-RAS({self.local_iterations},o{overlap})"
-        return f"async-({self.local_iterations})"
+        """Paper-style tag of :attr:`partition`'s method (:func:`method_tag`)."""
+        return method_tag(self.local_iterations, parse_partition_spec(self.partition)[2])
+
+
+def method_tag(local_iterations: int, overlap: int) -> str:
+    """Paper-style tag, e.g. ``async-(5)`` or, with overlap, ``async-RAS(5,o2)``."""
+    if overlap > 0:
+        return f"async-RAS({local_iterations},o{overlap})"
+    return f"async-({local_iterations})"
 
 
 class WaveScheduler:

@@ -2,8 +2,8 @@
 
 Per-sweep wall time of the three sweep executors across block counts on a
 3-D constant-coefficient Laplacian (the workload family of
-Rodriguez/Philip's block-relaxation stencil study), plus the structure
-detector's verdict across the matrix suite.  Every timing row is gated by
+Rodriguez/Philip's block-relaxation stencil study), plus the stencil
+gate's verdict across the matrix suite.  Every timing row is gated by
 a bitwise-equality assertion between the three executors' iterates — the
 backends are execution strategies, never approximations — so the table
 measures exactly one thing: what the matrix-free kernels buy over CSR on
@@ -19,7 +19,6 @@ import numpy as np
 from ..core import AsyncEngine
 from ..core.schedules import AsyncConfig
 from ..matrices import default_rhs, get_matrix, stencil_laplacian_3d
-from ..perf import compile_sweep_plan
 from ..sparse import BlockRowView
 from .report import ExperimentResult, TableArtifact
 
@@ -66,7 +65,7 @@ def run(quick: bool = True) -> ExperimentResult:
         rows=rows,
     )
 
-    suite = ["fv1", "Trefethen_2000", "lap3d7pt_32", "lap3d7pt_aniso_32"]
+    suite = ["fv1", "Chem97ZtZ", "Trefethen_2000", "lap3d7pt_32", "lap3d7pt_aniso_32"]
     if not quick:
         suite = ["fv1", "fv2", "fv3", "Chem97ZtZ", "Trefethen_2000",
                  "lap3d7pt_32", "lap3d19pt_32", "lap3d27pt_24", "lap3d7pt_aniso_32"]
@@ -74,20 +73,20 @@ def run(quick: bool = True) -> ExperimentResult:
     for name in suite:
         M = get_matrix(name)
         view = BlockRowView(M, block_size=max(1, M.shape[0] // 64))
-        desc, reason = compile_sweep_plan(view).stencil
+        eng = AsyncEngine(view, default_rhs(M), AsyncConfig(**_REGIME))
+        desc, reason = eng.plan.stencil
         det_rows.append(
             [
                 name,
-                "yes" if desc is not None else "no",
                 len(desc.offsets) if desc else "-",
-                desc.n_classes if desc else "-",
-                "x".join(map(str, desc.grid_shape)) if desc and desc.grid_shape else "-",
+                f"{desc.telemetry()['fill']:.3f}" if desc else "-",
+                eng.backend,
                 "" if desc else reason,
             ]
         )
     detection = TableArtifact(
-        title="Structure detection across the matrix suite (64-block uniform views)",
-        headers=["matrix", "stencil", "offsets", "classes", "grid", "fallback reason"],
+        title="Stencil gate across the matrix suite (64-block uniform views, snapshot regime)",
+        headers=["matrix", "offsets", "fill", "backend", "fallback reason"],
         rows=det_rows,
     )
 

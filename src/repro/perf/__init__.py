@@ -7,14 +7,14 @@ sweep computes; this subpackage decides *how* it executes:
   decomposition, once, into the precomputed structures every execution
   path consumes — the per-block update records with warmed ELL gather
   plans, stacked whole-system matrices, and (on demand) the stencil
-  structure detection outcome;
-* :mod:`repro.perf.stencil` detects stencil-regular systems and compiles
-  their matrix-free offset-shifted sweep kernels;
+  gate's verdict;
+* :mod:`repro.perf.stencil` compiles the matrix-free offset-shifted sweep
+  kernels of the systems that pass the offset-plane gate;
 * :mod:`repro.perf.backends` dispatches each engine — sequential and
   batched alike — to one shared executor: the per-block loop over
   extended blocks on an overlapped (``+oK``, async-RAS) partition, the
   whole-sweep executor over the matrix-free
-  stencil kernels where detection succeeds or over the stacked CSR
+  stencil kernels where the matrix passes the gate or over the stacked CSR
   kernels wherever that is bitwise-exact for the configured asynchronism
   regime, the dependency-level block loop everywhere else, and the
   (plan-accelerated) per-block reference loop under faults or on request;

@@ -29,8 +29,8 @@ lane's generator exactly as a sequential run would.
   (the regime of Figure 8 / Table 5).  It runs over one of two kernel
   sets: the stacked CSR matrices (backend ``"fused"``), or the
   matrix-free offset-shifted slice kernels of :mod:`repro.perf.stencil`
-  for stencil-regular systems (backend ``"stencil"``, engaged only when
-  structure detection on the plan succeeds).
+  for systems that pass the offset-plane gate (backend ``"stencil"``,
+  engaged only when :attr:`repro.perf.SweepPlan.stencil` accepts).
 
 **Exactness contract.** The whole-sweep paths engage only where their
 result is bitwise the reference loop's — same iterates *and* same
@@ -118,8 +118,8 @@ def resolve_backend(
     supports neither faults nor the forced whole-sweep backends.
     Otherwise ``"auto"`` prefers **stencil > fused > levels**: in the
     whole-sweep exact regimes it runs the matrix-free stencil executor
-    when structure detection on *plan* succeeds (:mod:`repro.perf.stencil`),
-    the fused CSR path otherwise, and outside those regimes the block loop
+    when *plan*'s matrix passes the offset-plane gate
+    (:mod:`repro.perf.stencil`), the fused CSR path otherwise, and outside those regimes the block loop
     as dependency levels (:class:`LevelSweepExecutor`) — or the per-block
     reference loop under a fault, or where a row is too wide for the
     level executor's padded panels.  ``"reference"`` always honours the request; ``"fused"``
@@ -165,8 +165,8 @@ def resolve_backend(
         desc, reason = plan.stencil
         if desc is None:
             raise ValueError(
-                f"backend='stencil' requested, but structure detection failed: "
-                f"{reason}; use backend='auto' to fall back to the fused/"
+                f"backend='stencil' requested, but the stencil gate refused the "
+                f"matrix: {reason}; use backend='auto' to fall back to the fused/"
                 "reference paths"
             )
         return "stencil"

@@ -509,16 +509,16 @@ class SweepPlan:
 
     @property
     def stencil_attempted(self) -> bool:
-        """Whether stencil detection has run on this plan (telemetry gate)."""
+        """Whether the stencil gate has run on this plan (telemetry gate)."""
         return self._stencil is not None
 
     @property
     def stencil(self):
-        """``(descriptor, reason)`` of stencil detection, run lazily once.
+        """``(descriptor, reason)`` of :func:`repro.perf.stencil.detect_stencil`, run once.
 
         The descriptor is a :class:`repro.perf.stencil.StencilDescriptor`
-        when the view's blocks are stencil-regular, else ``None`` with a
-        human-readable failure *reason* — recorded in the partition
+        when the view's matrix passes the offset-plane gate, else ``None``
+        with a human-readable failure *reason* — recorded in the partition
         telemetry so every fallback is explainable.
         """
         if self._stencil is None:
@@ -530,13 +530,13 @@ class SweepPlan:
     def stencil_kernels(self):
         """The compiled :class:`repro.perf.stencil.StencilKernels` (cached).
 
-        Raises :class:`ValueError` when detection failed — callers gate on
-        :attr:`stencil` first (the backend dispatcher does).
+        Raises :class:`ValueError` when the gate refused the matrix —
+        callers check :attr:`stencil` first (the backend dispatcher does).
         """
         if self._stencil_kernels is None:
             desc, reason = self.stencil
             if desc is None:
-                raise ValueError(f"view is not stencil-regular: {reason}")
+                raise ValueError(f"view fails the stencil gate: {reason}")
             from .stencil import StencilKernels
 
             self._stencil_kernels = StencilKernels(self.view, desc)

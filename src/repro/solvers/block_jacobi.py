@@ -89,7 +89,9 @@ class BlockJacobiSolver(IterativeSolver):
         :class:`repro.partition.Partition`; the default ``"uniform"`` is
         bitwise the historical *block_size* cuts.  Permuting strategies
         iterate on the permuted system (histories in partition order) and
-        report the solution in original row order.
+        report the solution in original row order.  An ``+oK`` overlap
+        suffix is refused at solve time: overlap belongs to the async
+        solve (async-RAS).
     """
 
     name = "block-jacobi"
@@ -123,6 +125,11 @@ class BlockJacobiSolver(IterativeSolver):
 
     def _view(self, A: CSRMatrix) -> BlockRowView:
         part = make_partition(A, self.partition, block_size=self.block_size)
+        if part.overlap > 0:
+            raise ValueError(
+                "BlockJacobiSolver solves disjoint blocks; drop the '+oK' suffix "
+                f"from partition {part.spec!r} (overlap belongs to the async solve)"
+            )
         return BlockRowView(A, partition=part)
 
     def _setup(self, A: CSRMatrix, b: np.ndarray, view: BlockRowView) -> _BJState:

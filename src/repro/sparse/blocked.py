@@ -354,11 +354,11 @@ class BlockRowView:
     def partition_telemetry(self) -> dict:
         """The partition's :class:`RunRecorder` annotation block, stats included.
 
-        When this view's compiled sweep plan has run stencil structure
-        detection (:mod:`repro.perf.stencil`), the outcome rides along
-        under a ``"stencil"`` key — the descriptor summary on success, the
-        failure reason on fallback — so every dispatch decision is
-        explainable from the telemetry alone.  Detection is never *forced*
+        When this view's compiled sweep plan has run the stencil gate
+        (:mod:`repro.perf.stencil`), the outcome rides along under a
+        ``"stencil"`` key — offsets and plane fill on success, the failure
+        reason on fallback — so every dispatch decision is explainable
+        from the telemetry alone.  The gate is never *forced*
         here: views whose engines never considered stencil dispatch report
         plain partition telemetry.
         """

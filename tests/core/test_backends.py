@@ -104,9 +104,27 @@ def test_fused_bitwise_matches_reference(trefethen_small, regime):
 
 
 @pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))
-def test_auto_engages_fused(trefethen_small, regime):
-    eng, _, _ = _run(trefethen_small, _rhs(trefethen_small), ENGAGING[regime], sweeps=1)
+def test_auto_engages_fused(small_spd, regime):
+    # 107 column offsets: the stencil gate refuses the matrix, so auto's
+    # whole-sweep path is the fused one.
+    eng, _, _ = _run(small_spd, _rhs(small_spd), ENGAGING[regime], sweeps=1)
     assert eng.backend == "fused"
+
+
+@pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))
+def test_stencil_bitwise_matches_reference_on_trefethen(trefethen_small, regime):
+    # Trefethen's power-of-two band passes the offset-plane gate, so auto
+    # runs its whole sweeps on the stencil kernels — bit for bit the
+    # reference loop's iterates and generator state.
+    A = trefethen_small
+    b = _rhs(A)
+    cfg = ENGAGING[regime]
+    eng_a, iters_a, probe_a = _run(A, b, cfg)
+    _, iters_r, probe_r = _run(A, b, dataclasses.replace(cfg, backend="reference"))
+    assert eng_a.backend == "stencil"
+    for t, (xa, xr) in enumerate(zip(iters_a, iters_r)):
+        assert np.array_equal(xa.view(np.int64), xr.view(np.int64)), f"diverged at sweep {t + 1}"
+    assert np.array_equal(probe_a.view(np.int64), probe_r.view(np.int64)), "generator states diverged"
 
 
 @pytest.mark.parametrize("regime", sorted(NON_ENGAGING), ids=sorted(NON_ENGAGING))
@@ -155,20 +173,20 @@ def test_config_rejects_unknown_backend():
         AsyncConfig(backend=name)
 
 
-def test_negative_zero_rhs_disables_mixed_gamma_fusion(trefethen_small):
+def test_negative_zero_rhs_disables_mixed_gamma_fusion(small_spd):
     # The segment-sum scatter flips a -0.0 base to +0.0; with a rhs
     # carrying -0.0 entries the mixed-γ all-deferred collapse is no longer
     # bitwise, so auto must drop to the block loop there — while the
     # γ-uniform all-deferred regime stays fused (no race corrections at all).
-    b = _rhs(trefethen_small)
+    b = _rhs(small_spd)
     b[5] = -0.0
     assert not rhs_preserves_fold(b)
     assert rhs_preserves_fold(np.abs(b) + 1.0)
     mixed = ENGAGING["alldefer-mixed-k2"]
-    eng, _, _ = _run(trefethen_small, b, mixed, sweeps=1)
+    eng, _, _ = _run(small_spd, b, mixed, sweeps=1)
     assert eng.backend == "levels"
     live = ENGAGING["alldefer-live-k1"]
-    eng, _, _ = _run(trefethen_small, b, live, sweeps=1)
+    eng, _, _ = _run(small_spd, b, live, sweeps=1)
     assert eng.backend == "fused"
 
 

@@ -174,3 +174,15 @@ def test_batched_ras_rejects_forced_fast_backends(small_spd):
     view = _view(small_spd, "uniform:16+o4")
     with pytest.raises(ValueError, match="cannot execute async-RAS"):
         BatchedAsyncEngine(view, b, _cfg(backend="fused"), nreplicas=2)
+
+
+def test_solver_names_the_partition_it_cuts(trefethen_small):
+    # A partition= override decides the method, not the config's spec.
+    b = default_rhs(trefethen_small)
+    stop = StoppingCriterion(tol=0.0, maxiter=2)
+    cfg = AsyncConfig(local_iterations=3, block_size=32)
+    ras = BlockAsyncSolver(cfg, partition="uniform:32+o4", stopping=stop)
+    assert ras.solve(trefethen_small, b).method == ras.name == "async-RAS(3,o4)"
+    cfg = dataclasses.replace(cfg, partition="uniform:32+o4")
+    plain = BlockAsyncSolver(cfg, partition="uniform:32", stopping=stop)
+    assert plain.solve(trefethen_small, b).method == plain.name == "async-(3)"

@@ -21,10 +21,22 @@ def test_validation():
 
 
 def test_overlapped_partition_refused():
-    # Its blocks are the disjoint uniform cut; an +oK config would only
+    # Its blocks are a disjoint cut; an +oK config would only
     # relabel the run as async-RAS.
     with pytest.raises(ValueError, match="async-RAS"):
         SelfHealingSolver(AsyncConfig(partition="uniform:16+o4"))
+
+
+def test_view_cuts_the_configured_partition(trefethen_small):
+    # Without a fault the self-healing solve is the plain async solve, so
+    # both must cut config.partition's blocks.
+    cfg = AsyncConfig(local_iterations=2, block_size=32, partition="work_balanced:4")
+    solver = SelfHealingSolver(cfg, stopping=StoppingCriterion(tol=0.0, maxiter=5))
+    assert solver._view(trefethen_small).nblocks == 4
+    b = trefethen_small.matvec(np.ones(300))
+    healed = solver.solve(trefethen_small, b)
+    plain = BlockAsyncSolver(cfg, stopping=StoppingCriterion(tol=0.0, maxiter=5)).solve(trefethen_small, b)
+    assert np.array_equal(healed.x, plain.x)
 
 
 @pytest.mark.parametrize("which", ["A", "b", "x0"])

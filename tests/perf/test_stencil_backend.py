@@ -4,7 +4,7 @@ The stencil path is an execution strategy, never an approximation:
 wherever it may run, its iterates — and the scheduler RNG state it
 leaves behind — are bitwise the reference loop's.  These tests pin that
 contract across the whole-sweep-exact regimes, the auto preference
-order (stencil > fused > reference), the refusal semantics of a forced
+order (stencil > fused > levels), the refusal semantics of a forced
 ``backend="stencil"``, the batched stacked variant, and the telemetry
 trail that makes every dispatch decision explainable.
 """
@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.core import AsyncConfig, AsyncEngine, BatchedAsyncEngine
+from repro.matrices import get_matrix
 from repro.matrices.grids import stencil_laplacian_2d
 from repro.matrices.grids3d import stencil_laplacian_3d
 from repro.perf import compile_sweep_plan
@@ -100,11 +101,12 @@ def test_auto_prefers_stencil_on_grids(lap3d, regime):
     assert eng.backend == "stencil"
 
 
-def test_auto_still_fuses_irregular_matrices(trefethen_small):
-    # Detection fails on Trefethen; auto drops to the fused CSR path, not
-    # all the way to the reference loop.
-    eng, _, _ = _run(trefethen_small, _rhs(trefethen_small), ENGAGING["snapshot-gpu-k1"], sweeps=1)
-    assert eng.backend == "fused"
+def test_auto_still_fuses_irregular_matrices(small_spd):
+    # The offset-plane gate refuses these; auto drops to the fused CSR
+    # path, not all the way to the block loop.
+    for A in (small_spd, get_matrix("Chem97ZtZ"), get_matrix("s1rmt3m1")):
+        eng, _, _ = _run(A, _rhs(A), ENGAGING["snapshot-gpu-k1"], sweeps=1)
+        assert eng.backend == "fused"
 
 
 def test_forced_stencil_refuses_inexact_regime(lap3d):
@@ -115,11 +117,12 @@ def test_forced_stencil_refuses_inexact_regime(lap3d):
         AsyncEngine(view, _rhs(lap3d), cfg)
 
 
-def test_forced_stencil_refuses_irregular_matrix(trefethen_small):
+def test_forced_stencil_refuses_irregular_matrix():
+    A = get_matrix("Chem97ZtZ")
     cfg = dataclasses.replace(ENGAGING["snapshot-gpu-k1"], backend="stencil")
-    view = BlockRowView(trefethen_small, block_size=cfg.block_size)
-    with pytest.raises(ValueError, match="structure detection failed"):
-        AsyncEngine(view, _rhs(trefethen_small), cfg)
+    view = BlockRowView(A, block_size=cfg.block_size)
+    with pytest.raises(ValueError, match="stencil gate refused .* distinct offsets"):
+        AsyncEngine(view, _rhs(A), cfg)
 
 
 @pytest.mark.parametrize("tile", TILE_ROWS, ids=TILE_IDS, indirect=True)
@@ -174,15 +177,18 @@ def test_batched_stacked_variant_bitwise(lap3d, tile):
             )
 
 
-def test_telemetry_records_detection_outcome(lap3d, trefethen_small):
+def test_telemetry_records_detection_outcome(lap3d, small_spd):
     cfg = ENGAGING["snapshot-gpu-k1"]
     eng, _, _ = _run(lap3d, _rhs(lap3d), cfg, sweeps=1)
     blob = eng.view.partition_telemetry()["stencil"]
-    assert blob["detected"] is True
-    assert blob["offsets"] == [-100, -10, -1, 0, 1, 10, 100]
-    eng, _, _ = _run(trefethen_small, _rhs(trefethen_small), cfg, sweeps=1)
+    assert blob == {
+        "detected": True,
+        "offsets": [-100, -10, -1, 0, 1, 10, 100],
+        "fill": lap3d.nnz / (7 * 1000),
+    }
+    eng, _, _ = _run(small_spd, _rhs(small_spd), cfg, sweeps=1)
     blob = eng.view.partition_telemetry()["stencil"]
-    assert blob["detected"] is False and "distinct row patterns" in blob["reason"]
+    assert blob["detected"] is False and "distinct offsets" in blob["reason"]
 
 
 def test_detection_not_forced_without_stencil_dispatch(lap3d):

@@ -79,3 +79,12 @@ def test_validation():
         BlockJacobiSolver(block_size=0)
     with pytest.raises(ValueError, match="inner_sweeps"):
         BlockJacobiSolver(inner="jacobi", inner_sweeps=0)
+
+
+def test_overlapped_partition_refused(trefethen_small):
+    # Block-Jacobi solves disjoint blocks: an +oK suffix would run them
+    # unchanged under the same name.
+    b = trefethen_small.matvec(np.ones(300))
+    solver = BlockJacobiSolver(block_size=32, partition="uniform:32+o8")
+    with pytest.raises(ValueError, match="overlap belongs to the async solve"):
+        solver.solve(trefethen_small, b)

@@ -147,11 +147,7 @@ def _kernels(A, block_size):
     n = A.shape[0]
     plane = np.full((len(offsets), n), np.nan)
     plane[np.searchsorted(offsets, offs), rows] = A.data
-    desc = StencilDescriptor(
-        offsets=offsets, coeffs=plane[:, 0], grid_shape=None, interior_fraction=1.0,
-        n_classes=1, n_interior_classes=1, n_variants=0, plane=plane,
-    )
-    return StencilKernels(view, desc)
+    return StencilKernels(view, StencilDescriptor(offsets=offsets, plane=plane))
 
 
 # --------------------------------------------------------------------- #
