@@ -11,7 +11,8 @@ bitwise-identical iterates across stencil, fused and reference.
 The same matrix's convergence check — the residual ``b - A x`` every
 global iteration evaluates — runs on the diagonal-offset planes of
 :mod:`repro.sparse.dia`; a residual row times it against the ELL product
-``b - A.matvec(x)`` it replaces.
+``b - A.matvec(x)`` it replaces, and checks that all 7 of its planes run
+in constant mode (one scalar weight, no weight vector streamed).
 
 One Trefethen_2000 cell (async-(1), 256 blocks) covers the class the gate
 admits beyond constant-coefficient grids: a per-row prime diagonal on a
@@ -41,7 +42,7 @@ import numpy as np
 from repro.core import AsyncConfig
 from repro.core.engine import AsyncEngine
 from repro.matrices import default_rhs, get_matrix, stencil_laplacian_3d
-from repro.sparse import BlockRowView
+from repro.sparse import BlockRowView, dia
 
 #: Timed sweeps per cell (after one untimed warm-up sweep).
 SWEEPS = 20
@@ -105,10 +106,15 @@ def time_residual(A, b: np.ndarray) -> dict:
     ell_s = _seconds_per_call(ell)
     plane_s = _seconds_per_call(lambda: A.residual(x, b, out=plane_out))
     assert A._dia_builds == 1, "the 7-point Laplacian should take the plane residual"
+    modes = dia.plane_modes(A.offset_planes()[0])
+    assert modes["constant"] == modes["planes"] == 7, (
+        f"the 7-point Laplacian's residual should run all 7 planes constant: {modes}"
+    )
     return {
         "matrix": f"lap3d7pt_{GRID}",
         "n": A.shape[0],
         "calls": RESIDUALS,
+        "constant_planes": modes["constant"],
         "ell_s_per_call": ell_s,
         "plane_s_per_call": plane_s,
         "speedup_vs_ell": ell_s / plane_s if plane_s > 0 else float("inf"),
@@ -200,6 +206,7 @@ def render(result: dict) -> str:
         "",
         f"Residual b - A x, {res['calls']} timed calls: ELL product "
         f"{res['ell_s_per_call'] * 1e3:.3f} ms, diagonal planes "
+        f"({res['constant_planes']}/7 constant) "
         f"{res['plane_s_per_call'] * 1e3:.3f} ms, {res['speedup_vs_ell']:.2f}x, "
         f"bitwise {'yes' if res['identical'] else 'NO'}",
     ]

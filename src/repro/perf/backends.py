@@ -238,8 +238,9 @@ class _CSRKernels:
         self.local_off = plan.local_off
         self.diag = plan.diag
 
-    def apply_external(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.external.matvec(x, out=out)
+    def external_residual(self, x: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        self.external.matvec(x, out=out)
+        return np.subtract(b, out, out=out)
 
     def local_sweeps(
         self, s: np.ndarray, z: np.ndarray, sweeps: int, *, omega: float, out: np.ndarray
@@ -259,15 +260,17 @@ class WholeSweepExecutor:
     kernels sum in, and take their weights from the actual matrix entries,
     so variable coefficients are reproduced exactly.  Lanes advance one
     after another through preallocated work vectors (the stencil kernels
-    allocate nothing per sweep), and replica *r* is the sequential run by
-    construction.
+    allocate only their constant planes' deviation-row temporaries per
+    sweep), and replica *r* is the sequential run by
+    construction.  Each lane's ``s = b - E x`` comes from the kernel set's
+    ``external_residual``: the stencil kernels subtract it tile by tile
+    inside the external pass.
     """
 
     def __init__(self, plan: SweepPlan, config: "AsyncConfig", kernels):
         self.plan = plan
         self.config = config
         self.kernels = kernels
-        self._ext_buf = np.empty(plan.view.n)
         self._s_buf = np.empty(plan.view.n)
 
     def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
@@ -277,8 +280,7 @@ class WholeSweepExecutor:
                 cfg, self.plan.ennz, lanes.rngs[r], lanes.schedulers[r], lanes.sweep_index
             )
             x = X[r]
-            ext = self.kernels.apply_external(x, out=self._ext_buf)
-            s = np.subtract(lanes.rhs(r), ext, out=self._s_buf)
+            s = self.kernels.external_residual(x, lanes.rhs(r), out=self._s_buf)
             # out=x folds the final write-back into the last local iteration.
             self.kernels.local_sweeps(s, x, cfg.local_iterations, omega=cfg.omega, out=x)
 

@@ -542,6 +542,21 @@ class SweepPlan:
             self._stencil_kernels = StencilKernels(self.view, desc)
         return self._stencil_kernels
 
+    def stencil_telemetry(self) -> dict:
+        """The gate's outcome for the partition telemetry (runs the gate once).
+
+        ``{"detected": False, "reason": ...}`` on a refusal; on success the
+        descriptor's telemetry and, once the kernels are compiled, their
+        plane modes under ``"sweep"``.
+        """
+        desc, reason = self.stencil
+        if desc is None:
+            return {"detected": False, "reason": reason}
+        out = {"detected": True, **desc.telemetry()}
+        if self._stencil_kernels is not None:
+            out["sweep"] = self._stencil_kernels.telemetry()
+        return out
+
     @property
     def ell_plans_built(self) -> int:
         """Total ELL gather plans constructed across this plan's matrices."""

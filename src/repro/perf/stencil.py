@@ -2,8 +2,8 @@
 
 The fv*/Laplacian and 3-D grid systems of the suite are **stencil
 matrices**: their nonzeros sit on a handful of column offsets
-``col - row``, so the whole operator is a few diagonal weight planes —
-the regime where constant-memory GPU stencil kernels beat every sparse
+``col - row``, so the whole operator is a few diagonal planes — the
+regime where constant-memory GPU stencil kernels beat every sparse
 format, because the "sparse structure" is a compile-time constant and
 the gather becomes a shifted contiguous read.
 
@@ -12,25 +12,29 @@ This module is the CPU analogue of that kernel family, split in two:
 * :func:`detect_stencil` — run once per compiled
   :class:`repro.perf.SweepPlan`, it decides whether the view's matrix
   runs the plane kernels and, if so, records a
-  :class:`StencilDescriptor` (offsets and coefficient plane) on the
-  plan; on failure it records the reason, and dispatch falls back to
-  the fused/reference CSR paths.
-* :class:`StencilKernels` — the **executor kernels**: per-offset weight
-  vectors (the diagonal-storage form of the matrix, split into external
-  and block-local parts along the view's partition) applied with
-  offset-shifted slice arithmetic.  One sweep performs no CSR gather and
-  no per-block Python loop: per row tile, each diagonal is either one
-  contiguous ``acc[lo:hi] += w * x[lo+o:hi+o]`` multiply-add or, for
-  sparse diagonals (block-crossing couplings), one short fancy-indexed
-  update, and the tile's Jacobi update follows while it is in cache.
-  The plane kernel and the offset-plane gate (:data:`MAX_OFFSETS`,
-  :data:`MIN_FILL`) live in :mod:`repro.sparse.dia`, shared with
+  :class:`StencilDescriptor` (offsets, fill and the matrix's own planes)
+  on the plan; on failure it records the reason, and dispatch falls back
+  to the fused/reference CSR paths.
+* :class:`StencilKernels` — the **executor kernels**: the matrix's
+  offset planes split into external and block-local parts along the
+  view's partition, applied with offset-shifted slice arithmetic.  One
+  sweep performs no CSR gather and no per-block Python loop: per row
+  tile, each plane is a scalar ufunc over a contiguous slice plus a
+  fix-up of its few deviating rows (*constant* mode: the Laplacians'
+  −1 couplings), a weight-vector multiply-add (*vector* mode: fv*'s
+  variable coefficients) or, for sparse diagonals (block-crossing
+  couplings), one short fancy-indexed update; the tile's Jacobi update
+  follows while it is in cache.  The plane kernel, its modes and the
+  offset-plane gate (:data:`MAX_OFFSETS`, :data:`MIN_FILL`) live in
+  :mod:`repro.sparse.dia`, shared with
   :meth:`repro.sparse.CSRMatrix.residual`.
 
 **Detection contract.**  A view runs the stencil kernels iff its
 (partition-order) matrix has finite entries and passes
 :func:`repro.sparse.dia.plane_gate`, the gate under which
-:meth:`repro.sparse.CSRMatrix.residual` runs the same planes.
+:meth:`repro.sparse.CSRMatrix.residual` runs the same planes.  Both read
+the one plane build :meth:`repro.sparse.CSRMatrix.offset_planes` caches
+on the matrix.
 
 **Exactness.**  The kernels read their weights from the matrix entries
 themselves, so they compute each row's sum over exactly the row's
@@ -43,7 +47,9 @@ Signed zeros never propagate into value differences through the sweep's
 ``+,-,*,/`` data flow, so iterates agree with the reference loop under
 ``np.array_equal`` (the package's bitwise gates) and bit-for-bit in
 every nonzero component; see :mod:`repro.perf.backends` for the regime
-gating, which is exactly the fused path's.
+gating, which is exactly the fused path's.  A plane's mode, and a
+diagonal that is one value (divided as a scalar), change no bit: each
+row gets the operations of a weight-vector pass.
 """
 
 from __future__ import annotations
@@ -59,8 +65,8 @@ from ..sparse.dia import (
     MIN_FILL,
     DiagonalPlane,
     accumulate_planes,
-    entry_offsets,
-    plane_gate,
+    plane_modes,
+    plane_residual,
     row_tiles,
     tile_shape,
 )
@@ -82,37 +88,30 @@ class StencilDescriptor:
     ----------
     offsets:
         Sorted distinct column offsets (``col - row``), diagonal included.
-    plane:
-        ``(len(offsets), n)`` coefficient plane: row *j* holds every
-        matrix row's stored coefficient at ``offsets[j]``, NaN where the
-        row stores none.  :class:`StencilKernels` takes its weight
-        vectors from it.
+    fill:
+        ``nnz / (len(offsets) × n)``, the filled share of the offset plane.
+    planes:
+        The matrix's own :class:`repro.sparse.dia.DiagonalPlane` list
+        (:meth:`repro.sparse.CSRMatrix.offset_planes`), shared with its
+        residual; :class:`StencilKernels` splits it along the partition.
     """
 
     offsets: np.ndarray = field(repr=False)
-    plane: np.ndarray = field(repr=False, compare=False)
+    fill: float
+    planes: List[DiagonalPlane] = field(repr=False, compare=False)
 
     def telemetry(self) -> dict:
-        """JSON-friendly summary for the run-telemetry annotation."""
+        """JSON-friendly summary for the run-telemetry annotation.
+
+        ``residual`` is :func:`repro.sparse.dia.plane_modes` of the
+        matrix planes: how many run constant, and each slice plane's
+        deviation-row fraction.
+        """
         return {
             "offsets": [int(o) for o in self.offsets],
-            "fill": float(np.mean(~np.isnan(self.plane))),
+            "fill": self.fill,
+            "residual": plane_modes(self.planes),
         }
-
-
-def _coefficient_plane(A, rows, offs, offsets) -> np.ndarray:
-    """The ``(W, n)`` plane of every row's coefficient at every offset.
-
-    Row *j* holds each matrix row's coefficient at ``offsets[j]``, NaN
-    where the row stores none.  Entries land through an offset lookup
-    table (offset → flat plane start), one scatter in all.
-    """
-    n = A.shape[0]
-    start = np.full(int(offsets[-1] - offsets[0]) + 1, -1, dtype=np.int64)
-    start[offsets - offsets[0]] = np.arange(len(offsets), dtype=np.int64) * n
-    plane = np.full(len(offsets) * n, np.nan)
-    plane[start[offs - offsets[0]] + rows] = A.data
-    return plane.reshape(len(offsets), n)
 
 
 def detect_stencil(view: BlockRowView) -> Tuple[Optional[StencilDescriptor], str]:
@@ -122,19 +121,21 @@ def detect_stencil(view: BlockRowView) -> Tuple[Optional[StencilDescriptor], str
     failure; the reason string is recorded in the partition telemetry so
     a fallback is always explainable.  The kernels read
     ``view.matrix`` itself, so a permuted or finely cut view is accepted
-    whenever its matrix is.  Cost is one counting pass and one scatter
-    over the nonzeros — paid once per compiled plan, and only when
-    stencil dispatch is actually considered.
+    whenever its matrix is.  The gate verdict and the planes come from
+    the matrix's cached :meth:`~repro.sparse.CSRMatrix.offset_planes`,
+    so a matrix shared by many views and its residual pays one offset
+    pass in all; each call adds a finite-entries check.
     """
     A = view.matrix
     if not np.all(np.isfinite(A.data)):
-        # The plane codes "no entry" as NaN.
+        # Holes compute 0.0 * x, NaN once a non-finite weight has made x
+        # non-finite; the reference loop's products skip holes.
         return None, "matrix entries are not finite"
-    rows, offs, offsets = entry_offsets(A)
-    reason = plane_gate(len(offsets), A.nnz, A.shape[0])
-    if reason:
+    planes, reason = A.offset_planes()
+    if planes is None:
         return None, reason
-    return StencilDescriptor(offsets, _coefficient_plane(A, rows, offs, offsets)), ""
+    offsets = np.array([d.offset for d in planes])
+    return StencilDescriptor(offsets, A.nnz / (len(planes) * A.shape[0]), planes), ""
 
 
 # --------------------------------------------------------------------- #
@@ -145,17 +146,16 @@ def detect_stencil(view: BlockRowView) -> Tuple[Optional[StencilDescriptor], str
 class StencilKernels:
     """Offset-shifted sweep kernels of one decomposition that passes the gate.
 
-    Weights are the rows of the descriptor's coefficient plane
-    (:attr:`StencilDescriptor.plane`), one per offset, split into
-    **external** (column outside the row's block) and **local** (inside
-    the block, off-diagonal) planes along the partition's row-to-block
-    map, mirroring the E/L split every executor consumes.  Both
-    application methods accept ``(n,)`` vectors and ``(R, n)``
-    multi-vectors (the batched engines' stacked variant) — diagonals
-    broadcast over leading axes, so the 2-D path is the 1-D arithmetic
-    per replica row.
+    The matrix's planes (:attr:`StencilDescriptor.planes`) are split
+    into **external** (column outside the row's block) and **local**
+    (inside the block, off-diagonal) planes along the partition's
+    row-to-block map, mirroring the E/L split every executor consumes;
+    each part picks its own plane mode.  Both application methods accept
+    ``(n,)`` vectors and ``(R, n)`` multi-vectors (the batched engines'
+    stacked variant) — planes broadcast over leading axes, so the 2-D
+    path is the 1-D arithmetic per replica row.
 
-    Diagonals accumulate in ascending-offset order — ascending column
+    Planes accumulate in ascending-offset order — ascending column
     order, the same per-row order as the packed CSR kernels.  Both
     methods run one row tile at a time (:func:`repro.sparse.dia.row_tiles`)
     with tile-sized accumulators, so a tile's plane products and its
@@ -167,18 +167,30 @@ class StencilKernels:
         n = view.n
         self.n = n
         self.diag = view.diagonal_vector()
+        bits = self.diag.view(np.int64)
+        #: The diagonal as one scalar divisor when every row shares it
+        #: (bitwise a division by the vector), else ``None``.
+        self.diag_value = float(self.diag[0]) if n and np.all(bits == bits[0]) else None
         block_of = view.classification.block_of_row
         self._external: List[DiagonalPlane] = []
         self._local: List[DiagonalPlane] = []
-        for o, weights in zip(desc.offsets.tolist(), desc.plane):
+        for plane in desc.planes:
+            o, lo, hi = plane.offset, plane.lo, plane.hi
             if o == 0:
                 continue
-            r = np.flatnonzero(~np.isnan(weights))
-            v = weights[r]
-            same_block = block_of[r] == block_of[r + o]
-            for mask, planes in ((~same_block, self._external), (same_block, self._local)):
-                if mask.any():
-                    planes.append(DiagonalPlane(o, r[mask], v[mask]))
+            same_block = block_of[lo:hi] == block_of[lo + o : hi + o]
+            # A plane wholly inside or wholly across blocks is shared as is
+            # (planes are read-only); only a cut plane is split and rebuilt.
+            if same_block.all():
+                self._local.append(plane)
+            elif not same_block.any():
+                self._external.append(plane)
+            else:
+                r, v = plane.entries()
+                same_block = same_block[r - lo]
+                for mask, planes in ((~same_block, self._external), (same_block, self._local)):
+                    if mask.any():
+                        planes.append(DiagonalPlane(o, r[mask], v[mask]))
         # Reusable work buffers, keyed by shape — tile-sized plane
         # accumulator and product scratch, full-length z0/z1 iterates:
         # freshly mapped temporaries cost page faults on every sweep,
@@ -193,15 +205,22 @@ class StencilKernels:
 
     @property
     def n_diagonals(self) -> Tuple[int, int]:
-        """(external, local) weight-plane counts (diagnostics)."""
+        """(external, local) plane counts (diagnostics)."""
         return len(self._external), len(self._local)
 
-    def apply_external(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """``out = E @ x`` — the whole-system external gather, matrix-free."""
+    def telemetry(self) -> dict:
+        """:func:`repro.sparse.dia.plane_modes` of the external and local planes."""
+        return {"external": plane_modes(self._external), "local": plane_modes(self._local)}
+
+    def external_residual(self, x: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out = b - E @ x`` — the external pass, matrix-free, a row tile at a time.
+
+        Each tile's ``E @ x`` is subtracted from *b*'s tile while still in
+        cache: bitwise the whole-vector product and subtraction.  *out*
+        must not alias *x*.
+        """
         scratch = self._scratch("plane", tile_shape(out.shape))
-        for lo, hi in row_tiles(self.n):
-            accumulate_planes(self._external, x, out[..., lo:hi], scratch[..., : hi - lo], lo, hi)
-        return out
+        return plane_residual(self._external, x, b, out, scratch)
 
     def local_sweeps(
         self,
@@ -241,10 +260,11 @@ class StencilKernels:
                 accumulate_planes(self._local, z, a, scratch[..., : hi - lo], lo, hi)
                 nt = new[..., lo:hi]
                 np.subtract(s[..., lo:hi], a, out=a)
+                d = self.diag[lo:hi] if self.diag_value is None else self.diag_value
                 if omega == 1.0:
-                    np.divide(a, self.diag[lo:hi], out=nt)
+                    np.divide(a, d, out=nt)
                 else:
-                    np.divide(a, self.diag[lo:hi], out=a)
+                    np.divide(a, d, out=a)
                     np.multiply(a, omega, out=a)  # omega * new
                     np.multiply(z[..., lo:hi], 1.0 - omega, out=nt)
                     np.add(nt, a, out=nt)

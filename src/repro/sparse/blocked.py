@@ -356,7 +356,8 @@ class BlockRowView:
 
         When this view's compiled sweep plan has run the stencil gate
         (:mod:`repro.perf.stencil`), the outcome rides along under a
-        ``"stencil"`` key — offsets and plane fill on success, the failure
+        ``"stencil"`` key — offsets, plane fill and plane modes on success
+        (:meth:`repro.perf.SweepPlan.stencil_telemetry`), the failure
         reason on fallback — so every dispatch decision is explainable
         from the telemetry alone.  The gate is never *forced*
         here: views whose engines never considered stencil dispatch report
@@ -366,12 +367,7 @@ class BlockRowView:
         out = self.partition.telemetry()
         plan = self._perf_plan
         if plan is not None and plan.stencil_attempted:
-            desc, reason = plan.stencil
-            out["stencil"] = (
-                {"detected": True, **desc.telemetry()}
-                if desc is not None
-                else {"detected": False, "reason": reason}
-            )
+            out["stencil"] = plan.stencil_telemetry()
         return out
 
     def block_sizes(self) -> np.ndarray:

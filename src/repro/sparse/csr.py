@@ -19,14 +19,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .._util import as_float_array, as_index_array
-from .dia import (
-    DiagonalPlane,
-    accumulate_planes,
-    entry_offsets,
-    plane_gate,
-    row_tiles,
-    tile_shape,
-)
+from .dia import DiagonalPlane, offset_planes, plane_residual, tile_shape
 
 __all__ = ["CSRMatrix"]
 
@@ -74,7 +67,7 @@ class CSRMatrix:
 
     __slots__ = (
         "indptr", "indices", "data", "shape",
-        "_ell", "_ell_builds", "_dia", "_dia_builds", "_erows",
+        "_ell", "_ell_builds", "_dia", "_dia_reason", "_dia_builds", "_erows",
     )
 
     def __init__(self, indptr, indices, data, shape: Tuple[int, int], *, check: bool = True):
@@ -85,6 +78,7 @@ class CSRMatrix:
         self._ell = None
         self._ell_builds = 0
         self._dia = None
+        self._dia_reason = ""
         self._dia_builds = 0
         self._erows = None
         if check:
@@ -297,31 +291,27 @@ class CSRMatrix:
             out[..., empty] = 0.0
         return out
 
-    def _dia_plan(self) -> Optional[List[DiagonalPlane]]:
-        """Per-offset weight planes in ascending offset order, or ``None``.
+    def offset_planes(self) -> Tuple[Optional[List[DiagonalPlane]], str]:
+        """``(planes, "")`` in ascending offset order, or ``(None, reason)``.
 
-        Built lazily on the first :meth:`residual` and cached like the ELL
-        plan (same no-mutation assumption).  ``None`` when the structure
-        fails :func:`repro.sparse.dia.plane_gate` — too many distinct
-        column offsets, or too little of their plane filled — and the
-        residual stays on the ELL product.  ``_dia_builds`` counts
-        accepted constructions.  An accepted matrix's rows hold at most
-        ``MAX_OFFSETS`` entries, under :data:`_ELL_MAX_WIDTH`, so its ELL
-        product sums every row left to right — the order the planes
-        reproduce.
+        The one plane build of :func:`repro.sparse.dia.offset_planes`,
+        run on first use and cached like the ELL plan (same no-mutation
+        assumption).  Planes are ``None`` when the structure fails
+        :func:`repro.sparse.dia.plane_gate` — too many distinct column
+        offsets, or too little of their plane filled — and *reason* says
+        which.  :meth:`residual` and the stencil sweep kernels
+        (:mod:`repro.perf.stencil`) both run these planes.
+        ``_dia_builds`` counts accepted constructions.  An accepted
+        matrix's rows hold at most ``MAX_OFFSETS`` entries, under
+        :data:`_ELL_MAX_WIDTH`, so its ELL product sums every row left to
+        right — the order the planes reproduce.
         """
         if self._dia is None:
-            rows, offs, offsets = entry_offsets(self)
-            if plane_gate(len(offsets), self.nnz, self.nrows):
-                self._dia = False
-            else:
-                planes = []
-                for o in offsets:
-                    sel = offs == o
-                    planes.append(DiagonalPlane(int(o), rows[sel], self.data[sel]))
-                self._dia = planes
+            planes, self._dia_reason = offset_planes(self)
+            self._dia = planes if planes is not None else False
+            if planes is not None:
                 self._dia_builds += 1
-        return self._dia or None
+        return self._dia or None, self._dia_reason
 
     def _operand(self, x, out: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
         """Validate a ``(ncols,)`` or ``(R, ncols)`` operand; return it and *out*.
@@ -393,7 +383,7 @@ class CSRMatrix:
         alias *x*.
 
         A matrix with a few, well-filled column offsets (see
-        :meth:`_dia_plan`) evaluates ``A @ x`` as offset-shifted slice
+        :meth:`offset_planes`) evaluates ``A @ x`` as offset-shifted slice
         multiply-adds in ascending-offset order — ascending column order,
         the order the ELL panels of :meth:`matvec` sum each row in — so the
         result equals ``b - A.matvec(x)`` under ``np.array_equal`` for
@@ -402,28 +392,24 @@ class CSRMatrix:
         (:func:`repro.sparse.dia.row_tiles`): each tile of ``A @ x`` lands
         in *r*'s tile and is subtracted from *b*'s while still in cache,
         with a tile-sized product scratch; an ``(R, ncols)`` operand tiles
-        along its last axis.
+        along its last axis.  A plane whose weights are mostly one value
+        runs as a scalar ufunc plus a fix-up of its other rows
+        (:mod:`repro.sparse.dia`), with the same bits.
         :meth:`matvec` itself stays on the ELL plan, the kernel it shares
         with :meth:`matvec_rows` and with the per-block parts the sweep
         executors multiply, so every product stays bitwise consistent
         across them, zero signs and non-finite rows included.  Matrices
         the plan gate rejects take the ELL product here too.
         """
-        planes = self._dia_plan()
+        planes, _ = self.offset_planes()
         if planes is None:
             r = self.matvec(x, out=out)
             np.subtract(b, r, out=r)
             return r
         x, r = self._operand(x, out)
-        b = np.asarray(b)
         # A per-call scratch, not a cached one: the matrix is shared by
         # concurrent solves (threaded solver, serve).
-        scratch = np.empty(tile_shape(r.shape))
-        for lo, hi in row_tiles(self.nrows):
-            rt = r[..., lo:hi]
-            accumulate_planes(planes, x, rt, scratch[..., : hi - lo], lo, hi)
-            np.subtract(b[..., lo:hi], rt, out=rt)
-        return r
+        return plane_residual(planes, x, np.asarray(b), r, np.empty(tile_shape(r.shape)))
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal as a dense vector (zeros where unstored)."""

@@ -181,10 +181,35 @@ def test_telemetry_records_detection_outcome(lap3d, small_spd):
     cfg = ENGAGING["snapshot-gpu-k1"]
     eng, _, _ = _run(lap3d, _rhs(lap3d), cfg, sweeps=1)
     blob = eng.view.partition_telemetry()["stencil"]
+    # Plane modes ride along: a 10-row grid line puts ±1 holes at 10% of
+    # rows, over the constant cut-off, and 32-row blocks cut more.
     assert blob == {
         "detected": True,
         "offsets": [-100, -10, -1, 0, 1, 10, 100],
         "fill": lap3d.nnz / (7 * 1000),
+        "residual": {
+            "planes": 7,
+            "constant": 3,
+            "gather": 0,
+            "deviation": {
+                "-100": 0.0, "-10": 0.0909, "-1": 0.0991, "0": 0.0,
+                "1": 0.0991, "10": 0.0909, "100": 0.0,
+            },
+        },
+        "sweep": {
+            "external": {
+                "planes": 6,
+                "constant": 2,
+                "gather": 2,
+                "deviation": {"-100": 0.0, "-10": 0.2851, "10": 0.2851, "100": 0.0},
+            },
+            "local": {
+                "planes": 4,
+                "constant": 0,
+                "gather": 0,
+                "deviation": {"-10": 0.3646, "-1": 0.1241, "1": 0.1241, "10": 0.3646},
+            },
+        },
     }
     eng, _, _ = _run(small_spd, _rhs(small_spd), cfg, sweeps=1)
     blob = eng.view.partition_telemetry()["stencil"]

@@ -20,7 +20,7 @@ from repro.matrices.grids import stencil_laplacian_2d
 from repro.matrices.grids3d import stencil_laplacian_3d
 from repro.partition import make_partition
 from repro.perf import StencilDescriptor, compile_sweep_plan, detect_stencil
-from repro.sparse import BlockRowView, CSRMatrix
+from repro.sparse import BlockRowView, CSRMatrix, dia
 
 
 def _view(A, spec="uniform", block_size=128):
@@ -84,7 +84,7 @@ def test_stencil_accepts_iff_residual_runs_planes(name):
     else:
         view = _view(get_matrix(name))
     desc, reason = compile_sweep_plan(view).stencil
-    assert (desc is not None) == (view.matrix._dia_plan() is not None)
+    assert (desc is not None) == (view.matrix.offset_planes()[0] is not None)
     assert (desc is not None) == _GATE[name], reason
 
 
@@ -103,9 +103,13 @@ def test_lap3d_7pt_detects(lap3d):
     desc, reason = detect_stencil(_view(lap3d))
     assert desc is not None, reason
     assert desc.offsets.tolist() == [-144, -12, -1, 0, 1, 12, 144]
-    # The plane holds the matrix's own entries, NaN where a row has none.
-    assert np.array_equal(desc.plane[3], lap3d.diagonal())
-    assert np.isnan(desc.plane[0, :144]).all() and (desc.plane[0, 144:] == -1.0).all()
+    # The planes hold the matrix's own entries, on the rows that store them.
+    n = lap3d.shape[0]
+    rows, vals = desc.planes[3].entries()
+    assert np.array_equal(rows, np.arange(n)) and np.array_equal(vals, lap3d.diagonal())
+    rows, vals = desc.planes[0].entries()
+    assert np.array_equal(rows, np.arange(144, n)) and (vals == -1.0).all()
+    assert desc.planes is lap3d.offset_planes()[0]  # the residual's planes
 
 
 @pytest.mark.parametrize("stencil", ["19pt", "27pt"])
@@ -132,7 +136,11 @@ def test_descriptor_telemetry_is_json_safe(lap3d):
     desc, _ = detect_stencil(_view(lap3d))
     blob = desc.telemetry()
     assert json.loads(json.dumps(blob, allow_nan=False)) == blob
-    assert blob == {"offsets": desc.offsets.tolist(), "fill": lap3d.nnz / (7 * lap3d.shape[0])}
+    assert blob == {
+        "offsets": desc.offsets.tolist(),
+        "fill": lap3d.nnz / (7 * lap3d.shape[0]),
+        "residual": dia.plane_modes(desc.planes),
+    }
 
 
 def test_2d_grid_detects_small():
@@ -142,11 +150,34 @@ def test_2d_grid_detects_small():
     assert desc.offsets.tolist() == [-17, -16, -15, -1, 0, 1, 15, 16, 17]
 
 
-#: Offsets and plane fill of the suite's stencil matrices (uniform blocks of 128).
+def _modes(constant, deviation):
+    return {"planes": len(deviation), "constant": constant, "gather": 0, "deviation": deviation}
+
+
+#: Offsets, plane fill and residual plane modes of the suite's stencil
+#: matrices (uniform blocks of 128).  lap3d's planes run constant (grid
+#: boundary holes are 6% of its ±1/±16 rows); fv1/fv3's variable
+#: coefficients leave half the rows off any one weight, so theirs stay
+#: on vectors.
 _PINNED = {
-    "lap3d16": ([-256, -16, -1, 0, 1, 16, 256], 0.9464285714285714),
-    "fv1": ([-99, -98, -97, -1, 0, 1, 97, 98, 99], 0.9864408348373362),
-    "fv3": ([-100, -99, -98, -1, 0, 1, 98, 99, 100], 0.9865773333786801),
+    "lap3d16": (
+        [-256, -16, -1, 0, 1, 16, 256],
+        0.9464285714285714,
+        _modes(7, {"-256": 0.0, "-16": 0.0588, "-1": 0.0623, "0": 0.0,
+                   "1": 0.0623, "16": 0.0588, "256": 0.0}),
+    ),
+    "fv1": (
+        [-99, -98, -97, -1, 0, 1, 97, 98, 99],
+        0.9864408348373362,
+        _modes(0, {"-99": 0.5203, "-98": 0.5102, "-97": 0.5102, "-1": 0.5051, "0": 0.4949,
+                   "1": 0.5051, "97": 0.5102, "98": 0.5102, "99": 0.5203}),
+    ),
+    "fv3": (
+        [-100, -99, -98, -1, 0, 1, 98, 99, 100],
+        0.9865773333786801,
+        _modes(0, {"-100": 0.5101, "-99": 0.5, "-98": 0.4999, "-1": 0.515, "0": 0.5051,
+                   "1": 0.515, "98": 0.4999, "99": 0.5, "100": 0.5101}),
+    ),
 }
 
 
@@ -155,7 +186,7 @@ def test_descriptors_pinned(name):
     A = stencil_laplacian_3d(16) if name == "lap3d16" else get_matrix(name)
     desc, reason = detect_stencil(_view(A))
     assert desc is not None, reason
-    assert desc.telemetry() == dict(zip(("offsets", "fill"), _PINNED[name]))
+    assert desc.telemetry() == dict(zip(("offsets", "fill", "residual"), _PINNED[name]))
 
 
 def test_trefethen_passes_the_gate(trefethen_small):
@@ -163,7 +194,10 @@ def test_trefethen_passes_the_gate(trefethen_small):
     # power-of-two offsets that fill 82% of their plane.
     desc, reason = detect_stencil(_view(trefethen_small))
     assert desc is not None and reason == ""
-    assert desc.telemetry()["fill"] == pytest.approx(0.8207, abs=1e-4)
+    blob = desc.telemetry()
+    assert blob["fill"] == pytest.approx(0.8207, abs=1e-4)
+    # The band's weights are all 1: every plane but the diagonal is constant.
+    assert blob["residual"]["constant"] == blob["residual"]["planes"] - 1
 
 
 @pytest.mark.parametrize("spec", ["rcm", "clustered:8"])
@@ -173,7 +207,7 @@ def test_permuted_views_are_judged_on_their_own_matrix(spec):
     # clustered spreads its offsets and falls to fused.
     view = _view(_tridiagonal(400), spec=spec, block_size=32)
     desc, reason = compile_sweep_plan(view).stencil
-    assert (desc is not None) == (view.matrix._dia_plan() is not None)
+    assert (desc is not None) == (view.matrix.offset_planes()[0] is not None)
     backend, same = _bits_equal_reference(view)
     assert backend == ("stencil" if spec == "rcm" else "fused"), reason
     assert same
@@ -223,8 +257,8 @@ def test_low_fill_band_fails():
 
 
 def test_non_finite_entries_fail(lap3d):
-    # The plane codes a missing entry as NaN, so a stored NaN/inf would
-    # read as a hole.
+    # A hole's 0.0 * x turns an inf iterate into NaN where the reference
+    # loop, which skips holes, keeps the inf.
     data = lap3d.data.copy()
     data[7] = np.inf
     B = CSRMatrix(lap3d.indptr.copy(), lap3d.indices.copy(), data, lap3d.shape)
