@@ -11,7 +11,7 @@ Two gates on the §5-outlook layer, both end-to-end wall-clock:
 * **s1rmt3m1** — the non-dominant system where bare async-(k)
   *diverges* (ρ(|B|) ≫ 1): the snapshot preconditioner
   (``order="synchronous"``, ``local_iterations=1``, τ-scaled ω — a
-  provably SPD operator applied through the fused/stencil backend) must
+  provably SPD operator applied as whole sweeps on the levels backend) must
   make CG converge, and the auto-tuned second-order Richardson must
   converge too.  Async relaxation as an inner component is exactly what
   rescues it here.

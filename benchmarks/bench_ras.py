@@ -13,7 +13,7 @@ of Eq. (4)'s block sweep.  Two properties are gated here:
   stay within ``MAX_OVERHEAD`` per sweep of the *reference* CSR
   executor on the same partition: the extended systems duplicate only a
   thin boundary band, so the per-sweep cost is the same block loop plus
-  a few halo rows.  (The fused/stencil fast paths are deliberately not
+  a few halo rows.  (The stencil and one-level sweeps are deliberately not
   the baseline — they batch all blocks into whole-array kernels, a
   speedup orthogonal to what overlap costs.)
 

@@ -1,4 +1,4 @@
-"""Matrix-free stencil backend vs the fused CSR path (:mod:`repro.perf.stencil`).
+"""Matrix-free stencil backend vs the level executor (:mod:`repro.perf.stencil`).
 
 The backend dispatcher resolves ``backend="auto"`` to the matrix-free
 stencil executor wherever the matrix passes the offset-plane gate and the
@@ -6,7 +6,9 @@ whole-sweep regimes are exact.  On a 64³ 7-point Laplacian — the canonical
 constant-coefficient stencil workload — every sweep then runs as a handful
 of offset-shifted slice multiply-adds instead of CSR gathers.  Backends
 are execution strategies, never approximations: every timed cell asserts
-bitwise-identical iterates across stencil, fused and reference.
+bitwise-identical iterates across stencil, levels and reference.  Forced
+``"levels"`` runs the same whole sweeps on CSR panels, one level per
+sweep: the path ``"auto"`` takes for matrices the gate refuses.
 
 The same matrix's convergence check — the residual ``b - A x`` every
 global iteration evaluates — runs on the diagonal-offset planes of
@@ -17,11 +19,11 @@ in constant mode (one scalar weight, no weight vector streamed).
 One Trefethen_2000 cell (async-(1), 256 blocks) covers the class the gate
 admits beyond constant-coefficient grids: a per-row prime diagonal on a
 power-of-two band.  It checks that auto resolves stencil with iterates
-bitwise those of forced fused and reference, and reports both paths'
+bitwise those of forced levels and reference, and reports both paths'
 ms/sweep without a speed bar.
 
-Acceptance bars: the stencil path is ≥ 2× faster per sweep than the fused
-path at 256 blocks (for both async-(1) and async-(2)), with 0 bitwise
+Acceptance bars: the stencil path is ≥ 2× faster per sweep than the level
+executor at 256 blocks (for both async-(1) and async-(2)), with 0 bitwise
 mismatches vs the reference executor; the plane residual is ≥ 2× faster
 than the ELL residual and ``np.array_equal`` to it.
 
@@ -123,13 +125,13 @@ def time_residual(A, b: np.ndarray) -> dict:
 
 
 def time_trefethen() -> dict:
-    """Fused vs auto (stencil) per-sweep time on the Trefethen cell, bitwise-checked."""
+    """Levels vs auto (stencil) per-sweep time on the Trefethen cell, bitwise-checked."""
     name, nblocks, k = TREFETHEN
     A = get_matrix(name)
     b = default_rhs(A)
     view = BlockRowView(A, nblocks=nblocks)
     _, x_ref, _ = time_backend(view, b, k, "reference")
-    fus_s, x_fus, _ = time_backend(view, b, k, "fused")
+    lev_s, x_lev, _ = time_backend(view, b, k, "levels")
     ste_s, x_ste, eng_ste = time_backend(view, b, k, "auto")
     bits = x_ste.view(np.int64)
     return {
@@ -139,11 +141,11 @@ def time_trefethen() -> dict:
         "k": k,
         "sweeps": SWEEPS,
         "auto_backend": eng_ste.backend,
-        "fused_s_per_sweep": fus_s,
+        "levels_s_per_sweep": lev_s,
         "stencil_s_per_sweep": ste_s,
         "identical": bool(
             np.array_equal(bits, x_ref.view(np.int64))
-            and np.array_equal(bits, x_fus.view(np.int64))
+            and np.array_equal(bits, x_lev.view(np.int64))
         ),
     }
 
@@ -161,9 +163,9 @@ def run_benchmark() -> dict:
         view = BlockRowView(A, block_size=max(1, A.shape[0] // nblocks))
         for k in KS:
             ref_s, x_ref, eng_ref = time_backend(view, b, k, "reference")
-            fus_s, x_fus, eng_fus = time_backend(view, b, k, "fused")
+            lev_s, x_lev, eng_lev = time_backend(view, b, k, "levels")
             ste_s, x_ste, eng_ste = time_backend(view, b, k, "auto")
-            assert eng_ref.backend == "reference" and eng_fus.backend == "fused"
+            assert eng_ref.backend == "reference" and eng_lev.backend == "levels"
             assert eng_ste.backend == "stencil", (
                 f"auto resolved {eng_ste.backend!r} — the stencil gate refused?"
             )
@@ -175,12 +177,12 @@ def run_benchmark() -> dict:
                     "k": k,
                     "sweeps": SWEEPS,
                     "reference_s_per_sweep": ref_s,
-                    "fused_s_per_sweep": fus_s,
+                    "levels_s_per_sweep": lev_s,
                     "stencil_s_per_sweep": ste_s,
-                    "speedup_vs_fused": fus_s / ste_s if ste_s > 0 else float("inf"),
+                    "speedup_vs_levels": lev_s / ste_s if ste_s > 0 else float("inf"),
                     "speedup_vs_reference": ref_s / ste_s if ste_s > 0 else float("inf"),
                     "identical": bool(
-                        np.array_equal(x_ste, x_ref) and np.array_equal(x_ste, x_fus)
+                        np.array_equal(x_ste, x_ref) and np.array_equal(x_ste, x_lev)
                     ),
                 }
             )
@@ -192,14 +194,14 @@ def render(result: dict) -> str:
     lines = [
         f"Matrix-free stencil backend — {GRID}^3 7-point Laplacian, snapshot-read "
         f"regime (order=gpu, stale_read_prob=1), {SWEEPS} timed sweeps per cell",
-        f"{'nblocks':>8s} {'k':>3s} {'reference [ms]':>15s} {'fused [ms]':>11s} "
-        f"{'stencil [ms]':>13s} {'vs fused':>9s} {'vs ref':>8s} {'bitwise':>8s}",
+        f"{'nblocks':>8s} {'k':>3s} {'reference [ms]':>15s} {'levels [ms]':>12s} "
+        f"{'stencil [ms]':>13s} {'vs levels':>10s} {'vs ref':>8s} {'bitwise':>8s}",
     ]
     for r in rows:
         lines.append(
             f"{r['nblocks']:8d} {r['k']:3d} {r['reference_s_per_sweep'] * 1e3:15.3f} "
-            f"{r['fused_s_per_sweep'] * 1e3:11.3f} {r['stencil_s_per_sweep'] * 1e3:13.3f} "
-            f"{r['speedup_vs_fused']:8.2f}x {r['speedup_vs_reference']:7.2f}x "
+            f"{r['levels_s_per_sweep'] * 1e3:12.3f} {r['stencil_s_per_sweep'] * 1e3:13.3f} "
+            f"{r['speedup_vs_levels']:9.2f}x {r['speedup_vs_reference']:7.2f}x "
             f"{'yes' if r['identical'] else 'NO'}"
         )
     lines += [
@@ -213,7 +215,7 @@ def render(result: dict) -> str:
     t = result["trefethen"]
     lines.append(
         f"{t['matrix']}, {t['nblocks']} blocks, k={t['k']}: auto resolves "
-        f"{t['auto_backend']}; fused {t['fused_s_per_sweep'] * 1e3:.3f} ms, stencil "
+        f"{t['auto_backend']}; levels {t['levels_s_per_sweep'] * 1e3:.3f} ms, stencil "
         f"{t['stencil_s_per_sweep'] * 1e3:.3f} ms per sweep, bitwise "
         f"{'yes' if t['identical'] else 'NO'}"
     )
@@ -237,8 +239,8 @@ def _check(result: dict) -> None:
         )
     for r in rows:
         if r["nblocks"] == max(NBLOCKS):
-            assert r["speedup_vs_fused"] >= MIN_SPEEDUP_256, (
-                f"stencil path only {r['speedup_vs_fused']:.2f}x faster than fused "
+            assert r["speedup_vs_levels"] >= MIN_SPEEDUP_256, (
+                f"stencil path only {r['speedup_vs_levels']:.2f}x faster than levels "
                 f"at nblocks={r['nblocks']}, k={r['k']} (need {MIN_SPEEDUP_256}x):\n"
                 + render(result)
             )

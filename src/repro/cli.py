@@ -187,7 +187,7 @@ def _cmd_solve(args) -> int:
         recorder = RunRecorder()
     try:
         # Solver construction validates the partition spec and backend;
-        # solve() rejects e.g. --backend=fused in a non-exact regime.
+        # solve() rejects e.g. --backend=stencil in a non-exact regime.
         solver = _build_solver(args, recorder=recorder, A=A)
         result = solver.solve(A, b)
     except ValueError as exc:

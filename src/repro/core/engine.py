@@ -36,7 +36,7 @@ from typing import List, Optional
 import numpy as np
 
 from .._util import as_rng, check_vector
-from ..perf.backends import make_executor, resolve_backend
+from ..perf.backends import make_executor, resolve_backend, whole_sweep_exact
 from ..perf.plan import compile_sweep_plan, rhs_preserves_fold
 from ..runtime import BatchedRunOutcome, RunLoop, StoppingCriterion
 from ..runtime.recorder import RunRecorder
@@ -84,15 +84,12 @@ class _SweepLanes:
         # view — index structures are compiled once per decomposition, not
         # per engine (repro.perf).
         self.plan = compile_sweep_plan(view)
-        self.backend = resolve_backend(
-            config,
-            self.schedulers[0],
-            has_fault=fault is not None,
-            rhs_fold_safe=rhs_preserves_fold(b),
-            plan=self.plan,
-        )
+        scheduler = self.schedulers[0]
+        dispatch = dict(has_fault=fault is not None, rhs_fold_safe=rhs_preserves_fold(b))
+        self.backend = resolve_backend(config, scheduler, plan=self.plan, **dispatch)
         self._executor = make_executor(
-            self.backend, self.plan, config, self.schedulers[0].gamma_profile()
+            self.backend, self.plan, config, scheduler.gamma_profile(),
+            whole=whole_sweep_exact(config, scheduler, **dispatch),
         )
 
     def decisions(self) -> dict:
@@ -142,12 +139,13 @@ class AsyncEngine(_SweepLanes):
     backend:
         Resolved sweep-execution backend (see :mod:`repro.perf`):
         ``"ras"`` on an overlapped (``+oK``) partition; otherwise, with
-        ``config.backend="auto"``, ``"stencil"`` or ``"fused"`` wherever a
-        whole-sweep executor is bitwise the reference loop — snapshot-read
-        regimes (γ ≡ 0) and all-deferred writes, with no fault; stencil
-        where the matrix passes the offset-plane gate — ``"levels"`` (the
-        block loop as dependency levels) everywhere else, and
-        ``"reference"`` (the per-block loop) under a fault or when forced.
+        ``config.backend="auto"``, ``"stencil"`` where the matrix passes
+        the offset-plane gate and a whole sweep is bitwise the reference
+        loop — snapshot-read regimes (γ ≡ 0) and all-deferred writes, with
+        no fault — ``"levels"`` (the block loop as dependency levels, one
+        level per sweep in those regimes) everywhere else, and
+        ``"reference"`` (the per-block loop) under a fault, where a row
+        outgrows the level panels, or when forced.
     plan:
         The compiled :class:`repro.perf.SweepPlan`, shared by every engine
         built on the same :class:`~repro.sparse.BlockRowView`.

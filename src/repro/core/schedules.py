@@ -86,14 +86,15 @@ def replica_rngs(seed0: int, nreplicas: int) -> List[np.random.Generator]:
 UPDATE_ORDERS = ("synchronous", "sequential", "reversed", "random", "gpu")
 
 #: Recognised sweep-execution backends (see :mod:`repro.perf`):
-#: ``"auto"`` prefers the matrix-free stencil path where the matrix
-#: passes the offset-plane gate, fuses whole sweeps whenever that is
-#: exact for the configured regime, and otherwise runs the block loop as
-#: dependency levels (resolved name ``"levels"``); ``"stencil"``/``"fused"``
-#: demand their path (an error where it is not exact, or — stencil —
-#: where the gate refuses the matrix); ``"reference"`` forces the
+#: ``"auto"`` runs the matrix-free stencil path where the matrix passes
+#: the offset-plane gate and a whole sweep is exact for the configured
+#: regime, and otherwise the block loop as dependency levels (one level
+#: per sweep where a whole sweep is exact); ``"stencil"``/``"levels"``
+#: demand their path (an error where it cannot run: stencil outside the
+#: exact regimes or where the gate refuses the matrix, levels under a
+#: fault or where a row outgrows its panels); ``"reference"`` forces the
 #: per-block loop everywhere.
-BACKENDS = ("auto", "stencil", "fused", "reference")
+BACKENDS = ("auto", "stencil", "levels", "reference")
 
 
 @dataclass(frozen=True)

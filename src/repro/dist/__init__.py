@@ -11,7 +11,7 @@ two-stage multisplitting shape (Brown et al., PAPERS.md):
   simulated multi-GPU layer uses);
 * each worker process owns a contiguous row range, compiles its local
   :class:`repro.perf.SweepPlan` and runs inner sweeps through the
-  ordinary fused/reference backend dispatch of
+  ordinary stencil/levels/reference backend dispatch of
   :class:`repro.core.AsyncEngine`;
 * the outer iterate lives in one ``multiprocessing.shared_memory``
   segment, with per-shard epoch counters: workers exchange halo

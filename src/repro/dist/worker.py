@@ -9,7 +9,7 @@ multisplitting there:
   :class:`repro.partition.Partition`, :class:`repro.sparse.BlockRowView`,
   compiled :class:`repro.perf.SweepPlan`, backend-dispatched
   :class:`repro.core.AsyncEngine` — so a shard sweep *is* an engine
-  sweep, fused kernels and all;
+  sweep, whole-sweep kernels and all;
 * the halo part ``E = A[lo:hi, :] − A[lo:hi, lo:hi]`` (columns outside
   the shard, global numbering) is folded into the right-hand side once
   per outer sweep from a snapshot of the shared iterate:

@@ -37,7 +37,7 @@ __all__ = ["run"]
 
 
 def _snapshot_preconditioner(A, *, sweeps: int, block_size: int) -> AsyncSweepPreconditioner:
-    """The SPD snapshot operator: τ-damped Jacobi sweeps (fused backend)."""
+    """The SPD snapshot operator: τ-damped Jacobi sweeps, each run whole (stencil or levels)."""
     ts = estimate_tau(A)
     lo, hi = 0.9 * ts.lambda_min, 1.05 * ts.lambda_max
     cfg = AsyncConfig(

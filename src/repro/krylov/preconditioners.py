@@ -98,8 +98,8 @@ class AsyncSweepPreconditioner:
         ``"reversed"`` or ``"synchronous"``), else forced to
         ``"sequential"``.  The ``"synchronous"`` order is the *snapshot*
         regime: with ``local_iterations=1`` each sweep is exactly one
-        damped-Jacobi step, the whole-sweep fused/stencil backends engage
-        (γ ≡ 0 is bitwise-exact for them), and :meth:`spectrum_bounds`
+        damped-Jacobi step, every sweep runs whole (stencil, or one-level
+        ``levels``: γ ≡ 0 is bitwise-exact for them), and :meth:`spectrum_bounds`
         can bound the spectrum of ``P A`` analytically.
     symmetrize:
         Apply a forward sweep set followed by a reversed one (an SSOR-like
@@ -206,8 +206,9 @@ class AsyncSweepPreconditioner:
     def levels_per_apply(self) -> Optional[int]:
         """Dependency levels of one application's level program, or ``None``.
 
-        ``None`` where the engines run another backend (fused/stencil
-        whole sweeps, or the forced per-block reference loop).
+        ``None`` where the engines run whole sweeps (the snapshot
+        regime, on stencil or one-level ``levels``) or the forced
+        per-block reference loop.
         """
         return None if self._program is None else self._program.nlevels
 
@@ -223,15 +224,16 @@ class AsyncSweepPreconditioner:
         return [e for e in (self._forward, self._reverse) if e is not None]
 
     def _compile_program(self):
-        """One application as one level program, where the engines run ``"levels"``.
+        """One application as one level program, where the engines read live on ``"levels"``.
 
-        A frozen schedule on the level executor reads live memory at every
-        position (γ = 1: sequential or reversed order, no staleness), so
-        the application is a straight-line sequence of block updates: the
-        forward engine's order ``sweeps`` times, then the reverse one's.
+        A frozen sequential or reversed schedule reads live memory at
+        every position (γ = 1, no staleness), so the application is a
+        straight-line sequence of block updates: the forward engine's
+        order ``sweeps`` times, then the reverse one's.  The synchronous
+        order reads the snapshot (γ = 0) and keeps its whole sweeps.
         """
         engines = self._engines()
-        if any(e.backend != "levels" for e in engines):
+        if any(e.backend != "levels" or np.any(e.scheduler.gamma_profile() < 1.0) for e in engines):
             return None
         orders = [
             e.scheduler.order_for_sweep(t, e.rng) for e in engines for t in range(self.sweeps)

@@ -6,18 +6,19 @@ sweep computes; this subpackage decides *how* it executes:
 * :class:`SweepPlan` (:mod:`repro.perf.plan`) compiles a block
   decomposition, once, into the precomputed structures every execution
   path consumes — the per-block update records with warmed ELL gather
-  plans, stacked whole-system matrices, and (on demand) the stencil
-  gate's verdict;
+  plans, the level executor's block-major panels, and (on demand) the
+  stencil gate's verdict;
 * :mod:`repro.perf.stencil` compiles the matrix-free offset-shifted sweep
   kernels of the systems that pass the offset-plane gate;
 * :mod:`repro.perf.backends` dispatches each engine — sequential and
   batched alike — to one shared executor: the per-block loop over
   extended blocks on an overlapped (``+oK``, async-RAS) partition, the
-  whole-sweep executor over the matrix-free
-  stencil kernels where the matrix passes the gate or over the stacked CSR
-  kernels wherever that is bitwise-exact for the configured asynchronism
-  regime, the dependency-level block loop everywhere else, and the
-  (plan-accelerated) per-block reference loop under faults or on request;
+  whole-sweep executor over the matrix-free stencil kernels where the
+  matrix passes the gate and a whole sweep is bitwise-exact for the
+  configured asynchronism regime, the dependency-level block loop
+  everywhere else (one level per sweep wherever a whole sweep is exact),
+  and the (plan-accelerated) per-block reference loop under faults or on
+  request;
 * :mod:`repro.perf.program` compiles a frozen preconditioner's whole
   application — a draw-free sequence of block updates — into a
   :class:`LevelProgram` of dependency levels that cross sweep
@@ -39,9 +40,9 @@ from .backends import (
     ReferenceSweepExecutor,
     WholeSweepExecutor,
     consume_schedule_draws,
-    fused_sweep_exact,
     make_executor,
     resolve_backend,
+    whole_sweep_exact,
 )
 from .plan import SweepPlan, compile_sweep_plan, plan_compile_count, rhs_preserves_fold
 from .program import LevelProgram
@@ -53,7 +54,7 @@ __all__ = [
     "plan_compile_count",
     "rhs_preserves_fold",
     "BACKENDS",
-    "fused_sweep_exact",
+    "whole_sweep_exact",
     "resolve_backend",
     "consume_schedule_draws",
     "make_executor",

@@ -20,21 +20,20 @@ lane's generator exactly as a sequential run would.
   ``"ras"``).
 * :class:`LevelSweepExecutor` — the same loop run as a few dependency
   levels of independent blocks (resolved name ``"levels"``): what
-  ``"auto"`` runs wherever no whole-sweep kernel is exact and no fault is
-  injected.
-* :class:`WholeSweepExecutor` — the whole sweep as a handful of
-  whole-system kernels: one external product, one right-hand-side
-  assembly, *k* local Jacobi sweeps.  No Python loop over blocks at all,
-  which is what removes the interpreter floor from fine decompositions
-  (the regime of Figure 8 / Table 5).  It runs over one of two kernel
-  sets: the stacked CSR matrices (backend ``"fused"``), or the
-  matrix-free offset-shifted slice kernels of :mod:`repro.perf.stencil`
+  ``"auto"`` runs wherever the stencil kernels do not and no fault is
+  injected.  A sweep with no live read runs as one level over the
+  whole system: one external product, one right-hand-side assembly, *k*
+  local Jacobi sweeps over the plan's local panels.  No Python loop over
+  blocks at all, which is what removes the interpreter floor from fine
+  decompositions (the regime of Figure 8 / Table 5).
+* :class:`WholeSweepExecutor` — the same whole sweep over the
+  matrix-free offset-shifted slice kernels of :mod:`repro.perf.stencil`,
   for systems that pass the offset-plane gate (backend ``"stencil"``,
   engaged only when :attr:`repro.perf.SweepPlan.stencil` accepts).
 
-**Exactness contract.** The whole-sweep paths engage only where their
-result is bitwise the reference loop's — same iterates *and* same
-generator state:
+**Exactness contract.** The whole sweep runs only where its result is
+bitwise the reference loop's — same iterates *and* same generator
+state (:func:`whole_sweep_exact`):
 
 * **snapshot reads** (γ ≡ 0): the ``"synchronous"`` order, or full
   staleness with no pipeline tail.  No block observes another's
@@ -47,9 +46,9 @@ generator state:
   the iterate unless the right-hand side carries ``-0.0`` entries
   (checked at dispatch, :func:`repro.perf.rhs_preserves_fold`).
 
-Scheduler randomness is consumed identically on both paths:
+Scheduler randomness is consumed identically on every path:
 ``Generator.random`` fills doubles sequentially from the bit stream, so
-the whole-sweep path's single draw call per sweep advances the generator
+a whole sweep's single draw call per lane advances the generator
 to bitwise the state the reference loop's interleaved per-block draws
 leave behind.  Faults always take the reference loop.
 """
@@ -61,7 +60,6 @@ from typing import TYPE_CHECKING, List, Sequence, Tuple
 import numpy as np
 
 from .._util import cumulative_segments
-from ..solvers.block_jacobi import local_jacobi_sweeps
 from .plan import SweepPlan
 from .program import _jacobi_sweeps, _longest_paths, _ranges, _row_sums
 
@@ -69,7 +67,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..core.schedules import AsyncConfig, WaveScheduler
 
 __all__ = [
-    "fused_sweep_exact",
+    "whole_sweep_exact",
     "resolve_backend",
     "consume_schedule_draws",
     "ReferenceSweepExecutor",
@@ -79,14 +77,14 @@ __all__ = [
 ]
 
 
-def fused_sweep_exact(
+def whole_sweep_exact(
     config: "AsyncConfig",
     scheduler: "WaveScheduler",
     *,
     has_fault: bool = False,
     rhs_fold_safe: bool = True,
 ) -> bool:
-    """Whether the fused path is bitwise-exact for this configuration.
+    """Whether one whole-system sweep is bitwise-exact for this configuration.
 
     See the module docstring for the regime analysis.  *rhs_fold_safe* is
     :func:`repro.perf.rhs_preserves_fold` of the engine's right-hand side;
@@ -115,17 +113,18 @@ def resolve_backend(
 
     A *plan* whose partition has ``overlap > 0`` (an ``+oK`` spec:
     async restricted additive Schwarz) always resolves to ``"ras"``; it
-    supports neither faults nor the forced whole-sweep backends.
-    Otherwise ``"auto"`` prefers **stencil > fused > levels**: in the
+    supports neither faults nor the forced ``"stencil"``/``"levels"``.
+    Otherwise ``"auto"`` prefers **stencil > levels > reference**: in the
     whole-sweep exact regimes it runs the matrix-free stencil executor
     when *plan*'s matrix passes the offset-plane gate
-    (:mod:`repro.perf.stencil`), the fused CSR path otherwise, and outside those regimes the block loop
-    as dependency levels (:class:`LevelSweepExecutor`) — or the per-block
-    reference loop under a fault, or where a row is too wide for the
-    level executor's padded panels.  ``"reference"`` always honours the request; ``"fused"``
-    / ``"stencil"`` raise where they would change the iterates — the
-    backends are execution strategies, never approximations, and a silent
-    fallback would make ``--backend=fused`` timings lie.
+    (:mod:`repro.perf.stencil`), else the block loop as dependency levels
+    (:class:`LevelSweepExecutor`, one level per sweep in those regimes) —
+    or the per-block reference loop under a fault, or where a row is too
+    wide for the level executor's padded panels.  ``"reference"`` always
+    honours the request; ``"stencil"`` / ``"levels"`` raise where they
+    cannot run — the backends are execution strategies, never
+    approximations, and a silent fallback would make ``--backend=levels``
+    timings lie.
     """
     requested = config.backend
     if plan.partition.overlap > 0:
@@ -134,7 +133,7 @@ def resolve_backend(
                 "async-RAS (an overlapped '+oK' partition) does not support "
                 "fault scenarios; drop the '+oK' suffix for fault experiments"
             )
-        if requested in ("fused", "stencil"):
+        if requested in ("levels", "stencil"):
             raise ValueError(
                 f"backend={requested!r} cannot execute async-RAS sweeps; "
                 "use backend='auto' or 'reference' on an overlapped partition"
@@ -142,18 +141,22 @@ def resolve_backend(
         return "ras"
     if requested == "reference":
         return "reference"
-    exact = fused_sweep_exact(
+    exact = whole_sweep_exact(
         config, scheduler, has_fault=has_fault, rhs_fold_safe=rhs_fold_safe
     )
-    if requested == "fused":
-        if not exact:
+    if requested == "levels":
+        if has_fault:
             raise ValueError(
-                "backend='fused' requested, but the fused sweep is not exact for "
-                "this regime (it requires snapshot reads [gamma == 0 everywhere] "
-                "or all-deferred writes, and no fault scenario); use "
-                "backend='auto' to fall back to the reference loop"
+                "backend='levels' cannot run fault scenarios; use backend='auto' "
+                "or 'reference'"
             )
-        return "fused"
+        if not _levels_fit(plan, scheduler, whole=exact):
+            raise ValueError(
+                "backend='levels' requested, but a row is wider than the level "
+                "executor's padded panels hold; use backend='auto' to fall back "
+                "to the reference loop"
+            )
+        return "levels"
     if requested == "stencil":
         if not exact:
             raise ValueError(
@@ -166,29 +169,33 @@ def resolve_backend(
         if desc is None:
             raise ValueError(
                 f"backend='stencil' requested, but the stencil gate refused the "
-                f"matrix: {reason}; use backend='auto' to fall back to the fused/"
+                f"matrix: {reason}; use backend='auto' to fall back to the levels/"
                 "reference paths"
             )
         return "stencil"
     # "auto"
-    if not exact:
-        fits = not has_fault and _levels_fit(plan, scheduler)
-        return "levels" if fits else "reference"
-    if plan.stencil[0] is not None:
+    if exact and plan.stencil[0] is not None:
         return "stencil"
-    return "fused"
+    fits = not has_fault and _levels_fit(plan, scheduler, whole=exact)
+    return "levels" if fits else "reference"
 
 
-def _levels_fit(plan: SweepPlan, scheduler: "WaveScheduler") -> bool:
+def _levels_fit(plan: SweepPlan, scheduler: "WaveScheduler", *, whole: bool) -> bool:
     """Whether the level executor runs this regime.
 
-    It needs its padded panels (no row wider than the packed kernel's
-    panel cap) and one race rate over the mixed positions, as
-    :class:`repro.core.WaveScheduler` gives.
+    It needs its padded local panels (no row wider than the packed
+    kernel's panel cap).  Unless the sweep runs *whole* (one level, no
+    live read), it also needs one race rate over the mixed positions, as
+    :class:`repro.core.WaveScheduler` gives, and padded external panels
+    where a position reads live.
     """
+    if not plan.fits_panels(plan.local_off):
+        return False
+    if whole:
+        return True
     gamma = scheduler.gamma_profile()
     race = gamma[(gamma > 0.0) & (gamma < 1.0)]
-    if np.any(race != race[:1]) or not plan.fits_panels(plan.local_off):
+    if np.any(race != race[:1]):
         return False
     return bool(np.all(gamma < 1.0)) or plan.fits_panels(plan.external)
 
@@ -202,7 +209,7 @@ def consume_schedule_draws(
 ) -> np.ndarray:
     """Draw one lane's schedule plan and consume the reference loop's RNG.
 
-    Shared by the whole-sweep kernel sets (fused, stencil): the reference
+    Shared by the whole sweeps (stencil, one-level levels): the reference
     loop's per-block freshness/defer draws are consumed in one
     ``Generator.random`` call — same double count, same bit stream, same
     final state (``random`` fills doubles sequentially).  The values are
@@ -222,55 +229,24 @@ def consume_schedule_draws(
     return order
 
 
-class _CSRKernels:
-    """The fused path's kernel set: the plan's stacked CSR matrices.
-
-    Shaped like :class:`repro.perf.stencil.StencilKernels` so both run
-    through one :class:`WholeSweepExecutor`.  Bitwise the per-block
-    products: the restacked matrices hold each row's entries in identical
-    order, and the ELL row-length-class kernels sum a row the same way in
-    every matrix that contains it.
-    """
-
-    def __init__(self, plan: SweepPlan):
-        plan.warm_fused()
-        self.external = plan.external
-        self.local_off = plan.local_off
-        self.diag = plan.diag
-
-    def external_residual(self, x: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-        self.external.matvec(x, out=out)
-        return np.subtract(b, out, out=out)
-
-    def local_sweeps(
-        self, s: np.ndarray, z: np.ndarray, sweeps: int, *, omega: float, out: np.ndarray
-    ) -> np.ndarray:
-        out[...] = local_jacobi_sweeps(self.local_off, self.diag, s, z, sweeps, omega=omega)
-        return out
-
-
 class WholeSweepExecutor:
-    """One global sweep per lane as whole-system kernels (no block loop).
+    """One global sweep per lane over the plan's stencil kernels (no block loop).
 
-    *kernels* is the plan's stencil kernel set (backend ``"stencil"``) or
-    its stacked CSR matrices (backend ``"fused"``): the two are structural
-    twins — same two-stage update, same draw consumption, same exactness
-    regimes.  The stencil planes apply in ascending-offset order, which is
-    exactly the left-to-right per-row entry order the CSR row-panel
-    kernels sum in, and take their weights from the actual matrix entries,
-    so variable coefficients are reproduced exactly.  Lanes advance one
-    after another through preallocated work vectors (the stencil kernels
+    The stencil planes apply in ascending-offset order, which is exactly
+    the left-to-right per-row entry order the CSR row-panel kernels sum
+    in, and take their weights from the actual matrix entries, so
+    variable coefficients are reproduced exactly.  Lanes advance one
+    after another through a preallocated work vector (the kernels
     allocate only their constant planes' deviation-row temporaries per
-    sweep), and replica *r* is the sequential run by
-    construction.  Each lane's ``s = b - E x`` comes from the kernel set's
-    ``external_residual``: the stencil kernels subtract it tile by tile
-    inside the external pass.
+    sweep), and replica *r* is the sequential run by construction.  Each
+    lane's ``s = b - E x`` is subtracted tile by tile inside the
+    kernels' external pass.
     """
 
-    def __init__(self, plan: SweepPlan, config: "AsyncConfig", kernels):
+    def __init__(self, plan: SweepPlan, config: "AsyncConfig"):
         self.plan = plan
         self.config = config
-        self.kernels = kernels
+        self.kernels = plan.stencil_kernels()
         self._s_buf = np.empty(plan.view.n)
 
     def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
@@ -413,6 +389,16 @@ class LevelSweepExecutor:
     their level assignment per order.  :attr:`levels_mean` is the mean
     number of levels per sweep — the decision telemetry of the engines.
     Faults stay on :class:`ReferenceSweepExecutor`.
+
+    With *whole* (:func:`whole_sweep_exact`: snapshot reads, or every
+    write deferred with a fold-safe right-hand side) no block observes
+    another's current-sweep write, so every sweep is one level of all
+    blocks and none of the above is needed: per lane the sweep consumes
+    the draws as :func:`consume_schedule_draws` does, forms
+    ``s = b − E x`` and runs the *k* Jacobi sweeps over all rows at once,
+    on the local panels in row order with absolute columns
+    (:attr:`repro.perf.SweepPlan.row_panels`: no slot layout, no index
+    scatter) and work buffers kept across sweeps.
     """
 
     #: Orders whose level assignment a deterministic schedule remembers.
@@ -420,10 +406,23 @@ class LevelSweepExecutor:
     #: Rows per lane group of a level (see :meth:`_split_levels`).
     _GROUP_ROWS = 4096
 
-    def __init__(self, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray):
-        self.plan = plan.warm_reference(gamma)
+    def __init__(
+        self, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray, *, whole: bool = False
+    ):
+        self.plan = plan.warm_reference(gamma, whole=whole)
         self.config = config
         view = plan.view
+        self.E = plan.external
+        self.ennz = plan.ennz
+        self.levels_run = 0
+        self.sweeps_run = 0
+        self.whole = whole
+        if whole:
+            self._s = np.empty(view.n)
+            self._zbuf = np.zeros(view.n + 1)
+            self._vals = np.empty(plan.row_panels[0].shape)
+            self._vrows = list(self._vals)
+            return
         self.nb = view.nblocks
         self.width, self.first, self.slot, self.rows = plan.slots
         self.nslots = int(self.first[-1])
@@ -433,8 +432,6 @@ class LevelSweepExecutor:
         self.mixed = (gamma > 0.0) & (gamma < 1.0)
         self.snapshot = bool(np.any(gamma < 1.0))
         self.live = bool(np.any(gamma >= 1.0))
-        self.E = plan.external
-        self.ennz = plan.ennz
         if self.mixed.any():
             #: The one race rate of the mixed positions (see _levels_fit).
             self.race = gamma[self.mixed][0]
@@ -446,8 +443,6 @@ class LevelSweepExecutor:
             self.ecols, self.edata = plan.block_external
             self.readers, self.owners = plan.coupling
         self._cache = {}
-        self.levels_run = 0
-        self.sweeps_run = 0
 
     @property
     def levels_mean(self) -> float:
@@ -455,6 +450,9 @@ class LevelSweepExecutor:
         return self.levels_run / self.sweeps_run if self.sweeps_run else 0.0
 
     def sweep(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
+        if self.whole:
+            self._sweep_whole(X, lanes, reps)
+            return
         M, S, rows = self.width, self.nslots, self.rows
         reps = np.asarray(reps, dtype=np.int64)
         R = len(reps)
@@ -494,6 +492,25 @@ class LevelSweepExecutor:
             XW[ws] = z
         X[reps] = XL[:, rows]
         self.levels_run += nlev
+        self.sweeps_run += 1
+
+    def _sweep_whole(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
+        """Every lane's sweep as one level of all blocks, lane after lane."""
+        cfg = self.config
+        s, zbuf = self._s, self._zbuf
+        z = zbuf[:-1]
+        for r in reps:
+            consume_schedule_draws(cfg, self.ennz, lanes.rngs[r], lanes.schedulers[r], lanes.sweep_index)
+            x = X[r]
+            self.E.matvec(x, out=s)
+            np.subtract(lanes.rhs(r), s, out=s)
+            z[...] = x
+            _jacobi_sweeps(
+                s, zbuf, z, *self.plan.row_panels, self._vals, self._vrows,
+                cfg.local_iterations, cfg.omega,
+            )
+            x[...] = z
+        self.levels_run += 1
         self.sweeps_run += 1
 
     def _draw(self, lanes, reps):
@@ -705,14 +722,18 @@ class LevelSweepExecutor:
         return _row_sums(vals)
 
 
-def make_executor(backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray):
-    """The shared executor for a resolved backend name (*gamma*: the γ profile)."""
+def make_executor(
+    backend: str, plan: SweepPlan, config: "AsyncConfig", gamma: np.ndarray, *, whole: bool = False
+):
+    """The shared executor for a resolved backend name.
+
+    *gamma* is the γ profile; *whole* is :func:`whole_sweep_exact` of
+    the regime, which runs every ``"levels"`` sweep as one level.
+    """
     if backend == "levels":
-        return LevelSweepExecutor(plan, config, gamma)
+        return LevelSweepExecutor(plan, config, gamma, whole=whole)
     if backend == "stencil":
-        return WholeSweepExecutor(plan, config, plan.stencil_kernels())
-    if backend == "fused":
-        return WholeSweepExecutor(plan, config, _CSRKernels(plan))
+        return WholeSweepExecutor(plan, config)
     if backend == "reference":
         return ReferenceSweepExecutor(plan, config)
     if backend == "ras":

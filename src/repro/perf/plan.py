@@ -17,14 +17,13 @@ construction, into the structures both execution backends consume:
   corrections), its compressed local part and its diagonal, every gather
   plan warmed — over the paper's disjoint blocks, or over the extended
   blocks of an ``+oK`` (async-RAS) partition;
-* **whole-system** (the fused path): the restacked external and local
-  off-diagonal matrices with warmed gather plans, plus the concatenated
-  diagonal — one multi-vector-shaped kernel set for the entire sweep;
 * **levels** (the dependency-level block loop): padded-ELL panels of the
   local and external parts, laid out block-major (every block in whole
-  slots of one common height, :class:`BlockSlots`, :class:`BlockPanels`), the
-  entry-to-block maps of the restacked external matrix, and the block
-  coupling graph;
+  slots of one common height, :class:`BlockSlots`, :class:`BlockPanels`),
+  the restacked external matrix with a warmed gather plan, its
+  entry-to-block maps, and the block coupling graph — or, for sweeps
+  that run whole as one level, the local panels in row order with
+  absolute columns (:attr:`SweepPlan.row_panels`);
 * **level programs** (draw-free schedules): compiled
   :class:`repro.perf.program.LevelProgram` objects, cached per
   (orders, k, ω) by :meth:`SweepPlan.level_program`.
@@ -81,7 +80,7 @@ def rhs_preserves_fold(b: np.ndarray) -> bool:
     flip reaches the iterate through ``s = b - ext`` only where *b* itself
     holds a negative zero, so the whole-sweep kernels, which skip the
     corrections, are exact for such regimes only when this holds
-    (:func:`repro.perf.fused_sweep_exact`).  Every practically occurring
+    (:func:`repro.perf.whole_sweep_exact`).  Every practically occurring
     right-hand side passes; the dispatch keeps the block loop when one
     does not.
     """
@@ -181,8 +180,8 @@ class SweepPlan:
 
     Built by :func:`compile_sweep_plan`; construction itself is cheap —
     the heavier per-backend structures are materialised on demand by
-    :meth:`warm_reference` / :meth:`warm_fused` so an engine only pays for
-    the backend it runs.
+    :meth:`warm_reference` and :meth:`stencil_kernels` so an engine only
+    pays for the backend it runs.
 
     Attributes
     ----------
@@ -209,13 +208,13 @@ class SweepPlan:
         self.ennz = view.classification.ennz
         self._local_c: Optional[List[CSRMatrix]] = None
         self._updates = {}
-        self._warmed_fused = False
         self._stencil = None
         self._stencil_kernels = None
         self._padded = None
         self._padded_ext = None
         self._slots = None
         self._blocked = None
+        self._row_panels = None
         self._blocked_ext = None
         self._entry_blocks: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._coupling: Optional[Tuple[np.ndarray, np.ndarray]] = None
@@ -266,7 +265,7 @@ class SweepPlan:
         return updates
 
     def warm_reference(
-        self, gamma: Optional[np.ndarray] = None, *, extended: bool = False
+        self, gamma: Optional[np.ndarray] = None, *, extended: bool = False, whole: bool = False
     ) -> "SweepPlan":
         """Compile, once, the structures of the block loop that will run.
 
@@ -279,10 +278,16 @@ class SweepPlan:
         snapshot (γ < 1), its entry-to-block maps and entry rows when one
         races (0 < γ < 1), and the block-major external panels and the
         block coupling graph (derived from those maps) when one reads live
-        (γ = 1).
+        (γ = 1).  With *whole* (every sweep one level): the local panels
+        in row order (:attr:`row_panels`) and the warmed external matrix
+        alone.
         """
         if gamma is not None:
             if self.block_panels is None:
+                return self
+            if whole:
+                self.row_panels
+                self.external.warm_plan()
                 return self
             if np.any(gamma < 1.0):
                 self.external.warm_plan()
@@ -297,7 +302,8 @@ class SweepPlan:
         return self
 
     # ------------------------------------------------------------------ #
-    # fused whole-system structures
+    # level-executor structures (stacked parts, padded-ELL panels, block
+    # coupling graph)
     # ------------------------------------------------------------------ #
 
     @property
@@ -314,17 +320,6 @@ class SweepPlan:
     def diag(self) -> np.ndarray:
         """The concatenated system diagonal."""
         return self.view.diagonal_vector()
-
-    def warm_fused(self) -> "SweepPlan":
-        """Materialise and warm the stacked whole-system kernels."""
-        if not self._warmed_fused:
-            self.view.warm_stacked_kernels()
-            self._warmed_fused = True
-        return self
-
-    # ------------------------------------------------------------------ #
-    # level-executor structures (padded-ELL panels, block coupling graph)
-    # ------------------------------------------------------------------ #
 
     #: Column sentinel for pad entries of the padded-ELL panels; gathers
     #: use ``mode="clip"``, which lands it on the operand's trailing
@@ -428,6 +423,24 @@ class SweepPlan:
                 diag[rows] = self.diag
                 self._blocked = BlockPanels(*panels, diag.reshape(-1, width))
         return self._blocked or None
+
+    @property
+    def row_panels(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The local panels in row order with absolute columns, and the diagonal (cached).
+
+        ``(cols, data, diag)``: ``(W, n)`` panels and the ``(n,)``
+        diagonal, what a sweep run as one level of all blocks gathers,
+        with no slot layout in between.  A pad's column is ``n``, the
+        operand's trailing ``+0.0`` slot.
+        """
+        if self._row_panels is None:
+            view = self.view
+            cols, data = self.panel_rows(np.arange(view.n), external=False)
+            pad = cols == self.PAD_SENTINEL
+            cols += view.boundaries[:-1][self.block_of_row]
+            cols[pad] = view.n
+            self._row_panels = (cols, data, self.diag)
+        return self._row_panels
 
     @property
     def block_external(self) -> Tuple[np.ndarray, np.ndarray]:

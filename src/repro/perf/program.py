@@ -88,8 +88,9 @@ def _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, vals, vrows, k: int, omega: floa
     slot, which every pad of *lcols* reaches (directly or clipped).  *vals*
     is the *lcols*-shaped product buffer and *vrows* its lanes — *vals*
     itself, or a prepared list of its row views.  Every step is one IEEE
-    operation in the order of
-    :func:`repro.solvers.block_jacobi.local_jacobi_sweeps`.  Returns ``z``.
+    operation in the order of the reference loop's block update
+    (:class:`repro.perf.ReferenceSweepExecutor`): ``z ← (s − L z) / d``,
+    then ``(1 − ω) z + ω z_new`` for ω ≠ 1.  Returns ``z``.
     """
     for _ in range(k):
         zbuf.take(lcols, out=vals, mode="clip")

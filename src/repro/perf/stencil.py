@@ -14,7 +14,7 @@ This module is the CPU analogue of that kernel family, split in two:
   runs the plane kernels and, if so, records a
   :class:`StencilDescriptor` (offsets, fill and the matrix's own planes)
   on the plan; on failure it records the reason, and dispatch falls back
-  to the fused/reference CSR paths.
+  to the level/reference CSR paths.
 * :class:`StencilKernels` — the **executor kernels**: the matrix's
   offset planes split into external and block-local parts along the
   view's partition, applied with offset-shifted slice arithmetic.  One
@@ -47,7 +47,8 @@ Signed zeros never propagate into value differences through the sweep's
 ``+,-,*,/`` data flow, so iterates agree with the reference loop under
 ``np.array_equal`` (the package's bitwise gates) and bit-for-bit in
 every nonzero component; see :mod:`repro.perf.backends` for the regime
-gating, which is exactly the fused path's.  A plane's mode, and a
+gating (:func:`repro.perf.whole_sweep_exact`), which the level
+executor's one-level sweeps share.  A plane's mode, and a
 diagonal that is one value (divided as a scalar), change no bit: each
 row gets the operations of a weight-vector pass.
 """
@@ -233,9 +234,9 @@ class StencilKernels:
     ) -> np.ndarray:
         """*sweeps* Jacobi iterations against the local weight planes.
 
-        Expression-identical to
-        :func:`repro.solvers.block_jacobi.local_jacobi_sweeps` with the
-        local off-diagonal product replaced by the shifted-slice
+        Expression-identical to the level executor's local sweeps
+        (:func:`repro.perf.program._jacobi_sweeps`) with the local
+        off-diagonal product replaced by the shifted-slice
         accumulation; *z* is not modified (unless it aliases *out*) and
         the final iterate is returned.  When *out* is given the final
         iterate lands there — *out* may alias *z* (the engine's in-place

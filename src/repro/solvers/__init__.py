@@ -20,7 +20,7 @@ from .base import IterativeSolver, SolveResult, StoppingCriterion
 from .jacobi import JacobiSolver
 from .gauss_seidel import GaussSeidelSolver, SORSolver
 from .ssor import SSORSolver
-from .block_jacobi import BlockJacobiSolver, local_jacobi_sweeps
+from .block_jacobi import BlockJacobiSolver
 from .chebyshev import ChebyshevSolver
 from .triangular import LevelSchedule, TriangularSweep, solve_lower_triangular
 from .cg import ConjugateGradientSolver
@@ -36,7 +36,6 @@ __all__ = [
     "SORSolver",
     "SSORSolver",
     "BlockJacobiSolver",
-    "local_jacobi_sweeps",
     "ChebyshevSolver",
     "LevelSchedule",
     "TriangularSweep",

@@ -11,10 +11,12 @@ baselines for "what does the asynchronism itself buy":
 * **two-stage block-Jacobi** (``inner="jacobi"``, q inner sweeps): the
   blocks' solves are replaced by q Jacobi sweeps — exactly async-(q)'s
   block update, but with all blocks synchronized on the previous iterate.
+  It *is* async-(q) with the ``"synchronous"`` schedule: every iteration
+  is one :class:`repro.core.AsyncEngine` sweep in that order, so it runs
+  the engine's whole-sweep executors (stencil, or one-level ``levels``).
 
-async-(k) with a ``"synchronous"`` schedule coincides with the two-stage
-method (a test fixture); with the GPU schedule it interleaves blocks and
-typically converges a little faster per sweep.
+With the GPU schedule async-(k) interleaves blocks and typically
+converges a little faster per sweep.
 """
 
 from __future__ import annotations
@@ -24,50 +26,24 @@ from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
+from ..core.engine import AsyncEngine
+from ..core.schedules import AsyncConfig
 from ..partition import Partition, make_partition
 from ..sparse import BlockRowView, CSRMatrix
 from .base import IterativeSolver, StoppingCriterion
 
-__all__ = ["BlockJacobiSolver", "local_jacobi_sweeps"]
-
-
-def local_jacobi_sweeps(
-    local_off: CSRMatrix,
-    diag: np.ndarray,
-    s: np.ndarray,
-    z: np.ndarray,
-    sweeps: int,
-    *,
-    omega: float = 1.0,
-) -> np.ndarray:
-    """*sweeps* Jacobi iterations on one block with the off-block part frozen.
-
-    The shared inner kernel of the two-stage methods and the asynchronous
-    engines (Algorithm 1's inner loop): iterate ``z ← (s − L z) / d`` with
-    optional ω-relaxation, where *local_off* is the block's in-block
-    off-diagonal part in **block-local column numbering**
-    (:meth:`repro.sparse.RowBlock.local_off_compressed`) and ``s`` is the
-    frozen contribution ``b_block − A_external · x_read``.
-
-    ``s`` and ``z`` broadcast: pass ``(bs,)`` vectors for a single iterate
-    or ``(R, bs)`` multi-vectors to advance R replicas at once — the
-    multi-vector path is bitwise identical to R separate 1-D calls.  *z*
-    is not modified; the final iterate is returned.
-    """
-    for _ in range(sweeps):
-        new = (s - local_off.matvec(z)) / diag
-        if omega != 1.0:
-            new = (1.0 - omega) * z + omega * new
-        z = new
-    return z
+__all__ = ["BlockJacobiSolver"]
 
 
 @dataclass
 class _BJState:
     view: BlockRowView
     b: np.ndarray
-    lu: Optional[List[Tuple[np.ndarray, np.ndarray]]]  # per-block LU (exact inner)
-    scratch: np.ndarray
+    #: Per-block LU factors and the new iterate (exact inner).
+    lu: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None
+    scratch: Optional[np.ndarray] = None
+    #: The synchronous async-(q) engine (jacobi inner).
+    engine: Optional[AsyncEngine] = None
 
 
 class BlockJacobiSolver(IterativeSolver):
@@ -133,48 +109,32 @@ class BlockJacobiSolver(IterativeSolver):
         return BlockRowView(A, partition=part)
 
     def _setup(self, A: CSRMatrix, b: np.ndarray, view: BlockRowView) -> _BJState:
+        if self.inner == "jacobi":
+            config = AsyncConfig(
+                order="synchronous", local_iterations=self.inner_sweeps, block_size=self.block_size
+            )
+            return _BJState(view=view, b=b, engine=AsyncEngine(view, b, config))
+
         import scipy.linalg
 
-        lu = None
-        if self.inner == "exact":
-            lu = []
-            for blk in view.blocks:
-                # Dense diagonal block: local_off covers the off-diagonal
-                # in-block entries (global column space -> slice it down).
-                size = blk.nrows
-                dense = blk.local_off.to_dense()[:, blk.start : blk.stop]
-                dense[np.arange(size), np.arange(size)] = blk.diag
-                lu.append(scipy.linalg.lu_factor(dense, check_finite=False))
-        else:
-            # The two-stage iterate runs fused over the whole system
-            # (see _iterate); build the stacked kernels outside the
-            # timed iterations.
-            view.warm_stacked_kernels()
+        lu = []
+        for blk in view.blocks:
+            # Dense diagonal block: local_off covers the off-diagonal
+            # in-block entries (global column space -> slice it down).
+            size = blk.nrows
+            dense = blk.local_off.to_dense()[:, blk.start : blk.stop]
+            dense[np.arange(size), np.arange(size)] = blk.diag
+            lu.append(scipy.linalg.lu_factor(dense, check_finite=False))
         return _BJState(view=view, b=b, lu=lu, scratch=np.empty_like(b))
 
     def _iterate(self, state: _BJState, x: np.ndarray) -> np.ndarray:
-        view = state.view
-        if self.inner == "jacobi":
-            # Fused two-stage update: one stacked external SpMV and q
-            # stacked Jacobi sweeps advance every block at once — bitwise
-            # the per-block loop (the length-class kernels sum each row
-            # identically in the restacked and per-block matrices, and the
-            # synchronous outer step reads only the previous iterate).
-            ext = view.external_matrix().matvec(x, out=state.scratch)
-            s_all = np.subtract(state.b, ext, out=ext)
-            x[:] = local_jacobi_sweeps(
-                view.local_offdiag_matrix(),
-                view.diagonal_vector(),
-                s_all,
-                x,
-                self.inner_sweeps,
-            )
-            return x
+        if state.engine is not None:
+            return state.engine.sweep(x)
 
         import scipy.linalg
 
         new = state.scratch
-        for bid, blk in enumerate(view.blocks):
+        for bid, blk in enumerate(state.view.blocks):
             s = state.b[blk.rows] - blk.external.matvec(x)
             new[blk.rows] = scipy.linalg.lu_solve(state.lu[bid], s, check_finite=False)
         x[:] = new

@@ -222,7 +222,7 @@ class BlockRowView:
         self._stacked: dict = {}
         self._blocks: Optional[List[RowBlock]] = None
         # Set once a stacked part is handed out as a whole-system matrix
-        # (the fused and level executors); the per-block loop only slices.
+        # (the level executor); the per-block loop only slices.
         self._ext_matrix: Optional[CSRMatrix] = None
         self._local_matrix: Optional[CSRMatrix] = None
         self._ras_blocks: Optional[List[RASBlock]] = None
@@ -316,18 +316,6 @@ class BlockRowView:
                 out.append(RASBlock(k, start, stop, elo, ehi, diag, local_off, external))
             self._ras_blocks = out
         return self._ras_blocks
-
-    def warm_stacked_kernels(self) -> None:
-        """Eagerly build the stacked matrices and their ELL gather plans.
-
-        The fused sweep backend (:mod:`repro.perf`) runs whole-system
-        products against :meth:`external_matrix` and
-        :meth:`local_offdiag_matrix`; warming here moves their one-time
-        plan construction out of the first timed sweep.
-        """
-        self.external_matrix().warm_plan()
-        self.local_offdiag_matrix().warm_plan()
-        self.diagonal_vector()
 
     @property
     def nblocks(self) -> int:

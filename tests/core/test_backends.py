@@ -1,11 +1,12 @@
-"""Backend dispatch and fused-sweep exactness (:mod:`repro.perf`).
+"""Backend dispatch and whole-sweep exactness (:mod:`repro.perf`).
 
-Backends are execution strategies, never approximations: wherever the
-fused whole-system path may run, its iterates — and the scheduler RNG
-state it leaves behind — are bitwise the reference loop's.  These tests
-pin that contract across every engaging regime (orders, k, ω, deferred
-writes), the dispatch rules of ``AsyncConfig.backend``, and the
-compile-once guarantee of the shared sweep plan.
+Backends are execution strategies, never approximations: wherever a
+sweep runs whole — the level executor's one-level path, or the stencil
+kernels — its iterates and the scheduler RNG state it leaves behind are
+bitwise the reference loop's.  These tests pin that contract across
+every engaging regime (orders, k, ω, deferred writes), the dispatch
+rules of ``AsyncConfig.backend``, and the compile-once guarantee of the
+shared sweep plan.
 """
 
 import dataclasses
@@ -35,14 +36,14 @@ def _run(A, b, config, *, sweeps=4, seed=0, fault=None):
     for _ in range(sweeps):
         engine.sweep(x)
         iterates.append(x.copy())
-    # Equal post-run draws == equal generator state: the fused path must
+    # Equal post-run draws == equal generator state: a whole sweep must
     # consume exactly the doubles the reference loop would have.
     probe = engine.rng.random(8)
     return engine, iterates, probe
 
 
-#: Every regime in which the fused path engages, spanning order, k, ω and
-#: deferred writes (the ISSUE acceptance matrix).
+#: Every regime in which a sweep runs whole, spanning order, k, ω and
+#: deferred writes.
 ENGAGING = {
     "synchronous-k1": AsyncConfig(order="synchronous", local_iterations=1, block_size=32),
     "synchronous-k5-omega": AsyncConfig(
@@ -69,8 +70,8 @@ ENGAGING = {
     ),
 }
 
-#: Regimes where fusion would change the iterates (current-sweep reads are
-#: observable), so auto must pick the reference loop.
+#: Regimes where a whole sweep would change the iterates (current-sweep
+#: reads are observable), so sweeps run as dependency levels.
 NON_ENGAGING = {
     "gpu-default": AsyncConfig(order="gpu", local_iterations=2, block_size=32),
     "live-reads": AsyncConfig(
@@ -90,25 +91,25 @@ NON_ENGAGING = {
 
 @pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))
 def test_fused_bitwise_matches_reference(trefethen_small, regime):
+    # A fused sweep: the level executor runs the whole sweep as one level.
     A = trefethen_small
     b = _rhs(A)
     cfg = ENGAGING[regime]
-    eng_f, iters_f, probe_f = _run(A, b, dataclasses.replace(cfg, backend="fused"))
+    eng_l, iters_l, probe_l = _run(A, b, dataclasses.replace(cfg, backend="levels"))
     eng_r, iters_r, probe_r = _run(A, b, dataclasses.replace(cfg, backend="reference"))
-    assert eng_f.backend == "fused" and eng_r.backend == "reference"
-    assert eng_f.backend == "fused"
-    assert eng_r.backend == "reference"
-    for t, (xf, xr) in enumerate(zip(iters_f, iters_r)):
-        assert np.array_equal(xf, xr), f"backends diverged at sweep {t + 1}"
-    assert np.array_equal(probe_f, probe_r), "generator states diverged"
+    assert eng_l.backend == "levels" and eng_r.backend == "reference"
+    assert eng_l.decisions() == {"backend": "levels", "levels_mean": 1.0}
+    for t, (xl, xr) in enumerate(zip(iters_l, iters_r)):
+        assert np.array_equal(xl, xr), f"backends diverged at sweep {t + 1}"
+    assert np.array_equal(probe_l, probe_r), "generator states diverged"
 
 
 @pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))
 def test_auto_engages_fused(small_spd, regime):
     # 107 column offsets: the stencil gate refuses the matrix, so auto's
-    # whole-sweep path is the fused one.
-    eng, _, _ = _run(small_spd, _rhs(small_spd), ENGAGING[regime], sweeps=1)
-    assert eng.backend == "fused"
+    # whole sweeps run on the level executor, one level each.
+    eng, _, _ = _run(small_spd, _rhs(small_spd), ENGAGING[regime], sweeps=2)
+    assert eng.decisions() == {"backend": "levels", "levels_mean": 1.0}
 
 
 @pytest.mark.parametrize("regime", sorted(ENGAGING), ids=sorted(ENGAGING))
@@ -137,10 +138,27 @@ def test_auto_falls_back_to_reference(trefethen_small, regime):
 
 @pytest.mark.parametrize("regime", sorted(NON_ENGAGING), ids=sorted(NON_ENGAGING))
 def test_forced_fused_refuses_inexact_regime(trefethen_small, regime):
-    cfg = dataclasses.replace(NON_ENGAGING[regime], backend="fused")
+    # The forced whole-sweep backend is the stencil one (Trefethen passes
+    # its gate); it refuses where a whole sweep would change the iterates.
+    cfg = dataclasses.replace(NON_ENGAGING[regime], backend="stencil")
     view = BlockRowView(trefethen_small, block_size=cfg.block_size)
     with pytest.raises(ValueError, match="not exact"):
         AsyncEngine(view, _rhs(trefethen_small), cfg)
+
+
+@pytest.mark.parametrize("regime", sorted(NON_ENGAGING), ids=sorted(NON_ENGAGING))
+def test_forced_levels_runs_inexact_regime(trefethen_small, regime):
+    # Forced levels runs every regime, as dependency levels where a whole
+    # sweep would not be exact.
+    A = trefethen_small
+    b = _rhs(A)
+    cfg = NON_ENGAGING[regime]
+    eng_l, iters_l, probe_l = _run(A, b, dataclasses.replace(cfg, backend="levels"), sweeps=2)
+    _, iters_r, probe_r = _run(A, b, dataclasses.replace(cfg, backend="reference"), sweeps=2)
+    assert eng_l.backend == "levels" and not eng_l._executor.whole
+    for xl, xr in zip(iters_l, iters_r):
+        assert np.array_equal(xl, xr)
+    assert np.array_equal(probe_l, probe_r)
 
 
 def test_forced_reference_honoured_in_engaging_regime(trefethen_small):
@@ -151,17 +169,17 @@ def test_forced_reference_honoured_in_engaging_regime(trefethen_small):
 
 def test_fault_forces_reference(trefethen_small):
     # Faulty components need the per-block loop's freeze/corrupt logic
-    # even in an otherwise fused-exact regime.
+    # even in an otherwise whole-sweep-exact regime.
     fault = FaultScenario(fraction=0.2, t0=1, recovery=None, seed=3)
     cfg = ENGAGING["synchronous-k1"]
     eng, _, _ = _run(trefethen_small, _rhs(trefethen_small), cfg, sweeps=2, fault=fault)
     assert eng.backend == "reference"
     view = BlockRowView(trefethen_small, block_size=cfg.block_size)
-    with pytest.raises(ValueError, match="not exact"):
+    with pytest.raises(ValueError, match="fault"):
         AsyncEngine(
             view,
             _rhs(trefethen_small),
-            dataclasses.replace(cfg, backend="fused"),
+            dataclasses.replace(cfg, backend="levels"),
             fault=fault,
         )
 
@@ -176,18 +194,19 @@ def test_config_rejects_unknown_backend():
 def test_negative_zero_rhs_disables_mixed_gamma_fusion(small_spd):
     # The segment-sum scatter flips a -0.0 base to +0.0; with a rhs
     # carrying -0.0 entries the mixed-γ all-deferred collapse is no longer
-    # bitwise, so auto must drop to the block loop there — while the
-    # γ-uniform all-deferred regime stays fused (no race corrections at all).
+    # bitwise, so the level executor runs its general levels there —
+    # while the γ-uniform all-deferred regime stays whole (no race
+    # corrections at all).
     b = _rhs(small_spd)
     b[5] = -0.0
     assert not rhs_preserves_fold(b)
     assert rhs_preserves_fold(np.abs(b) + 1.0)
     mixed = ENGAGING["alldefer-mixed-k2"]
     eng, _, _ = _run(small_spd, b, mixed, sweeps=1)
-    assert eng.backend == "levels"
+    assert eng.backend == "levels" and not eng._executor.whole
     live = ENGAGING["alldefer-live-k1"]
     eng, _, _ = _run(small_spd, b, live, sweeps=1)
-    assert eng.backend == "fused"
+    assert eng.backend == "levels" and eng._executor.whole
 
 
 # --------------------------------------------------------------------- #
@@ -195,7 +214,7 @@ def test_negative_zero_rhs_disables_mixed_gamma_fusion(small_spd):
 # --------------------------------------------------------------------- #
 
 
-@pytest.mark.parametrize("backend", ["fused", "reference"])
+@pytest.mark.parametrize("backend", ["levels", "reference"])
 def test_ell_plans_built_once_across_sweeps(trefethen_small, backend):
     # Satellite: gather plans are compiled once per block at engine
     # construction and reused by every subsequent sweep.
@@ -217,14 +236,12 @@ def test_ell_plans_built_once_across_sweeps(trefethen_small, backend):
             assert blk.external._ell_builds == 1
             assert lc._ell_builds == 1
         # Nothing of the other backends: no stencil detection, no stacked
-        # whole-system kernels, no padded-ELL panels of the batched loop.
+        # whole-system matrices, no padded-ELL panels of the level loop.
         assert not engine.plan.stencil_attempted
-        assert not engine.plan._warmed_fused
         assert view._ext_matrix is None and view._local_matrix is None
         assert engine.plan._padded is None
     else:
         assert engine.plan.external._ell_builds == 1
-        assert engine.plan.local_off._ell_builds == 1
         # ... and no per-block ELL plans of the reference loop.
         assert engine.plan._local_c is None
         assert all(blk.external._ell_builds == 0 for blk in view.blocks)

@@ -85,7 +85,7 @@ REGIMES = {
         order="sequential", local_iterations=2, block_size=32, stale_read_prob=0.5
     ),
     # All-deferred writes: the whole-sweep collapse engages (mixed γ and
-    # live γ flavours) — fused-exact regimes of repro.perf.
+    # live γ flavours) — one-level regimes of repro.perf.
     "all-deferred-mixed": AsyncConfig(
         order="gpu", local_iterations=2, block_size=32, deferred_write_prob=1.0
     ),
@@ -179,27 +179,6 @@ def test_replica_rngs_match_sequential_seeds():
         assert np.array_equal(rng.random(5), expected)
     with pytest.raises(ValueError):
         replica_rngs(0, 0)
-
-
-def test_local_jacobi_sweeps_multivector_bitwise(small_spd):
-    # The shared inner kernel: an (R, bs) multi-vector advance must equal R
-    # separate 1-D calls bit for bit.
-    from repro.solvers.block_jacobi import local_jacobi_sweeps
-
-    view = BlockRowView(small_spd, block_size=20)
-    blk = view.blocks[1]
-    gen = np.random.default_rng(5)
-    S = gen.standard_normal((4, blk.nrows))
-    Z = gen.standard_normal((4, blk.nrows))
-    for omega in (1.0, 0.8):
-        batched = local_jacobi_sweeps(
-            blk.local_off_compressed(), blk.diag, S, Z, 3, omega=omega
-        )
-        for r in range(4):
-            single = local_jacobi_sweeps(
-                blk.local_off_compressed(), blk.diag, S[r], Z[r], 3, omega=omega
-            )
-            assert np.array_equal(batched[r], single)
 
 
 # --------------------------------------------------------------------- #

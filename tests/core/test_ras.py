@@ -45,7 +45,7 @@ def test_ras_backend_engages_only_with_overlap(small_spd):
         assert AsyncEngine(_view(small_spd, spec), b, _cfg()).backend != "ras"
 
 
-@pytest.mark.parametrize("forced", ["fused", "stencil"])
+@pytest.mark.parametrize("forced", ["levels", "stencil"])
 def test_ras_rejects_forced_fast_backends(small_spd, forced):
     b = default_rhs(small_spd)
     view = _view(small_spd, "uniform:16+o4")
@@ -173,7 +173,7 @@ def test_batched_ras_rejects_forced_fast_backends(small_spd):
     b = default_rhs(small_spd)
     view = _view(small_spd, "uniform:16+o4")
     with pytest.raises(ValueError, match="cannot execute async-RAS"):
-        BatchedAsyncEngine(view, b, _cfg(backend="fused"), nreplicas=2)
+        BatchedAsyncEngine(view, b, _cfg(backend="levels"), nreplicas=2)
 
 
 def test_solver_names_the_partition_it_cuts(trefethen_small):

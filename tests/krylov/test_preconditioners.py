@@ -11,6 +11,7 @@ from repro.krylov import (
     JacobiPreconditioner,
     Preconditioner,
 )
+from repro.matrices import get_matrix
 from repro.sparse import BlockRowView
 
 
@@ -213,6 +214,26 @@ def test_snapshot_backend_is_not_reference(small_spd):
 # --- jacobi baseline ------------------------------------------------------
 
 
+@pytest.mark.parametrize("name", ["small_spd", "Chem97ZtZ"])
+def test_synchronous_snapshot_preconditioner_is_block_jacobi(small_spd, name):
+    # The synchronous order reads the sweep-start snapshot (γ ≡ 0).  On a
+    # matrix the plane gate refuses it runs on "levels", one whole level
+    # per sweep — never as a live-read level program, which would apply
+    # block Gauss-Seidel instead.
+    from repro.experiments.exp_krylov import _snapshot_preconditioner
+
+    A = small_spd if name == "small_spd" else get_matrix(name)
+    M = _snapshot_preconditioner(A, sweeps=2, block_size=16)
+    ref = AsyncSweepPreconditioner(
+        A, sweeps=2, config=dataclasses.replace(M.config, backend="reference"), symmetrize=False
+    )
+    assert M.backend == "levels" and M.levels_per_apply is None
+    gen = np.random.default_rng(3)
+    for _ in range(3):
+        r = gen.standard_normal(A.shape[0])
+        assert np.array_equal(M(r), ref(r))
+
+
 def test_jacobi_matches_diagonal_scaling(small_spd):
     M = JacobiPreconditioner(small_spd)
     r = np.random.default_rng(3).standard_normal(60)
@@ -285,4 +306,4 @@ def test_outer_solvers_report_the_preconditioner(small_spd, kind):
     # Without a level program there is no level count to report.
     snapshot = AsyncSweepPreconditioner(small_spd, sweeps=2, config=AsyncConfig(order="synchronous"))
     info = _outer(kind, snapshot).solve(small_spd, np.ones(60)).info["precond"]
-    assert info["backend"] in ("fused", "stencil") and info["levels_per_apply"] is None
+    assert info["backend"] in ("levels", "stencil") and info["levels_per_apply"] is None

@@ -4,7 +4,7 @@ The stencil path is an execution strategy, never an approximation:
 wherever it may run, its iterates — and the scheduler RNG state it
 leaves behind — are bitwise the reference loop's.  These tests pin that
 contract across the whole-sweep-exact regimes, the auto preference
-order (stencil > fused > levels), the refusal semantics of a forced
+order (stencil > levels > reference), the refusal semantics of a forced
 ``backend="stencil"``, the batched stacked variant, and the telemetry
 trail that makes every dispatch decision explainable.
 """
@@ -55,7 +55,7 @@ def _history(A, b, config, *, sweeps=4, seed=0):
     return engine.run(stopping=StoppingCriterion(tol=0.0, maxiter=sweeps)).residuals
 
 
-#: Whole-sweep-exact regimes (the same matrix the fused tests pin),
+#: Whole-sweep-exact regimes (the ones tests/core/test_backends.py pins),
 #: spanning order, k, omega and deferred writes.
 ENGAGING = {
     "synchronous-k1": AsyncConfig(order="synchronous", local_iterations=1, block_size=32),
@@ -102,11 +102,11 @@ def test_auto_prefers_stencil_on_grids(lap3d, regime):
 
 
 def test_auto_still_fuses_irregular_matrices(small_spd):
-    # The offset-plane gate refuses these; auto drops to the fused CSR
-    # path, not all the way to the block loop.
+    # The offset-plane gate refuses these; auto runs their whole sweeps
+    # on the level executor, one level each, not on the per-block loop.
     for A in (small_spd, get_matrix("Chem97ZtZ"), get_matrix("s1rmt3m1")):
         eng, _, _ = _run(A, _rhs(A), ENGAGING["snapshot-gpu-k1"], sweeps=1)
-        assert eng.backend == "fused"
+        assert eng.decisions() == {"backend": "levels", "levels_mean": 1.0}
 
 
 def test_forced_stencil_refuses_inexact_regime(lap3d):
@@ -157,7 +157,7 @@ def test_wide_stencils_bitwise(stencil, tile):
 def test_batched_stacked_variant_bitwise(lap3d, tile):
     # The batched engine runs the weight planes over an (R, n) stack; each
     # replica must reproduce the sequential engine for seed0 + r, bit for
-    # bit, exactly like the fused collapse it generalises.
+    # bit, exactly like the level executor's one-level sweeps.
     b = _rhs(lap3d)
     cfg = ENGAGING["alldefer-mixed-k2"]
     nreplicas, sweeps, seed0 = 3, 3, 5

@@ -204,12 +204,12 @@ def test_trefethen_passes_the_gate(trefethen_small):
 def test_permuted_views_are_judged_on_their_own_matrix(spec):
     # The kernels read the permuted matrix, so a permutation is no reason
     # to refuse: rcm keeps a tridiagonal tridiagonal and runs stencil,
-    # clustered spreads its offsets and falls to fused.
+    # clustered spreads its offsets and falls to one-level levels.
     view = _view(_tridiagonal(400), spec=spec, block_size=32)
     desc, reason = compile_sweep_plan(view).stencil
     assert (desc is not None) == (view.matrix.offset_planes()[0] is not None)
     backend, same = _bits_equal_reference(view)
-    assert backend == ("stencil" if spec == "rcm" else "fused"), reason
+    assert backend == ("stencil" if spec == "rcm" else "levels"), reason
     assert same
 
 

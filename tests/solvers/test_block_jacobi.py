@@ -33,7 +33,9 @@ def test_exact_beats_point_jacobi(small_spd):
 
 
 def test_two_stage_matches_synchronous_async(small_spd):
-    # Two-stage(q) == async-(q) with the synchronous schedule, exactly.
+    # Two-stage(q) == async-(q) with the synchronous schedule, exactly:
+    # both run one engine's whole sweeps (small_spd fails the plane gate,
+    # so one level per sweep on the level executor).
     b = small_spd.matvec(np.ones(60))
     stop = StoppingCriterion(tol=0.0, maxiter=7)
     ts = BlockJacobiSolver(block_size=10, inner="jacobi", inner_sweeps=3, stopping=stop).solve(
@@ -42,7 +44,9 @@ def test_two_stage_matches_synchronous_async(small_spd):
     ba = BlockAsyncSolver(
         AsyncConfig(local_iterations=3, block_size=10, order="synchronous"), stopping=stop
     ).solve(small_spd, b)
-    assert np.allclose(ts.x, ba.x, atol=1e-12)
+    assert np.array_equal(ts.x, ba.x)
+    assert np.array_equal(ts.residuals, ba.residuals)
+    assert ba.info["backend"] == "levels" and ba.info["levels_mean"] == 1.0
 
 
 def test_more_inner_sweeps_approach_exact(small_spd):
