@@ -9,7 +9,12 @@ Two complementary reproductions:
   free").
 * **Measured** — the Python engine's *own* wall-clock per-sweep cost as a
   function of k, demonstrating the same shape on this implementation
-  (local SpMVs touch only block-local data).
+  (local SpMVs touch only block-local data).  The k values are timed in
+  interleaved rounds, each k's time the fastest round's, so a drift of
+  the host does not land on one k; the table names the execution backend
+  and sets the async-(9) overhead beside the paper's < 35 %.  A lower
+  per-sweep floor makes that ratio look worse, so the absolute times are
+  reported too.
 """
 
 from __future__ import annotations
@@ -52,38 +57,43 @@ def run(quick: bool = True) -> ExperimentResult:
         rows=paper_rows,
     )
 
-    # Measured: this engine's sweep cost versus k.
+    # Measured: this engine's sweep cost versus k, the k values interleaved.
     A = get_matrix("fv3")
     b = default_rhs(A)
     view = BlockRowView(A, block_size=448)
     sweeps = 20 if quick else 100
-    measured_rows = []
-    base_time = None
-    backend = None
+    rounds = 5 if quick else 7
     ks = (1, 2, 3, 5, 7, 9)
+    engines = {k: AsyncEngine(view, b, paper_async_config(k, seed=0)) for k in ks}
+    iterates = {k: np.zeros(A.shape[0]) for k in ks}
     for k in ks:
-        cfg = paper_async_config(k, seed=0)
-        engine = AsyncEngine(view, b, cfg)
-        backend = engine.backend
-        x = np.zeros(A.shape[0])
-        engine.sweep(x)  # warm-up (allocations, cache)
-        t0 = time.perf_counter()
-        for _ in range(sweeps):
-            x = engine.sweep(x)
-        dt = (time.perf_counter() - t0) / sweeps
-        if base_time is None:
-            base_time = dt
-        measured_rows.append([f"async-({k})", dt, dt / base_time - 1.0])
+        engines[k].sweep(iterates[k])  # warm-up (allocations, cache)
+    best = dict.fromkeys(ks, np.inf)
+    for _ in range(rounds):
+        for k in ks:
+            engine, x = engines[k], iterates[k]
+            t0 = time.perf_counter()
+            for _ in range(sweeps):
+                engine.sweep(x)
+            best[k] = min(best[k], (time.perf_counter() - t0) / sweeps)
+    backends = sorted({engine.backend for engine in engines.values()})
+    measured_rows = [[f"async-({k})", best[k] * 1e3, best[k] / best[ks[0]] - 1.0] for k in ks]
     measured_table = TableArtifact(
-        title="This implementation: measured seconds per global sweep (fv3, Python engine)",
-        headers=["method", "sec/sweep", "overhead vs async-(1)"],
+        title=(
+            f"This implementation: measured ms per global sweep (fv3, block 448, "
+            f"'{'/'.join(backends)}' backend, fastest of {rounds} interleaved rounds of {sweeps} sweeps)"
+        ),
+        headers=["method", "ms/sweep", "overhead vs async-(1)"],
         rows=measured_rows,
     )
     notes = [
         f"calibrated per-extra-local-iteration cost fraction: {LOCAL_ITER_FRACTION:.4f} "
         "(paper: 'less than 5%'); async-(9) modelled overhead "
         f"{8 * LOCAL_ITER_FRACTION:.1%} (paper: 'less than 35%').",
-        f"measured sweeps ran on the '{backend}' execution backend (repro.perf); "
+        f"measured async-(9) overhead {measured_rows[-1][2]:.1%} against the paper's 'less than "
+        f"35%', at {best[ks[0]] * 1e3:.3f} ms (k=1) and {best[ks[-1]] * 1e3:.3f} ms (k=9) per "
+        "sweep: the lower the per-sweep floor, the larger the share the local sweeps take.",
+        f"measured sweeps ran on the '{'/'.join(backends)}' execution backend (repro.perf); "
         "benchmarks/bench_sweep_backends.py compares backends head to head.",
     ]
     return ExperimentResult(

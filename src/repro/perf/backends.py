@@ -55,7 +55,7 @@ leave behind.  Faults always take the reference loop.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -348,6 +348,30 @@ class ReferenceSweepExecutor:
             x[rows] = vals
 
 
+class _Layout(NamedTuple):
+    """One sweep's (lane, block) nodes in level-major order (:meth:`LevelSweepExecutor._layout`)."""
+
+    #: Dependency levels of the sweep.
+    nlev: int
+    #: Level-major slot bounds of every lane group, in level order.
+    bounds: np.ndarray
+    #: Plan slot of every level-major slot.
+    ps: np.ndarray
+    #: Work-copy slot (``lane · nslots + plan slot``) of every level-major slot.
+    ws: np.ndarray
+    #: ``(slots, 1)``: the first level-major place of every slot's node,
+    #: the offset of its block-local columns.
+    off: np.ndarray
+    #: By (lane, block) node: its first level-major place less its
+    #: block's first row (the level-major place of a row is its row plus
+    #: this).
+    base: np.ndarray
+    #: By (lane, block) node: its lane group.
+    group: np.ndarray
+    #: The (lane, block) node of every level-major slot.
+    node: np.ndarray
+
+
 class LevelSweepExecutor:
     """The block loop as a few levels of independent blocks, exact in every regime.
 
@@ -368,25 +392,34 @@ class LevelSweepExecutor:
     owner precedes it in the lane's order and is not deferred, the
     snapshot value otherwise, exactly as in the loop.
 
-    Everything a level touches is laid out block-major, in the plan's
-    slots (:class:`repro.perf.plan.BlockSlots`: every block owns whole
-    slots of one common height, as many as it needs) — the plan's
-    :class:`repro.perf.plan.BlockPanels`, and per lane the work copy,
-    the right-hand side and the snapshot external part.  A level gathers
-    its operands as one ``take`` of its blocks' slots per array and runs
-    all its (lane, block) pairs at once, with every read of the level
-    before any of its writes: one race-correction ``np.add.at`` (the
-    in-place fold itself, so a ``-0.0`` right-hand side needs no
-    fallback), one ``s = b − ext`` and *k* local Jacobi sweeps over the
-    padded panels.  Pad rows stay
-    zero and are never copied out.  Iterates move in an
-    ``(R · nslots + 1, width)`` work copy whose last row holds the pads'
-    ``+0.0`` slot; the caller's *X* stays the sweep-start snapshot until
-    the copy-back.
+    The plan lays every block out in whole slots of one common height
+    (:class:`repro.perf.plan.BlockSlots`: every block owns as many slots
+    as it needs) and stores its :class:`repro.perf.plan.BlockPanels` that
+    way.  Once per sweep the executor orders the (lane, block) nodes by
+    level — lane groups of a level one after another — and gathers the
+    work copy, the snapshot external part, the right-hand side and the
+    diagonal into that *level-major* order with one ``take`` of whole
+    slots each, so every level reads and writes contiguous slices.  A
+    level takes its blocks' panel slots (local columns rebased to the
+    level-major places) and runs all its (lane, block) pairs at once,
+    with every read of the level before any of its writes: one
+    race-correction ``np.add.at`` straight into the level-major external
+    part (the in-place fold itself, so a ``-0.0`` right-hand side needs
+    no fallback), one ``s = b − ext`` and *k* local Jacobi sweeps over
+    the padded panels, in place.  It then publishes its results to the
+    slot-major copy ``(R · nslots + 1, width)`` every later read gathers
+    from — fresh entries and γ = 1 reads — whose last row holds the
+    external pads' ``+0.0``; a deferred result is published at the sweep
+    end.  The caller's *X* stays the sweep-start snapshot until the
+    copy-back.  The two iterate copies are kept while the lane count
+    stays the same, their pad rows zero; the right-hand sides are staged
+    afresh every sweep, since a caller may change them between sweeps (a
+    shard worker folds its halo into its own in place).  Pad rows are
+    never copied out.
 
     Lanes are native: a batched sweep is one level loop over all its
     replicas.  Deterministic schedules (no freshness or defer draws) reuse
-    their level assignment per order.  :attr:`levels_mean` is the mean
+    their level-major layout per order.  :attr:`levels_mean` is the mean
     number of levels per sweep — the decision telemetry of the engines.
     Faults stay on :class:`ReferenceSweepExecutor`.
 
@@ -398,7 +431,9 @@ class LevelSweepExecutor:
     ``s = b − E x`` and runs the *k* Jacobi sweeps over all rows at once,
     on the local panels in row order with absolute columns
     (:attr:`repro.perf.SweepPlan.row_panels`: no slot layout, no index
-    scatter) and work buffers kept across sweeps.
+    scatter) and work buffers kept across sweeps.  A system with no
+    in-block entries has one all-pad panel lane, whose product is the
+    same ``+0.0`` every sweep: the sweeps subtract it without a gather.
     """
 
     #: Orders whose level assignment a deterministic schedule remembers.
@@ -420,14 +455,22 @@ class LevelSweepExecutor:
         if whole:
             self._s = np.empty(view.n)
             self._zbuf = np.zeros(view.n + 1)
-            self._vals = np.empty(plan.row_panels[0].shape)
+            cols, data, diag = plan.row_panels
+            self._vals = np.empty(cols.shape)
             self._vrows = list(self._vals)
+            if not plan.local_off.nnz:
+                # One all-pad lane (no in-block entries): its product is
+                # +0.0 × data[0] whatever the iterate, +0.0 on every
+                # (empty) row, so the sweeps subtract it without a gather.
+                cols, data = None, data[0] * 0.0
+            self._panels = (cols, data, diag)
             return
         self.nb = view.nblocks
         self.width, self.first, self.slot, self.rows = plan.slots
         self.nslots = int(self.first[-1])
         self.count = np.diff(self.first)
         self.lcols, self.ldata, self.diag = plan.block_panels
+        self.starts = view.boundaries[:-1]
         self.gamma = gamma
         self.mixed = (gamma > 0.0) & (gamma < 1.0)
         self.snapshot = bool(np.any(gamma < 1.0))
@@ -435,14 +478,16 @@ class LevelSweepExecutor:
         if self.mixed.any():
             #: The one race rate of the mixed positions (see _levels_fit).
             self.race = gamma[self.mixed][0]
-            self.starts = view.boundaries[:-1]
             self.eptr = self.E.indptr[self.starts]
             self.e_owner = plan.entry_blocks[1]
             self.e_rows = self.E._expanded_rows()
+            #: Slot-major place of every external entry's column.
+            self.e_slot = self.E.indices if isinstance(self.rows, slice) else self.slot[self.E.indices]
         if self.live:
             self.ecols, self.edata = plan.block_external
             self.readers, self.owners = plan.coupling
         self._cache = {}
+        self._R = 0
 
     @property
     def levels_mean(self) -> float:
@@ -457,42 +502,63 @@ class LevelSweepExecutor:
         reps = np.asarray(reps, dtype=np.int64)
         R = len(reps)
         orders, pos, defer, hits = self._draw(lanes, reps)
-        (nlev, nodes, bounds), elive = self._assign_levels(orders, pos, defer, hits)
-
-        # Slot-major work copy; its last row holds the external pads' +0.0.
-        XW = np.zeros((R * S + 1, M))
-        XL = XW[:-1].reshape(R, S * M)
+        lay, efresh = self._assign_levels(orders, pos, defer, hits)
+        XW, zbuf = self._buffers(R)
+        XL = XW[:-1].reshape(R, -1)
         XL[:, rows] = X[reps]
-        fresh = None
-        if hits is not None:
-            fresh, ebounds = self._fresh_by_level(hits, elive, XW, nodes, bounds)
+        # The sweep's operands in level-major order: one take of whole slots
+        # each, from slot-major copies whose pad rows are zero.
+        Z = zbuf[:-1].reshape(-1, M)
+        XW.take(lay.ws, axis=0, out=Z, mode="clip")
+        # A shared right-hand side is read by plan slot, a stack by work-copy slot.
+        b = lanes.b if lanes.b.ndim == 1 else lanes.b[reps]
+        B = np.zeros(b.shape[:-1] + (S * M,))
+        B[..., rows] = b
+        B = B.reshape(-1, M).take(lay.ps if b.ndim == 1 else lay.ws, axis=0)
+        D = self.diag.take(lay.ps, axis=0)
         EXT = None
         if self.snapshot:
             EXT = np.zeros((R, S * M))
             for i, r in enumerate(reps):
                 EXT[i, rows] = self.E.matvec(X[r])
-            EXT = EXT.reshape(R * S, M)
-        # A shared right-hand side is read by plan slot, a stack by work-copy slot.
-        b = lanes.b if lanes.b.ndim == 1 else lanes.b[reps]
-        B = np.zeros(b.shape[:-1] + (S * M,))
-        B[..., rows] = b
-        B = B.reshape(-1, M)
-        live_node = (self.gamma[pos] >= 1.0).ravel()[nodes] if self.live and self.snapshot else None
-        defer_node = defer.ravel()[nodes]
+            EXT = EXT.reshape(-1, M).take(lay.ws, axis=0)
+        fresh = None if efresh is None else self._fresh(efresh, lay, XW)
+        live = None
+        if self.live and self.snapshot:
+            live = (self.gamma[pos] >= 1.0).reshape(-1)[lay.node]
+        deferred = defer.reshape(-1)[lay.node] if self.config.deferred_write_prob > 0.0 else None
         late = []
-        for g in range(len(bounds) - 1):
-            lo, hi = bounds[g], bounds[g + 1]
-            efresh = None
-            if fresh is not None and ebounds[g + 1] > ebounds[g]:
-                e = slice(ebounds[g], ebounds[g + 1])
-                efresh = tuple(a[e] for a in fresh)
-            live = live_node[lo:hi] if live_node is not None else None
-            self._level(nodes[lo:hi], XW, EXT, B, b.ndim == 1, efresh, live, defer_node[lo:hi], late)
+        sb = lay.bounds
+        for g in range(len(sb) - 1):
+            a, c = int(sb[g]), int(sb[g + 1])
+            gfresh = None
+            if fresh is not None:
+                e = slice(fresh[0][g], fresh[0][g + 1])
+                gfresh = tuple(v[e] for v in fresh[1:])
+            self._level(
+                a, c, lay, XW, zbuf, Z, EXT, B, D, gfresh,
+                None if live is None else live[a:c],
+                None if deferred is None else deferred[a:c],
+                late,
+            )
         for ws, z in late:
             XW[ws] = z
         X[reps] = XL[:, rows]
-        self.levels_run += nlev
+        self.levels_run += lay.nlev
         self.sweeps_run += 1
+
+    def _buffers(self, R: int):
+        """The iterate copies of an *R*-lane sweep, kept while *R* stays the same.
+
+        ``(XW, zbuf)``: the slot-major published iterate, its last row the
+        external pads' ``+0.0``, and the flat level-major work copy, its
+        last place the local pads' ``+0.0``.  Their pad rows stay zero.
+        """
+        if self._R != R:
+            S, M = self.nslots, self.width
+            self._work = np.zeros((R * S + 1, M)), np.zeros(R * S * M + 1)
+            self._R = R
+        return self._work
 
     def _sweep_whole(self, X: np.ndarray, lanes, reps: Sequence[int]) -> None:
         """Every lane's sweep as one level of all blocks, lane after lane."""
@@ -506,8 +572,7 @@ class LevelSweepExecutor:
             np.subtract(lanes.rhs(r), s, out=s)
             z[...] = x
             _jacobi_sweeps(
-                s, zbuf, z, *self.plan.row_panels, self._vals, self._vrows,
-                cfg.local_iterations, cfg.omega,
+                s, zbuf, z, *self._panels, self._vals, self._vrows, cfg.local_iterations, cfg.omega
             )
             x[...] = z
         self.levels_run += 1
@@ -519,8 +584,8 @@ class LevelSweepExecutor:
         Per position the loop draws the fresh mask (mixed γ), then the
         defer double.  Returns ``(orders, pos, defer, hits)``: *pos* and
         *defer* indexed by (lane, block), *hits* the fresh entries as
-        ``(entry, lane, reader position, reader block)``, or ``None``
-        without mixed positions.
+        ``(entry, segment)`` — a segment is a (lane, position) pair,
+        ``lane · nblocks + position`` — or ``None`` without mixed positions.
         """
         nb = self.nb
         R = len(reps)
@@ -529,61 +594,65 @@ class LevelSweepExecutor:
         for i, r in enumerate(reps):
             orders[i] = lanes.schedulers[r].plan_for_sweep(lanes.sweep_index, lanes.rngs[r])[0]
         lane = np.arange(R)[:, None]
-        pos = np.empty_like(orders)
-        pos[lane, orders] = np.arange(nb)
-        # One segment per (lane, position): its fresh doubles, then its defer double.
+        # Each order is a permutation: its inverse is its argsort.
+        pos = orders.argsort(axis=1)
+        # One segment per (lane, position): its fresh doubles, then its
+        # defer double; the lanes' draws concatenated, lane after lane.
         cnt = np.where(self.mixed, self.ennz[orders], 0)
         if dwp > 0.0:
             cnt += 1
-        end = np.cumsum(cnt, axis=1)
-        mixed = self.mixed.any()
-        hits = []
-        udefer = np.empty((R, nb))
-        base = 0
-        for i, r in enumerate(reps):
-            u = lanes.rngs[r].random(int(end[i, -1]))
-            if mixed:
-                hits.append(np.flatnonzero(u < self.race) + base)
-                base += len(u)
-            if dwp > 0.0:
-                udefer[i] = u[end[i] - 1]
+        us = [lanes.rngs[r].random(int(c)) for r, c in zip(reps, cnt.sum(axis=1))]
+        u = us[0] if R == 1 else np.concatenate(us)
+        end = np.cumsum(cnt)
         defer = np.zeros((R, nb), dtype=bool)
         if dwp > 0.0:
-            defer[lane, orders] = udefer < dwp
-        if not mixed:
+            defer[lane, orders] = (u[end - 1] < dwp).reshape(R, nb)
+        if not self.mixed.any():
             return orders, pos, defer, None
-        j = hits[0] if R == 1 else np.concatenate(hits)
-        cnt, end = cnt.reshape(-1), cumulative_segments(cnt.reshape(-1))[1:]
-        seg = np.searchsorted(end, j, side="right")
-        at = j - end[seg] + cnt[seg]
+        j = np.flatnonzero(u < self.race)
+        # The hits are sorted: one search per segment end counts each segment's.
+        k = np.searchsorted(j, end)
+        k[1:] -= k[:-1].copy()
+        seg = np.repeat(np.arange(R * nb), k)
         if dwp > 0.0:
             # A defer double is no fresh entry.
-            fresh = at < cnt[seg] - 1
-            seg, at = seg[fresh], at[fresh]
-        reader = orders.reshape(-1)[seg]
-        return orders, pos, defer, (self.eptr[reader] + at, seg // nb, seg % nb, reader)
+            fresh = j < end[seg] - 1
+            j, seg = j[fresh], seg[fresh]
+        # Entry = the reader's first external entry + the draw's place in its segment.
+        base = self.eptr[orders.reshape(-1)] - (end - cnt.reshape(-1))
+        return orders, pos, defer, (base[seg] + j, seg)
 
     def _assign_levels(self, orders, pos, defer, hits):
         """Dependency levels of the (lane, block) nodes, and the fresh entries' reads.
 
-        Returns :meth:`_split_levels` of the levels, then per fresh entry
-        whether its owner writes visibly before it reads (or ``None``).
+        Returns :meth:`_layout` of the levels, then ``(entry, reader
+        node, live)`` of the fresh entries — *live* whether the owner
+        writes visibly before the entry is read — or ``None``.
         """
         nb = self.nb
         R = len(orders)
+        N = R * nb
         src, dst, wgt = [], [], []
-        elive = None
+        fresh = None
         if hits is not None:
-            ent, eln, rpos, rd = hits
-            owner = eln * nb + self.e_owner[ent]
-            elive = pos.reshape(-1)[owner] < rpos
+            ent, seg = hits
+            # Nodes are lane · nblocks + block, segments lane · nblocks + position.
+            lanes = np.arange(0, N, nb)[:, None]
+            reader = (orders + lanes).reshape(-1)[seg]
+            owner = (reader - orders.reshape(-1)[seg]) + self.e_owner[ent]
+            live = (pos + lanes).reshape(-1)[owner] < seg
             if self.config.deferred_write_prob > 0.0:
-                elive &= ~defer.reshape(-1)[owner]
-            # One edge per (lane, owner, reader) pair, however many entries form it.
-            pair = np.unique(owner[elive] * nb + rd[elive])
-            src.append(pair // nb)
-            dst.append(pair // (nb * nb) * nb + pair % nb)
-            wgt.append(np.ones(len(pair), dtype=np.int64))
+                live &= ~defer.reshape(-1)[owner]
+            fresh = ent, reader, live
+            # One edge per (owner, reader) node pair, however many entries form it.
+            pair = np.sort((reader * N + owner)[live])
+            first = np.empty(len(pair), dtype=bool)
+            first[:1] = True
+            np.not_equal(pair[1:], pair[:-1], out=first[1:])
+            rd, ow = np.divmod(pair[first], N)
+            src.append(ow)
+            dst.append(rd)
+            wgt.append(np.ones(len(rd), dtype=np.int64))
         if self.live:
             P = len(self.readers)
             L = np.repeat(np.arange(R), P)
@@ -597,14 +666,14 @@ class LevelSweepExecutor:
             dst += [L[dep] * nb + PR[dep], L[anti] * nb + PO[anti]]
             wgt += [np.ones(int(dep.sum()), dtype=np.int64), np.zeros(int(anti.sum()), dtype=np.int64)]
         if hits is not None or self.config.deferred_write_prob > 0.0:
-            return self._split_levels(_longest_paths(R * nb, src, dst, wgt), R), elive
+            return self._layout(_longest_paths(N, src, dst, wgt), R), fresh
         key = orders.tobytes()
-        split = self._cache.get(key)
-        if split is None:
+        lay = self._cache.get(key)
+        if lay is None:
             if len(self._cache) >= self._CACHE_MAX:
                 self._cache.clear()
-            split = self._cache[key] = self._split_levels(_longest_paths(R * nb, src, dst, wgt), R)
-        return split, elive
+            lay = self._cache[key] = self._layout(_longest_paths(N, src, dst, wgt), R)
+        return lay, fresh
 
     def _split_levels(self, lv, R):
         """Cut each level into lane groups of about :attr:`_GROUP_ROWS` rows.
@@ -629,85 +698,84 @@ class LevelSweepExecutor:
             cut = np.append(first[new], len(lv))
         return nlev, nodes, cut
 
-    def _fresh_by_level(self, hits, elive, XW, nodes, bounds):
-        """The fresh entries grouped like the nodes, with what their corrections read.
-
-        Returns ``((epos, data, eflat, snap, live), ebounds)``: per entry its
-        place in its group's gathered slots, its value, its place in the
-        flat work copy, its snapshot operand (read from *XW* before any
-        write) and whether its owner writes visibly first; entries of
-        group *g* are ``ebounds[g]:ebounds[g + 1]``, in lane, block and
-        entry order.
-        """
-        nb, M = self.nb, self.width
-        ent, eln, _, rd = hits
-        group = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
-        before = cumulative_segments(self.count[nodes % nb])
-        total = int(before[-1])
-        rank = np.empty(len(nodes), dtype=np.int64)
-        # First gathered slot of every node inside its group's operands.
-        rank[nodes] = (before[:-1] - before[bounds[group]]) + group * total
-        key = rank[eln * nb + rd]
-        by_group = np.argsort(key // total, kind="stable")
-        key = key[by_group]
-        ebounds = np.searchsorted(key, np.arange(len(bounds)) * total)
-        ent, eln = ent[by_group], eln[by_group]
-        epos = key % total * M + self.e_rows[ent] - self.starts[rd[by_group]]
-        eflat = eln * (self.nslots * M) + self.slot[self.E.indices[ent]]
-        return (epos, self.E.data[ent], eflat, XW.reshape(-1)[eflat], elive[by_group]), ebounds
-
-    def _level(self, nd, XW, EXT, B, shared, fresh, live, deferred, late) -> None:
-        """Update the (lane, block) pairs *nd* of one level: reads, then writes.
-
-        *B* is the slot-major right-hand side, one block set for all lanes
-        when *shared*; *live* flags the pairs at γ = 1 positions (``None``:
-        all or none, as the γ profile says); *deferred* the pairs whose
-        write waits for the sweep end (appended to *late*); *fresh* holds
-        the level's race-corrected entries.
-        """
+    def _layout(self, lv, R) -> "_Layout":
+        """The sweep's slots in level-major order: node after node, group after group."""
+        nlev, nodes, bounds = self._split_levels(lv, R)
+        lane, bk = np.divmod(nodes, self.nb)
         M = self.width
-        bk = nd % self.nb
-        cnt = self.count[bk]
-        start = cumulative_segments(cnt)
-        m = int(start[-1])
-        # Plan slots of the pairs' blocks and the pair owning each gathered slot.
-        if m == len(nd):
-            ps, own = self.first[bk], slice(None)
+        if self.nslots == self.nb:
+            # One slot per block: the nodes are the slots.
+            start = np.arange(len(nodes) + 1)
+            ps, node, off = bk, nodes, start[:-1] * M
         else:
-            ps, own = _ranges(self.first[bk], cnt), np.repeat(np.arange(len(nd)), cnt)
-        lane = (nd // self.nb * self.nslots)[own]
-        ws = ps + lane
+            cnt = self.count[bk]
+            start = cumulative_segments(cnt)
+            ps = _ranges(self.first[bk], cnt)
+            node, lane, off = np.repeat(nodes, cnt), np.repeat(lane, cnt), np.repeat(start[:-1] * M, cnt)
+        # Every node's first level-major place, less its block's first row.
+        base = np.empty(len(nodes), dtype=np.int64)
+        base[nodes] = start[:-1] * M - self.starts[bk]
+        group = np.empty(len(nodes), dtype=np.int64)
+        group[nodes] = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+        return _Layout(nlev, start[bounds], ps, ps + lane * self.nslots, off[:, None], base, group, node)
+
+    def _fresh(self, fresh, lay, XW):
+        """The fresh entries grouped like the slots, with what their corrections read.
+
+        Returns ``(ebounds, epos, data, eflat, snap, live)``: per entry its
+        place in the level-major external part, its value, its place in
+        the slot-major published iterate, its snapshot operand (read from
+        *XW* before any write) and whether its owner writes visibly first;
+        entries of group *g* are ``ebounds[g]:ebounds[g + 1]``, each row's
+        in entry order.
+        """
+        ent, reader, live = fresh
+        group = lay.group[reader]
+        ngroups = len(lay.bounds) - 1
+        # A stable sort on the narrowest type that holds the groups (a radix sort for most).
+        order = np.argsort(group.astype(np.min_scalar_type(ngroups)), kind="stable")
+        ent, reader = ent[order], reader[order]
+        epos = lay.base[reader] + self.e_rows[ent]
+        eflat = reader // self.nb * (self.nslots * self.width) + self.e_slot[ent]
+        ebounds = cumulative_segments(np.bincount(group, minlength=ngroups))
+        return ebounds, epos, self.E.data[ent], eflat, XW.reshape(-1).take(eflat), live[order]
+
+    def _level(self, a, c, lay, XW, zbuf, Z, EXT, B, D, fresh, live, deferred, late) -> None:
+        """Update the level-major slots ``a:c`` (one lane group of a level): reads, then writes.
+
+        *EXT*, *B* and *D* are the level-major snapshot products (``None``
+        without), right-hand sides and diagonal; *live* flags the slots at
+        γ = 1 positions (``None``: all or none, as the γ profile says);
+        *deferred* the slots whose write waits for the sweep end (appended
+        to *late*); *fresh* holds the group's race-corrected entries.
+        """
+        ps, ws = lay.ps[a:c], lay.ws[a:c]
         if EXT is None:
-            ext = self._live_external(ps, lane, XW)
+            ext = self._live_external(ps, ws - ps, XW)
         else:
-            ext = EXT.take(ws, axis=0)
+            ext = EXT[a:c]
             if live is not None and live.any():
-                live = live[own]
-                ext[live] = self._live_external(ps[live], lane[live], XW)
+                ext[live] = self._live_external(ps[live], (ws - ps)[live], XW)
         if fresh is not None:
             epos, edata, eflat, esnap, elive = fresh
             # A fresh entry whose owner has not (visibly) written in this
             # lane's order reads the snapshot: an exact zero delta.
             xv = np.where(elive, XW.reshape(-1).take(eflat), esnap)
-            np.add.at(ext.reshape(-1), epos, edata * (xv - esnap))
-        s = np.subtract(B.take(ps if shared else ws, axis=0), ext, out=ext)
-        # The blocks' iterates, then the +0.0 slot every pad clips to.
-        zbuf = np.empty(m * M + 1)
-        zbuf[-1] = 0.0
-        z = zbuf[:-1].reshape(m, M)
-        XW.take(ws, axis=0, out=z)
+            xv -= esnap
+            xv *= edata
+            np.add.at(EXT.reshape(-1), epos, xv)
+        s = np.subtract(B[a:c], ext, out=ext)
         lcols = self.lcols.take(ps, axis=1)
-        lcols += (start[:-1][own] * M)[:, None]
+        lcols += lay.off[a:c]
         vals = np.empty(lcols.shape)
         cfg = self.config
         z = _jacobi_sweeps(
-            s, zbuf, z, lcols, self.ldata.take(ps, axis=1), self.diag.take(ps, axis=0),
+            s, zbuf, Z[a:c], lcols, self.ldata.take(ps, axis=1), D[a:c],
             vals, vals, cfg.local_iterations, cfg.omega,
         )
-        if not deferred.any():
+        if deferred is None or not deferred.any():
             XW[ws] = z
         else:
-            deferred = deferred[own]
             XW[ws[~deferred]] = z[~deferred]
             late.append((ws[deferred], z[deferred]))
 

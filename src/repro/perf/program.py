@@ -65,37 +65,45 @@ def _longest_paths(nnodes: int, src: list, dst: list, w: list) -> np.ndarray:
 
     Edges come as lists of arrays.  They form a DAG (each points forward
     in its lane's order), so synchronous relaxation settles after at most
-    its longest path.
+    its longest path; levels only grow, so a round that leaves their sum
+    unchanged changed none.
     """
     lv = np.zeros(nnodes, dtype=np.int64)
     if not src:
         return lv
     src, dst, w = np.concatenate(src), np.concatenate(dst), np.concatenate(w)
+    total = 0
     while len(src):
-        new = lv.copy()
-        np.maximum.at(new, dst, lv[src] + w)
-        if np.array_equal(new, lv):
+        np.maximum.at(lv, dst, lv[src] + w)
+        grown = int(lv.sum())
+        if grown == total:
             break
-        lv = new
+        total = grown
     return lv
 
 
 def _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, vals, vrows, k: int, omega: float) -> np.ndarray:
     """*k* Jacobi sweeps ``z ← (s − L z) / d`` over padded-ELL panels, in place.
 
-    *zbuf* holds the iterate ``z`` — a view of its first ``s.size``
-    slots, shaped like *s* and *d* — and the pads' ``+0.0`` in its last
-    slot, which every pad of *lcols* reaches (directly or clipped).  *vals*
-    is the *lcols*-shaped product buffer and *vrows* its lanes — *vals*
-    itself, or a prepared list of its row views.  Every step is one IEEE
+    *zbuf* holds the iterate ``z`` — a view of some of its slots, shaped
+    like *s* and *d* — and the pads' ``+0.0`` in its last slot, which
+    every pad of *lcols* reaches (directly or clipped).  *vals* is the
+    *lcols*-shaped product buffer and *vrows* its lanes — *vals* itself,
+    or a prepared list of its row views.  Every step is one IEEE
     operation in the order of the reference loop's block update
     (:class:`repro.perf.ReferenceSweepExecutor`): ``z ← (s − L z) / d``,
-    then ``(1 − ω) z + ω z_new`` for ω ≠ 1.  Returns ``z``.
+    then ``(1 − ω) z + ω z_new`` for ω ≠ 1.  *lcols* ``None`` marks
+    panels of one all-pad lane (no local entries): their product is
+    ``+0.0 × ldata[0]`` whatever the iterate, and *ldata* is that product.
+    Returns ``z``.
     """
     for _ in range(k):
-        zbuf.take(lcols, out=vals, mode="clip")
-        vals *= ldata
-        acc = np.subtract(s, _row_sums(vrows), out=vrows[0])
+        if lcols is None:
+            acc = np.subtract(s, ldata, out=vrows[0])
+        else:
+            zbuf.take(lcols, out=vals, mode="clip")
+            vals *= ldata
+            acc = np.subtract(s, _row_sums(vrows), out=vrows[0])
         if omega != 1.0:
             acc /= d
             acc *= omega

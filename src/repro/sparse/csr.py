@@ -197,9 +197,10 @@ class CSRMatrix:
         over replicas, so multi-vector products were segment-bound.  The
         plan permutes the entries so rows of equal length L sit in one
         contiguous run: a product then does a single flat gather/multiply
-        over all nonzeros and reduces each run as an ELL-style ``(n_c,
-        L)`` panel (the classic GPU SpMV layout) with L-1 vectorized column
-        additions — strict left-to-right accumulation per row.  Rows wider
+        over all nonzeros and reduces each run as an ELL-style panel (the
+        classic GPU SpMV layout), stored column-major — ``(L, n_c)``, so
+        each of its L-1 vectorized column additions reads a contiguous
+        run — strict left-to-right accumulation per row.  Rows wider
         than :data:`_ELL_MAX_WIDTH` keep using reduceat over their run
         (their segments dominate their own cost anyway).
 
@@ -212,10 +213,13 @@ class CSRMatrix:
         relies on.  Assumes the matrix is not mutated in place after first
         use (nothing in the package does).
 
-        Plan layout: ``(cols, data, runs, empty_rows)`` where *cols*/*data*
-        are the permuted entry arrays and each run is ``(rows, lo, hi,
+        Plan layout: ``(cols, data, runs, where)`` where *cols*/*data*
+        are the permuted entry arrays, each run is ``(rows, lo, hi,
         width, seg_starts)`` — entries ``[lo, hi)``, panel width (0 = use
-        reduceat at the run-relative *seg_starts*).
+        reduceat at the run-relative *seg_starts*) — and *where* gives
+        every row's place among the row sums, which the runs fill one
+        after another; an empty row's place is ``nrows``, the sums'
+        trailing ``+0.0``.
         """
         if self._ell is None:
             lengths = np.diff(self.indptr)
@@ -228,7 +232,8 @@ class CSRMatrix:
                     continue
                 rows_c = np.flatnonzero(lengths == L)
                 if L <= self._ELL_MAX_WIDTH:
-                    entry = (starts[rows_c][:, None] + np.arange(L)).ravel()
+                    # Column-major: the run's j-th entries of every row are contiguous.
+                    entry = (starts[rows_c] + np.arange(L)[:, None]).ravel()
                     runs.append((rows_c, off, off + len(entry), int(L), None))
                 else:
                     entry = np.concatenate(
@@ -242,12 +247,11 @@ class CSRMatrix:
             perm = (
                 np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
             )
-            self._ell = (
-                self.indices[perm],
-                self.data[perm],
-                runs,
-                np.flatnonzero(lengths == 0),
-            )
+            where = np.full(self.nrows, self.nrows, dtype=np.int64)
+            if runs:
+                filled = np.concatenate([run[0] for run in runs])
+                where[filled] = np.arange(len(filled))
+            self._ell = (self.indices[perm], self.data[perm], runs, where)
             self._ell_builds += 1
         return self._ell
 
@@ -268,28 +272,32 @@ class CSRMatrix:
         *gather_cols* maps the plan's flat column array to the operand
         values at those columns (any multi-vector axes leading); the
         products are then reduced run by run, packed runs left to right
-        along the row, long-row runs via reduceat.
+        along the row, long-row runs via reduceat, into one buffer of row
+        sums that a single ``take`` puts in row order.
         """
-        cols, data, runs, empty = self._ell_plan()
+        cols, data, runs, where = self._ell_plan()
         if len(cols) == 0:
             # Zero-width plan (an empty block, e.g. from a clustered
             # partition): the product is identically zero — skip the
             # gather so no (rows, 0) float intermediate is built per call.
             out[...] = 0.0
             return out
-        vals = data * gather_cols(cols)
+        vals = gather_cols(cols)
+        vals *= data
+        sums = np.empty(vals.shape[:-1] + (self.nrows + 1,))
+        sums[..., -1] = 0.0
+        at = 0
         for rows_c, lo, hi, width, seg_starts in runs:
+            acc = sums[..., at : at + len(rows_c)]
+            at += len(rows_c)
             if width:
-                v = vals[..., lo:hi].reshape(vals.shape[:-1] + (len(rows_c), width))
-                acc = v[..., 0].copy()
+                v = vals[..., lo:hi].reshape(vals.shape[:-1] + (width, len(rows_c)))
+                np.copyto(acc, v[..., 0, :])
                 for j in range(1, width):
-                    acc += v[..., j]
-                out[..., rows_c] = acc
+                    acc += v[..., j, :]
             else:
-                out[..., rows_c] = np.add.reduceat(vals[..., lo:hi], seg_starts, axis=-1)
-        if len(empty):
-            out[..., empty] = 0.0
-        return out
+                np.add.reduceat(vals[..., lo:hi], seg_starts, axis=-1, out=acc)
+        return sums.take(where, axis=-1, out=out, mode="wrap")
 
     def offset_planes(self) -> Tuple[Optional[List[DiagonalPlane]], str]:
         """``(planes, "")`` in ascending offset order, or ``(None, reason)``.
@@ -343,8 +351,8 @@ class CSRMatrix:
         """
         x, out = self._operand(x, out)
         if x.ndim == 1:
-            return self._packed_product(lambda cols: x[cols], out)
-        return self._packed_product(lambda cols: x[:, cols], out)
+            return self._packed_product(x.take, out)
+        return self._packed_product(lambda cols: x.take(cols, axis=1), out)
 
     def matvec_rows(
         self, X: np.ndarray, rows: np.ndarray, out: Optional[np.ndarray] = None

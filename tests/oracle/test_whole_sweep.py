@@ -114,3 +114,22 @@ def test_rows_wider_than_the_panels_run_the_reference_loop():
     assert AsyncEngine(view, b, config).backend == "reference"
     with pytest.raises(ValueError, match="wider than the level executor's padded panels"):
         AsyncEngine(view, b, dataclasses.replace(config, backend="levels"))
+
+
+@pytest.mark.parametrize("regime", ["synchronous", "stale"])
+@pytest.mark.parametrize("omega", [1.0, 0.7])
+def test_empty_local_panels_on_chem97ztz(regime, omega):
+    # Chem97ZtZ has no in-block entries at block 32: its local panels are
+    # one all-pad lane, whose product the whole sweep subtracts as the
+    # constant +0.0 instead of gathering it.  Against a right-hand side
+    # with -0.0 entries the result must keep every zero sign.
+    from repro.matrices import get_matrix
+
+    A = get_matrix("Chem97ZtZ")
+    b = np.random.default_rng(6).standard_normal(A.shape[0])
+    b[::7] = -0.0
+    config = AsyncConfig(local_iterations=3, omega=omega, block_size=32, **REGIMES[regime])
+    auto = _assert_lockstep(A, b, config, 1, sweeps=4)
+    assert auto.plan.local_off.nnz == 0
+    assert auto.decisions() == {"backend": "levels", "levels_mean": 1.0}
+    assert auto._executor._panels[0] is None
