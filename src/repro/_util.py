@@ -42,11 +42,11 @@ def as_rng(seed: RNGLike = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def as_float_array(x: Iterable, name: str = "array", *, copy: bool = False) -> np.ndarray:
-    """Coerce *x* to a contiguous 1-D or 2-D ``float64`` array."""
-    arr = np.array(x, dtype=np.float64, copy=copy, order="C") if copy else np.ascontiguousarray(x, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise ValueError(f"{name} must be 1-D or 2-D, got ndim={arr.ndim}")
+def as_float_array(x: Iterable, name: str = "array") -> np.ndarray:
+    """Coerce *x* to a contiguous 1-D ``float64`` array."""
+    arr = np.ascontiguousarray(x, dtype=np.float64)
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got ndim={arr.ndim}")
     return arr
 
 

@@ -253,9 +253,11 @@ class WaveScheduler:
         # "gpu": recurring pattern + light jitter.
         assert self._patterns is not None
         base = self._patterns[sweep % len(self._patterns)].copy()
-        for _ in range(cfg.jitter_swaps):
-            i, j = rng.integers(0, self.nblocks, size=2)
-            base[i], base[j] = base[j], base[i]
+        if cfg.jitter_swaps:
+            # One draw for all swaps: the same values and generator state
+            # as one size-2 draw per swap.
+            for i, j in rng.integers(0, self.nblocks, size=(cfg.jitter_swaps, 2)).tolist():
+                base[i], base[j] = base[j], base[i]
         return base
 
     def waves(self, sweep: int, rng: np.random.Generator) -> List[np.ndarray]:

@@ -257,8 +257,7 @@ class WholeSweepExecutor:
             )
             x = X[r]
             s = self.kernels.external_residual(x, lanes.rhs(r), out=self._s_buf)
-            # out=x folds the final write-back into the last local iteration.
-            self.kernels.local_sweeps(s, x, cfg.local_iterations, omega=cfg.omega, out=x)
+            self.kernels.local_sweeps(s, x, cfg.local_iterations, omega=cfg.omega)
 
 
 class ReferenceSweepExecutor:

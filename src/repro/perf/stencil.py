@@ -69,7 +69,7 @@ from ..sparse.dia import (
     plane_modes,
     plane_residual,
     row_tiles,
-    tile_shape,
+    tile_length,
 )
 
 __all__ = [
@@ -151,10 +151,9 @@ class StencilKernels:
     into **external** (column outside the row's block) and **local**
     (inside the block, off-diagonal) planes along the partition's
     row-to-block map, mirroring the E/L split every executor consumes;
-    each part picks its own plane mode.  Both application methods accept
-    ``(n,)`` vectors and ``(R, n)`` multi-vectors (the batched engines'
-    stacked variant) — planes broadcast over leading axes, so the 2-D
-    path is the 1-D arithmetic per replica row.
+    each part picks its own plane mode.  Both application methods take
+    one ``(n,)`` iterate and raise :class:`ValueError` on any other
+    shape.
 
     Planes accumulate in ascending-offset order — ascending column
     order, the same per-row order as the packed CSR kernels.  Both
@@ -192,17 +191,17 @@ class StencilKernels:
                 for mask, planes in ((~same_block, self._external), (same_block, self._local)):
                     if mask.any():
                         planes.append(DiagonalPlane(o, r[mask], v[mask]))
-        # Reusable work buffers, keyed by shape — tile-sized plane
-        # accumulator and product scratch, full-length z0/z1 iterates:
-        # freshly mapped temporaries cost page faults on every sweep,
-        # which at fine decompositions rivals the arithmetic itself.
-        self._bufs: dict = {}
+        # Work buffers, sized once — tile-sized plane accumulator and
+        # product scratch, two full-length intermediate iterates: freshly
+        # mapped temporaries cost page faults on every sweep, which at
+        # fine decompositions rivals the arithmetic itself.
+        t = tile_length(n)
+        self._acc, self._plane = np.empty(t), np.empty(t)
+        self._z = (np.empty(n), np.empty(n))
 
-    def _scratch(self, key: str, shape: Tuple[int, ...]) -> np.ndarray:
-        buf = self._bufs.get((key, shape))
-        if buf is None:
-            buf = self._bufs[key, shape] = np.empty(shape)
-        return buf
+    def _check(self, name: str, v: np.ndarray) -> None:
+        if v.shape != (self.n,):
+            raise ValueError(f"{name} must have shape ({self.n},), got {v.shape}")
 
     @property
     def n_diagonals(self) -> Tuple[int, int]:
@@ -220,57 +219,44 @@ class StencilKernels:
         cache: bitwise the whole-vector product and subtraction.  *out*
         must not alias *x*.
         """
-        scratch = self._scratch("plane", tile_shape(out.shape))
-        return plane_residual(self._external, x, b, out, scratch)
+        for name, v in (("x", x), ("b", b), ("out", out)):
+            self._check(name, v)
+        return plane_residual(self._external, x, b, out, self._plane)
 
-    def local_sweeps(
-        self,
-        s: np.ndarray,
-        z: np.ndarray,
-        sweeps: int,
-        *,
-        omega: float = 1.0,
-        out: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        """*sweeps* Jacobi iterations against the local weight planes.
+    def local_sweeps(self, s: np.ndarray, x: np.ndarray, sweeps: int, *, omega: float = 1.0) -> None:
+        """*sweeps* Jacobi iterations against the local weight planes, updating *x* in place.
 
         Expression-identical to the level executor's local sweeps
         (:func:`repro.perf.program._jacobi_sweeps`) with the local
-        off-diagonal product replaced by the shifted-slice
-        accumulation; *z* is not modified (unless it aliases *out*) and
-        the final iterate is returned.  When *out* is given the final
-        iterate lands there — *out* may alias *z* (the engine's in-place
-        update) but must not alias *s*; intermediate iterates live in
-        internal reused buffers.
+        off-diagonal product replaced by the shifted-slice accumulation.
+        *s* must not alias *x*.
 
         Each iteration runs tile by tile: the tile's local product and its
         ``(s - L z) / d`` update (ω blend included) complete before the
-        next tile starts.  A tile reads *z* rows outside itself, so no
-        iteration writes into its own *z*: an *out* that aliases *z* gets
-        the iterate from a scratch vector once the last iteration is done.
+        next tile starts.  A tile reads iterate rows outside itself, so no
+        iteration writes into the iterate it reads: iterations alternate
+        between two internal vectors, the last of two or more writes *x*,
+        and a lone iteration's result is copied into *x*.
         """
-        acc = self._scratch("acc", tile_shape(s.shape))
-        scratch = self._scratch("plane", acc.shape)
+        self._check("s", s)
+        self._check("x", x)
+        acc, scratch = self._acc, self._plane
+        z = x
         for it in range(sweeps):
-            if it == sweeps - 1 and out is not None and not np.may_share_memory(out, z):
-                new = out
-            else:
-                new = self._scratch("z0" if it & 1 == 0 else "z1", s.shape)
+            new = x if it > 0 and it == sweeps - 1 else self._z[it & 1]
             for lo, hi in row_tiles(self.n):
-                a = acc[..., : hi - lo]
-                accumulate_planes(self._local, z, a, scratch[..., : hi - lo], lo, hi)
-                nt = new[..., lo:hi]
-                np.subtract(s[..., lo:hi], a, out=a)
+                a = acc[: hi - lo]
+                accumulate_planes(self._local, z, a, scratch, lo, hi)
+                nt = new[lo:hi]
+                np.subtract(s[lo:hi], a, out=a)
                 d = self.diag[lo:hi] if self.diag_value is None else self.diag_value
                 if omega == 1.0:
                     np.divide(a, d, out=nt)
                 else:
                     np.divide(a, d, out=a)
                     np.multiply(a, omega, out=a)  # omega * new
-                    np.multiply(z[..., lo:hi], 1.0 - omega, out=nt)
+                    np.multiply(z[lo:hi], 1.0 - omega, out=nt)
                     np.add(nt, a, out=nt)
             z = new
-        if out is not None and sweeps and z is not out:
-            out[...] = z
-            z = out
-        return z
+        if z is not x:
+            x[...] = z

@@ -70,7 +70,7 @@ class RowBlock:
         and *j* of this block.  Multiplying it against the block-local
         iterate slice ``x[start:stop]`` is bitwise identical to multiplying
         ``local_off`` against the full-length iterate (same entries, same
-        order) — this is the kernel the multi-vector engines use so local
+        order) — this is the kernel the per-block loop uses so local
         sweeps never touch full-length vectors.
         """
         if self._local_c is None:
@@ -271,8 +271,8 @@ class BlockRowView:
 
         Row *i* holds the entries of row *i* of A whose columns fall outside
         *i*'s block — Eq. (4)'s "global part" for the whole system at once.
-        A single multi-vector ``matvec`` against it is bitwise identical to
-        the per-block matvecs of a sweep (same entries, same order).
+        One whole-system ``matvec`` against it is bitwise identical to the
+        per-block matvecs of a sweep (same entries, same order).
         """
         if self._ext_matrix is None:
             self._ext_matrix = self._stack("external")
@@ -281,7 +281,7 @@ class BlockRowView:
     def local_offdiag_matrix(self) -> CSRMatrix:
         """All blocks' in-block off-diagonal parts as one (n, n) CSR (cached).
 
-        Block-diagonal by construction: a multi-vector Jacobi sweep against
+        Block-diagonal by construction: one whole-system Jacobi sweep against
         it advances every block's local iteration simultaneously, bitwise
         identical to the per-block sweeps (no block reads another's rows).
         """

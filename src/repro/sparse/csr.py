@@ -5,9 +5,9 @@ around: no Python-level loops over rows or nonzeros in any hot path; all
 temporaries are reused through ``out=`` parameters where the call sites are
 hot.  Products run over an ELL-style row-length-class packing (see
 :meth:`CSRMatrix._ell_plan`) whose summation order per row depends on that
-row's length alone, so single-vector, multi-vector and restacked-matrix
-products are all bitwise consistent; ``np.add.reduceat`` remains for rows
-too wide to pack and for plain segment reductions.  Residuals of matrices
+row's length alone, so a matrix and every matrix restacked from its rows
+give bitwise-equal row products; ``np.add.reduceat`` remains for rows too
+wide to pack and for plain segment reductions.  Residuals of matrices
 with a few, well-filled column offsets run on diagonal-offset planes
 instead (see :meth:`CSRMatrix.residual` and :mod:`repro.sparse.dia`).
 """
@@ -19,30 +19,26 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .._util import as_float_array, as_index_array
-from .dia import DiagonalPlane, offset_planes, plane_residual, tile_shape
+from .dia import DiagonalPlane, offset_planes, plane_residual, tile_length
 
 __all__ = ["CSRMatrix"]
 
 
 def _segment_sums(values: np.ndarray, indptr: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Segment sums of *values* along the last axis, written into *out*.
+    """Segment sums of *values* over the rows given by *indptr*, written into *out*.
 
-    *values* is ``(nnz,)`` or ``(R, nnz)`` (one multi-vector row per
-    replica); segments are given by *indptr*.  Handles empty rows exactly:
-    ``np.add.reduceat`` is applied to the starts of the *nonempty* rows
-    only, so consecutive reduceat boundaries are the true row boundaries
-    and no clipping corrections are needed.  ``reduceat`` applies the same
-    (unrolled pairwise) accumulation per segment whether *values* is 1-D
-    or 2-D, so the 2-D path is bitwise identical to R separate 1-D calls —
-    but note the order is NOT plain left-to-right for segments of 8+
+    Handles empty rows exactly: ``np.add.reduceat`` is applied to the
+    starts of the *nonempty* rows only, so consecutive reduceat boundaries
+    are the true row boundaries and no clipping corrections are needed.
+    Note the reduceat order is NOT plain left-to-right for segments of 8+
     entries, which is why the packed kernel below must be used either for
     both of a comparison's sides or for neither.
     """
     starts = indptr[:-1]
     nonempty = indptr[1:] > starts
     out[...] = 0.0
-    if values.shape[-1]:
-        out[..., nonempty] = np.add.reduceat(values, starts[nonempty], axis=-1)
+    if len(values):
+        out[nonempty] = np.add.reduceat(values, starts[nonempty])
     return out
 
 
@@ -193,11 +189,11 @@ class CSRMatrix:
     def _ell_plan(self):
         """Entries regrouped by row nonzero count, built lazily on first use.
 
-        reduceat pays a per-*segment* dispatch cost that never amortises
-        over replicas, so multi-vector products were segment-bound.  The
-        plan permutes the entries so rows of equal length L sit in one
-        contiguous run: a product then does a single flat gather/multiply
-        over all nonzeros and reduces each run as an ELL-style panel (the
+        reduceat pays a per-*segment* dispatch cost, so a product over
+        many short rows would be segment-bound.  The plan permutes the
+        entries so rows of equal length L sit in one contiguous run: a
+        product then does a single flat gather/multiply over all
+        nonzeros and reduces each run as an ELL-style panel (the
         classic GPU SpMV layout), stored column-major — ``(L, n_c)``, so
         each of its L-1 vectorized column additions reads a contiguous
         run — strict left-to-right accumulation per row.  Rows wider
@@ -206,12 +202,11 @@ class CSRMatrix:
 
         How a row is summed is therefore a function of that row's length
         *alone*.  This keeps every product in the package bitwise
-        consistent: 1-D and multi-vector kernels of one matrix agree, and
-        so do different matrices sharing rows — a per-block external part
-        and the whole-system restacked external matrix produce identical
-        row results, which the batched replica engine's exactness contract
-        relies on.  Assumes the matrix is not mutated in place after first
-        use (nothing in the package does).
+        consistent: matrices sharing rows agree — a per-block external
+        part and the whole-system restacked external matrix produce
+        identical row results, which the executors' backend ≡ reference
+        contract relies on.  Assumes the matrix is not mutated in place
+        after first use (nothing in the package does).
 
         Plan layout: ``(cols, data, runs, where)`` where *cols*/*data*
         are the permuted entry arrays, each run is ``(rows, lo, hi,
@@ -266,38 +261,37 @@ class CSRMatrix:
         self._ell_plan()
         return self
 
-    def _packed_product(self, gather_cols, out: np.ndarray) -> np.ndarray:
-        """SpMV over the length-class entry runs, 1-D or multi-vector.
+    def _packed_product(self, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """SpMV of the ``(ncols,)`` operand *x* over the length-class entry runs.
 
-        *gather_cols* maps the plan's flat column array to the operand
-        values at those columns (any multi-vector axes leading); the
-        products are then reduced run by run, packed runs left to right
-        along the row, long-row runs via reduceat, into one buffer of row
-        sums that a single ``take`` puts in row order.
+        The plan's flat column array gathers *x* once; the products are
+        then reduced run by run, packed runs left to right along the row,
+        long-row runs via reduceat, into one buffer of row sums that a
+        single ``take`` puts in row order.
         """
         cols, data, runs, where = self._ell_plan()
         if len(cols) == 0:
             # Zero-width plan (an empty block, e.g. from a clustered
             # partition): the product is identically zero — skip the
-            # gather so no (rows, 0) float intermediate is built per call.
+            # gather so no zero-length float intermediate is built per call.
             out[...] = 0.0
             return out
-        vals = gather_cols(cols)
+        vals = x.take(cols)
         vals *= data
-        sums = np.empty(vals.shape[:-1] + (self.nrows + 1,))
-        sums[..., -1] = 0.0
+        sums = np.empty(self.nrows + 1)
+        sums[-1] = 0.0
         at = 0
         for rows_c, lo, hi, width, seg_starts in runs:
-            acc = sums[..., at : at + len(rows_c)]
+            acc = sums[at : at + len(rows_c)]
             at += len(rows_c)
             if width:
-                v = vals[..., lo:hi].reshape(vals.shape[:-1] + (width, len(rows_c)))
-                np.copyto(acc, v[..., 0, :])
+                v = vals[lo:hi].reshape(width, len(rows_c))
+                np.copyto(acc, v[0])
                 for j in range(1, width):
-                    acc += v[..., j, :]
+                    acc += v[j]
             else:
-                np.add.reduceat(vals[..., lo:hi], seg_starts, axis=-1, out=acc)
-        return sums.take(where, axis=-1, out=out, mode="wrap")
+                np.add.reduceat(vals[lo:hi], seg_starts, out=acc)
+        return sums.take(where, out=out, mode="wrap")
 
     def offset_planes(self) -> Tuple[Optional[List[DiagonalPlane]], str]:
         """``(planes, "")`` in ascending offset order, or ``(None, reason)``.
@@ -322,54 +316,24 @@ class CSRMatrix:
         return self._dia or None, self._dia_reason
 
     def _operand(self, x, out: Optional[np.ndarray]) -> Tuple[np.ndarray, np.ndarray]:
-        """Validate a ``(ncols,)`` or ``(R, ncols)`` operand; return it and *out*.
-
-        *out* is allocated with the result shape when not given.
-        """
+        """Validate a ``(ncols,)`` operand and an ``(nrows,)`` *out*, allocated when not given."""
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim == 1:
-            if x.shape != (self.ncols,):
-                raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
-        elif x.ndim == 2:
-            if x.shape[1] != self.ncols:
-                raise ValueError(f"x must have shape (R, {self.ncols}), got {x.shape}")
-        else:
-            raise ValueError(f"x must be 1-D or 2-D, got ndim={x.ndim}")
+        if x.shape != (self.ncols,):
+            raise ValueError(f"x must have shape ({self.ncols},), got {x.shape}")
         if out is None:
-            out = np.empty(x.shape[:-1] + (self.nrows,))
+            out = np.empty(self.nrows)
+        elif out.shape != (self.nrows,):
+            raise ValueError(f"out must have shape ({self.nrows},), got {out.shape}")
         return x, out
 
     def matvec(self, x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Sparse matrix-(multi-)vector product ``y = A @ x``.
+        """Sparse matrix-vector product ``y = A @ x`` of an ``(ncols,)`` vector.
 
-        ``x`` is either a single vector of length ``ncols`` or an ``(R,
-        ncols)`` multi-vector (one iterate per row), giving ``y`` of shape
-        ``(nrows,)`` / ``(R, nrows)``.  ``out``, if given, must have the
-        result shape and is overwritten and returned.  The multi-vector
-        path is bitwise identical to R separate 1-D calls (same per-entry
-        products, same left-to-right segment accumulation).
+        ``out``, if given, must have shape ``(nrows,)`` and is overwritten
+        and returned.
         """
         x, out = self._operand(x, out)
-        if x.ndim == 1:
-            return self._packed_product(x.take, out)
-        return self._packed_product(lambda cols: x.take(cols, axis=1), out)
-
-    def matvec_rows(
-        self, X: np.ndarray, rows: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``y[i] = A @ X[rows[i]]`` without materialising ``X[rows]``.
-
-        Gather-SpMV over a subset of multi-vector rows: only the ``(len(rows),
-        nnz)`` entry gather is formed, never the ``(len(rows), ncols)`` row
-        copy.  Bitwise identical to ``matvec(X[r])`` per selected row.
-        """
-        X = np.asarray(X, dtype=np.float64)
-        rows = np.asarray(rows, dtype=np.int64)
-        if X.ndim != 2 or X.shape[1] != self.ncols:
-            raise ValueError(f"X must have shape (R, {self.ncols}), got {X.shape}")
-        if out is None:
-            out = np.empty((len(rows), self.nrows))
-        return self._packed_product(lambda cols: X[rows[:, None], cols], out)
+        return self._packed_product(x, out)
 
     def __matmul__(self, x):
         return self.matvec(x)
@@ -383,12 +347,9 @@ class CSRMatrix:
         return np.bincount(self.indices, weights=contrib, minlength=self.ncols)
 
     def residual(self, x: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """Residual ``r = b - A @ x``.
+        """Residual ``r = b - A @ x`` of ``(ncols,)`` and ``(nrows,)`` vectors.
 
-        ``x`` may be a single vector or an ``(R, ncols)`` multi-vector; *b*
-        broadcasts against the result (one shared right-hand side for all
-        replicas, or a per-replica ``(R, nrows)`` stack).  *out* must not
-        alias *x*.
+        *out*, if given, must have shape ``(nrows,)`` and not alias *x*.
 
         A matrix with a few, well-filled column offsets (see
         :meth:`offset_planes`) evaluates ``A @ x`` as offset-shifted slice
@@ -399,25 +360,26 @@ class CSRMatrix:
         The planes run one row tile at a time
         (:func:`repro.sparse.dia.row_tiles`): each tile of ``A @ x`` lands
         in *r*'s tile and is subtracted from *b*'s while still in cache,
-        with a tile-sized product scratch; an ``(R, ncols)`` operand tiles
-        along its last axis.  A plane whose weights are mostly one value
-        runs as a scalar ufunc plus a fix-up of its other rows
-        (:mod:`repro.sparse.dia`), with the same bits.
+        with a tile-sized product scratch.  A plane whose weights are
+        mostly one value runs as a scalar ufunc plus a fix-up of its other
+        rows (:mod:`repro.sparse.dia`), with the same bits.
         :meth:`matvec` itself stays on the ELL plan, the kernel it shares
-        with :meth:`matvec_rows` and with the per-block parts the sweep
-        executors multiply, so every product stays bitwise consistent
-        across them, zero signs and non-finite rows included.  Matrices
-        the plan gate rejects take the ELL product here too.
+        with the per-block parts the sweep executors multiply, so every
+        product stays bitwise consistent across them, zero signs and
+        non-finite rows included.  Matrices the plan gate rejects take the
+        ELL product here too.
         """
+        x, r = self._operand(x, out)
+        b = np.asarray(b)
+        if b.shape != (self.nrows,):
+            raise ValueError(f"b must have shape ({self.nrows},), got {b.shape}")
         planes, _ = self.offset_planes()
         if planes is None:
-            r = self.matvec(x, out=out)
-            np.subtract(b, r, out=r)
+            np.subtract(b, self._packed_product(x, r), out=r)
             return r
-        x, r = self._operand(x, out)
         # A per-call scratch, not a cached one: the matrix is shared by
         # concurrent solves (threaded solver, serve).
-        return plane_residual(planes, x, np.asarray(b), r, np.empty(tile_shape(r.shape)))
+        return plane_residual(planes, x, b, r, np.empty(tile_length(len(r))))
 
     def diagonal(self) -> np.ndarray:
         """The main diagonal as a dense vector (zeros where unstored)."""

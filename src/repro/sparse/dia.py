@@ -84,7 +84,7 @@ __all__ = [
     "accumulate_planes",
     "plane_residual",
     "row_tiles",
-    "tile_shape",
+    "tile_length",
 ]
 
 #: Most distinct column offsets the plane layout takes (27-point = 27).
@@ -130,16 +130,15 @@ def entry_offsets(A) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     return rows, offs, offsets
 
 
-def plane_gate(n_offsets: int, nnz: int, nrows: int, *,
-               max_offsets: int = MAX_OFFSETS, min_fill: float = MIN_FILL) -> str:
+def plane_gate(n_offsets: int, nnz: int, nrows: int) -> str:
     """``""`` when the offset plane is compact enough, else the reason."""
-    if n_offsets > max_offsets:
-        return f"{n_offsets} distinct offsets exceed the cap of {max_offsets}"
+    if n_offsets > MAX_OFFSETS:
+        return f"{n_offsets} distinct offsets exceed the cap of {MAX_OFFSETS}"
     if n_offsets == 0:
         return "no stored entries"
     fill = nnz / (n_offsets * nrows)
-    if fill < min_fill:
-        return f"offset-plane fill {fill:.3f} below {min_fill}"
+    if fill < MIN_FILL:
+        return f"offset-plane fill {fill:.3f} below {MIN_FILL}"
     return ""
 
 
@@ -282,15 +281,15 @@ class DiagonalPlane:
         return dev, wdev
 
     def _gather(self, x: np.ndarray, out: np.ndarray, r0: int, r1: int) -> None:
-        """``out[..., r - r0] += w_r * x[..., r + offset]`` for the plane's rows in the tile."""
+        """``out[r - r0] += w_r * x[r + offset]`` for the plane's rows in the tile."""
         idx, wi = self.idx, self.wi
         if r0 > self.lo or self.hi > r1:
             a, b = idx.searchsorted((r0, r1))
             idx, wi = idx[a:b], wi[a:b]
-        out[_last(idx - r0, out)] += wi * x[_last(idx + self.offset, x)]
+        out[idx - r0] += wi * x[idx + self.offset]
 
     def apply(self, x: np.ndarray, out: np.ndarray, scratch: np.ndarray, r0: int, r1: int) -> None:
-        """``out[..., r - r0] += w_r * x[..., r + offset]`` over this plane's rows in ``[r0, r1)``.
+        """``out[r - r0] += w_r * x[r + offset]`` over this plane's rows in ``[r0, r1)``.
 
         *scratch* is a tile-sized buffer: a product lands there instead
         of a freshly mapped temporary, and stays in cache for the add.
@@ -303,16 +302,16 @@ class DiagonalPlane:
             return
         lo, hi = span
         o = self.offset
-        xs = x[..., lo + o : hi + o]
-        sl = out[..., lo - r0 : hi - r0]
+        xs = x[lo + o : hi + o]
+        sl = out[lo - r0 : hi - r0]
         if self.mode == "vector":
-            t = scratch[..., : hi - lo]
+            t = scratch[: hi - lo]
             np.multiply(self.w[lo - self.lo : hi - self.lo], xs, out=t)
             np.add(sl, t, out=sl)
             return
         dev, wdev = self._deviations(lo, hi)
         if len(dev):
-            at = _last(dev - r0, out)
+            at = dev - r0
             keep = out[at]
         c = self.c
         if c == -1.0:
@@ -320,12 +319,12 @@ class DiagonalPlane:
         elif c == 1.0:
             np.add(sl, xs, out=sl)
         else:
-            t = scratch[..., : hi - lo]
+            t = scratch[: hi - lo]
             np.multiply(xs, c, out=t)
             np.add(sl, t, out=sl)
         if len(dev):
             # keep + w·x: the vector plane's own operations on these rows.
-            t = x[_last(dev + o, x)]
+            t = x[dev + o]
             t *= wdev
             t += keep
             out[at] = t
@@ -348,28 +347,19 @@ class DiagonalPlane:
             return
         lo, hi = span
         o = self.offset
-        out[..., : lo - r0] = 0.0
-        out[..., hi - r0 :] = 0.0
-        xs = x[..., lo + o : hi + o]
-        sl = out[..., lo - r0 : hi - r0]
+        out[: lo - r0] = 0.0
+        out[hi - r0 :] = 0.0
+        xs = x[lo + o : hi + o]
+        sl = out[lo - r0 : hi - r0]
         if self.mode == "vector":
             np.multiply(self.w[lo - self.lo : hi - self.lo], xs, out=sl)
             return
         np.multiply(xs, self.c, out=sl)
         dev, wdev = self._deviations(lo, hi)
         if len(dev):
-            t = x[_last(dev + o, x)]
+            t = x[dev + o]
             t *= wdev
-            out[_last(dev - r0, out)] = t
-
-
-def _last(idx: np.ndarray, a: np.ndarray):
-    """Index *idx* along *a*'s last axis.
-
-    Bare for a 1-D *a*: NumPy's fancy-index fast path takes it about 3×
-    quicker than ``a[..., idx]``, which the deviation-row fix-ups feel.
-    """
-    return idx if a.ndim == 1 else (Ellipsis, idx)
+            out[dev - r0] = t
 
 
 def plane_modes(planes: List[DiagonalPlane]) -> dict:
@@ -394,9 +384,9 @@ def row_tiles(n: int) -> Iterator[Tuple[int, int]]:
         yield lo, min(lo + _TILE_ROWS, n)
 
 
-def tile_shape(shape: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Shape of a tile-sized buffer for operands shaped ``(..., n)``."""
-    return shape[:-1] + (min(shape[-1], _TILE_ROWS),)
+def tile_length(n: int) -> int:
+    """Length of a tile-sized buffer for *n*-row operands."""
+    return min(n, _TILE_ROWS)
 
 
 def accumulate_planes(
@@ -409,9 +399,9 @@ def accumulate_planes(
 ) -> np.ndarray:
     """``out = sum of planes applied to x`` on rows ``[r0, r1)``, in list order.
 
-    *x* is ``(..., ncols)``; *out* and *scratch* are ``(..., r1 - r0)``
-    tiles.  Planes broadcast over leading axes, so an ``(R, n)`` stack
-    runs the 1-D arithmetic per row.  *out* must not alias *x*.
+    *x* is the ``(ncols,)`` operand, *out* the ``r1 - r0``-row tile and
+    *scratch* a buffer of at least that many rows.  *out* must not alias
+    *x*.
     """
     if not planes:
         out[...] = 0.0
@@ -428,12 +418,12 @@ def plane_residual(
     """``out = b - (sum of planes applied to x)``, one row tile at a time.
 
     Each tile's product is subtracted from *b*'s tile while it is still
-    in cache — bitwise the whole-vector product and subtraction.  *b*
-    broadcasts against *out*; *scratch* is ``tile_shape(out.shape)``;
-    *out* must not alias *x*.
+    in cache — bitwise the whole-vector product and subtraction.  *x*,
+    *b* and *out* are vectors; *scratch* holds ``tile_length(len(out))``
+    rows; *out* must not alias *x*.
     """
-    for lo, hi in row_tiles(out.shape[-1]):
-        t = out[..., lo:hi]
-        accumulate_planes(planes, x, t, scratch[..., : hi - lo], lo, hi)
-        np.subtract(b[..., lo:hi], t, out=t)
+    for lo, hi in row_tiles(len(out)):
+        t = out[lo:hi]
+        accumulate_planes(planes, x, t, scratch[: hi - lo], lo, hi)
+        np.subtract(b[lo:hi], t, out=t)
     return out

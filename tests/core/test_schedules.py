@@ -116,6 +116,33 @@ def test_gpu_jitter_perturbs():
     assert not np.array_equal(o0, o1)
 
 
+@pytest.mark.parametrize("nblocks", [1, 5, 76])
+@pytest.mark.parametrize("swaps", [0, 1, 2, 3])
+def test_gpu_jitter_is_one_draw_equal_to_per_swap_draws(nblocks, swaps):
+    # All swaps come from one integers() call; its values and the generator
+    # state after it equal one size-2 draw per swap, and no swap, no draw.
+    class Counting:
+        def __init__(self, rng):
+            self.rng, self.calls = rng, 0
+
+        def integers(self, *args, **kwargs):
+            self.calls += 1
+            return self.rng.integers(*args, **kwargs)
+
+    cfg = AsyncConfig(order="gpu", pattern_pool=2, jitter_swaps=swaps)
+    for seed in (0, 1, 77, 4242):
+        sched = WaveScheduler(nblocks, cfg, as_rng(3))
+        rng, ref = Counting(as_rng(seed)), as_rng(seed)
+        for sweep in range(3):
+            want = sched._patterns[sweep % 2].copy()
+            for _ in range(swaps):
+                i, j = ref.integers(0, nblocks, size=2)
+                want[i], want[j] = want[j], want[i]
+            assert np.array_equal(sched.order_for_sweep(sweep, rng), want)
+            assert rng.rng.bit_generator.state == ref.bit_generator.state
+        assert rng.calls == (3 if swaps else 0)
+
+
 def test_random_order_varies():
     sched, _ = scheduler("random")
     rng = as_rng(2)

@@ -155,9 +155,10 @@ def test_wide_stencils_bitwise(stencil, tile):
 
 @pytest.mark.parametrize("tile", TILE_ROWS, ids=TILE_IDS, indirect=True)
 def test_batched_stacked_variant_bitwise(lap3d, tile):
-    # The batched engine runs the weight planes over an (R, n) stack; each
-    # replica must reproduce the sequential engine for seed0 + r, bit for
-    # bit, exactly like the level executor's one-level sweeps.
+    # The batched engine sweeps its replica lanes one vector at a time
+    # through the same kernels; each replica must reproduce the sequential
+    # engine for seed0 + r, bit for bit, exactly like the level executor's
+    # one-level sweeps.
     b = _rhs(lap3d)
     cfg = ENGAGING["alldefer-mixed-k2"]
     nreplicas, sweeps, seed0 = 3, 3, 5

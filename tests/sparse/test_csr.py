@@ -275,59 +275,54 @@ def test_to_coo_roundtrip(rng):
 
 
 # --------------------------------------------------------------------- #
-# multi-vector products
+# one vector per product
 # --------------------------------------------------------------------- #
 
 
-def test_matvec_multivector_bitwise(rng):
-    # The (R, n) path must be bitwise the R stacked 1-D calls — the batched
-    # ensemble engine's exactness rests on this.
-    A, dense = dense_pair(rng, shape=(40, 30), thresh=0.5)
-    X = rng.standard_normal((5, 30))
-    Y = A.matvec(X)
-    assert Y.shape == (5, 40)
-    for r in range(5):
-        assert np.array_equal(Y[r], A.matvec(X[r]))
-
-
-def test_matvec_multivector_wide_rows(rng):
-    # Rows wider than the packed-panel cap reduce via reduceat; the 2-D
-    # path must still match the 1-D path entry for entry.
-    dense = rng.standard_normal((6, CSRMatrix._ELL_MAX_WIDTH + 40))
-    A = CSRMatrix.from_dense(dense)
-    X = rng.standard_normal((3, dense.shape[1]))
-    Y = A.matvec(X)
-    for r in range(3):
-        assert np.array_equal(Y[r], A.matvec(X[r]))
-
-
 def test_matvec_multivector_out_and_validation(rng):
+    # Products take one (ncols,) vector: a stacked operand is refused with
+    # the shape it should have had.
     A, _ = dense_pair(rng)
-    X = rng.standard_normal((4, 9))
-    out = np.empty((4, 12))
-    assert A.matvec(X, out=out) is out
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"x must have shape \(9,\), got \(4, 9\)"):
+        A.matvec(rng.standard_normal((4, 9)), out=np.empty((4, 12)))
+    with pytest.raises(ValueError, match=r"\(9,\)"):
         A.matvec(np.ones((4, 8)))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"\(9,\)"):
         A.matvec(np.ones((2, 4, 9)))
-
-
-def test_matvec_rows_bitwise(rng):
-    A, _ = dense_pair(rng, shape=(25, 18), thresh=0.6)
-    X = rng.standard_normal((7, 18))
-    rows = np.array([5, 0, 5, 3])
-    Y = A.matvec_rows(X, rows)
-    assert Y.shape == (4, 25)
-    for i, r in enumerate(rows):
-        assert np.array_equal(Y[i], A.matvec(X[r]))
-    with pytest.raises(ValueError):
-        A.matvec_rows(np.ones(18), rows)
+    # A wrong-length out is refused too, not filled in part.
+    with pytest.raises(ValueError, match=r"out must have shape \(12,\), got \(7,\)"):
+        A.matvec(np.ones(9), out=np.empty(7))
+    with pytest.raises(ValueError, match=r"out must have shape \(12,\), got \(7,\)"):
+        COOMatrix.empty((12, 9)).tocsr().matvec(np.ones(9), out=np.empty(7))
+    assert not hasattr(A, "matvec_rows")
 
 
 def test_residual_multivector(rng):
-    A, dense = dense_pair(rng, shape=(20, 20), thresh=0.6)
+    # Both residual paths — the ELL product and the offset planes — refuse
+    # an (R, n) stack as x, whatever the right-hand side's shape, and as b.
+    ell, _ = dense_pair(rng, shape=(20, 20), thresh=0.6)
+    planes = CSRMatrix.from_dense(np.eye(20) * 4 - np.eye(20, k=1) - np.eye(20, k=-1))
+    assert ell.offset_planes()[0] is None and planes.offset_planes()[0] is not None
     X = rng.standard_normal((3, 20))
-    b = rng.standard_normal(20)
-    R = A.residual(X, b)
-    for r in range(3):
-        assert np.array_equal(R[r], A.residual(X[r], b))
+    B = rng.standard_normal((3, 20))
+    for A in (ell, planes):
+        for b in (B[0], B):
+            with pytest.raises(ValueError, match=r"x must have shape \(20,\), got \(3, 20\)"):
+                A.residual(X, b)
+        with pytest.raises(ValueError, match=r"b must have shape \(20,\), got \(3, 20\)"):
+            A.residual(X[0], B)
+
+
+@pytest.mark.parametrize(
+    "build, name",
+    [
+        (lambda data: CSRMatrix([0, 1, 2], [0, 1], data, (2, 2)), "data"),
+        (lambda data: COOMatrix([0, 1], [0, 1], data, (2, 2)), "data"),
+        (CSRMatrix.diagonal_matrix, "diagonal"),
+    ],
+    ids=["csr", "coo", "diagonal_matrix"],
+)
+def test_two_dimensional_data_is_refused_at_construction(build, name):
+    # len() of a (2, 2) array is 2 == nnz, so only the 1-D check catches it.
+    with pytest.raises(ValueError, match=rf"{name} must be 1-D, got ndim=2"):
+        build([[1.0, 2.0], [3.0, 4.0]])

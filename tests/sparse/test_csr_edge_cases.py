@@ -1,7 +1,6 @@
 """Edge cases of the packed SpMV kernels.
 
-``CSRMatrix.matvec`` / ``matvec_rows`` route every product through
-``_packed_product`` over the lazily built length-class (ELL) plan; the
+``CSRMatrix.matvec`` routes every product through ``_packed_product`` over the lazily built length-class (ELL) plan; the
 block decomposition feeds it degenerate shapes — blocks whose external
 part is empty, rows with zero nonzeros, single-row blocks — that the
 dense-backed tests never exercise.
@@ -45,43 +44,11 @@ def test_matvec_matches_dense(case):
     A = CSRMatrix.from_dense(dense)
     gen = np.random.default_rng(3)
     x = gen.standard_normal(dense.shape[1])
-    assert np.allclose(A.matvec(x), dense @ x)
-    # Multi-vector path: bitwise equal to R separate 1-D calls.
-    X = gen.standard_normal((4, dense.shape[1]))
-    Y = A.matvec(X)
-    assert Y.shape == (4, dense.shape[0])
-    for r in range(4):
-        assert np.array_equal(Y[r], A.matvec(X[r]))
-    # Zero-nnz rows produce exact zeros on every path.
+    y = A.matvec(x)
+    assert np.allclose(y, dense @ x)
+    # Zero-nnz rows produce exact zeros.
     empty = np.flatnonzero(A.row_nnz() == 0)
-    assert np.array_equal(Y[:, empty], np.zeros((4, len(empty))))
-
-
-@pytest.mark.parametrize("case", sorted(CASES), ids=sorted(CASES))
-def test_matvec_rows_matches_per_row_matvec(case):
-    dense = CASES[case]
-    A = CSRMatrix.from_dense(dense)
-    X = np.random.default_rng(4).standard_normal((5, dense.shape[1]))
-    rows = np.array([3, 0, 3, 4])  # out of order, with a duplicate
-    Y = A.matvec_rows(X, rows)
-    assert Y.shape == (len(rows), dense.shape[0])
-    for i, r in enumerate(rows):
-        assert np.array_equal(Y[i], A.matvec(X[r]))
-
-
-def test_matvec_rows_empty_selection():
-    A = CSRMatrix.from_dense(CASES["mixed-with-empty-rows"])
-    X = np.ones((3, A.ncols))
-    Y = A.matvec_rows(X, np.array([], dtype=np.int64))
-    assert Y.shape == (0, A.nrows)
-
-
-def test_matvec_rows_rejects_bad_shapes():
-    A = CSRMatrix.from_dense(CASES["mixed-with-empty-rows"])
-    with pytest.raises(ValueError, match="shape"):
-        A.matvec_rows(np.ones(A.ncols), np.array([0]))
-    with pytest.raises(ValueError, match="shape"):
-        A.matvec_rows(np.ones((2, A.ncols + 1)), np.array([0]))
+    assert np.array_equal(y[empty], np.zeros(len(empty)))
 
 
 def test_single_row_blocks_decomposition(small_spd):
@@ -111,6 +78,3 @@ def test_empty_external_block():
     for blk in view.blocks:
         assert blk.external.nnz == 0
         assert np.array_equal(blk.external.matvec(x), np.zeros(blk.nrows))
-        assert np.array_equal(
-            blk.external.matvec(np.tile(x, (3, 1))), np.zeros((3, blk.nrows))
-        )

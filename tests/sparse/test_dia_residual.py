@@ -42,22 +42,14 @@ def test_plane_residual_equals_ell(name, tile):
     n = A.shape[0]
     rng = np.random.default_rng(3)
     x = rng.standard_normal(n)
-    X = rng.standard_normal((3, n))
     b = rng.standard_normal(n)
-    B = rng.standard_normal((3, n))
 
     assert np.array_equal(A.residual(x, b), b - A.matvec(x))
     assert A._dia_builds == 1, "matrix should take the diagonal plan"
-    # (R, n) operand against a shared and a per-replica right-hand side.
-    assert np.array_equal(A.residual(X, b), b - A.matvec(X))
-    assert np.array_equal(A.residual(X, B), B - A.matvec(X))
     # out= is overwritten and returned.
     out = np.full(n, np.nan)
     assert A.residual(x, b, out=out) is out
     assert np.array_equal(out, b - A.matvec(x))
-    out2 = np.full((3, n), np.nan)
-    assert A.residual(X, B, out=out2) is out2
-    assert np.array_equal(out2, B - A.matvec(X))
     assert A._dia_builds == 1, "the plan is built once and cached"
 
 
@@ -66,8 +58,16 @@ def test_residual_keeps_validation():
     b = np.ones(A.shape[0])
     with pytest.raises(ValueError, match="shape"):
         A.residual(np.ones(A.shape[0] + 1), b)
-    with pytest.raises(ValueError, match="1-D or 2-D"):
-        A.residual(np.ones((1, 1, A.shape[0])), b)
+    n = A.shape[0]
+    for bad in ((1, n), (3, n), (1, 1, n)):
+        with pytest.raises(ValueError, match=rf"x must have shape \({n},\), got"):
+            A.residual(np.ones(bad), b)
+    # The plane tiles follow out's length: a short out must not get a
+    # truncated residual, nor a stacked b a broadcast one.
+    with pytest.raises(ValueError, match=rf"out must have shape \({n},\), got \({n - 5},\)"):
+        A.residual(np.ones(n), b, out=np.empty(n - 5))
+    with pytest.raises(ValueError, match=rf"b must have shape \({n},\), got \(2, {n}\)"):
+        A.residual(np.ones(n), np.ones((2, n)))
 
 
 @pytest.mark.parametrize("tile", [None, 37], ids=["default", "tile37"], indirect=True)

@@ -37,15 +37,19 @@ def test_as_float_array_coercion():
 def test_as_float_array_copy_semantics():
     src = np.arange(3, dtype=np.float64)
     view = as_float_array(src)
-    assert view is src or view.base is src  # no copy by default
-    copy = as_float_array(src, copy=True)
-    copy[0] = 99.0
-    assert src[0] == 0.0
+    assert view is src or view.base is src  # a float64 vector is not copied
 
 
 def test_as_float_array_rejects_3d():
-    with pytest.raises(ValueError, match="1-D or 2-D"):
+    with pytest.raises(ValueError, match="1-D"):
         as_float_array(np.zeros((2, 2, 2)))
+
+
+def test_as_float_array_rejects_2d_naming_the_argument():
+    with pytest.raises(ValueError, match=r"data must be 1-D, got ndim=2"):
+        as_float_array([[1.0, 2.0], [3.0, 4.0]], "data")
+    with pytest.raises(TypeError):
+        as_float_array([1.0], "data", copy=True)  # the keyword is gone
 
 
 def test_as_index_array():
