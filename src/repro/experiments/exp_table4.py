@@ -63,7 +63,7 @@ def run(quick: bool = True) -> ExperimentResult:
     view = BlockRowView(A, block_size=448)
     sweeps = 20 if quick else 100
     rounds = 5 if quick else 7
-    ks = (1, 2, 3, 5, 7, 9)
+    ks = tuple(range(1, 10))
     engines = {k: AsyncEngine(view, b, paper_async_config(k, seed=0)) for k in ks}
     iterates = {k: np.zeros(A.shape[0]) for k in ks}
     for k in ks:

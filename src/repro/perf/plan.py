@@ -143,10 +143,10 @@ class BlockPanels(NamedTuple):
     and a unit diagonal, and no real row reads it.
     """
 
-    #: ``(W, nslots, width)`` block-local columns of the local panels,
+    #: ``(nslots, width, W)`` block-local columns of the local panels,
     #: :attr:`SweepPlan.PAD_SENTINEL` on pads.
     lcols: np.ndarray
-    #: ``(W, nslots, width)`` values of the local panels, ``-0.0`` on pads.
+    #: ``(nslots, width, W)`` values of the local panels, ``-0.0`` on pads.
     ldata: np.ndarray
     #: ``(nslots, width)`` diagonal, ``1.0`` on pad rows.
     diag: np.ndarray
@@ -321,9 +321,9 @@ class SweepPlan:
         """The concatenated system diagonal."""
         return self.view.diagonal_vector()
 
-    #: Column sentinel for pad entries of the padded-ELL panels; gathers
-    #: use ``mode="clip"``, which lands it on the operand's trailing
-    #: ``+0.0`` slot.
+    #: Column sentinel for pad entries of the padded-ELL panels.  The
+    #: panel products index their operand directly, so every user
+    #: replaces or clamps it to the operand's trailing ``+0.0`` slot.
     PAD_SENTINEL = np.int64(1) << 48
 
     def _panels(self, *, external: bool):
@@ -356,34 +356,37 @@ class SweepPlan:
         return self._slots
 
     def panel_rows(self, rows: np.ndarray, *, external: bool) -> Tuple[np.ndarray, np.ndarray]:
-        """Rows *rows* of the local (or external) padded panels, ``(W, len(rows))`` copies.
+        """Rows *rows* of the local (or external) padded panels, ``(len(rows), W)`` copies.
 
         Gathered from the block-major storage, one ``take`` per panel at
         the rows' :attr:`slots` places.  Local columns are block-local,
         external ones global.
         """
         at = self.slots.slot[rows]
-        return tuple(a.reshape(len(a), -1).take(at, axis=1) for a in self._panels(external=external))
+        return tuple(a.reshape(-1, a.shape[-1]).take(at, axis=0) for a in self._panels(external=external))
 
     def _pad(self, part: CSRMatrix, *, local: bool):
         """Uniform-width (padded ELL) layout of a stacked part's rows, block-major.
 
         Pad entries hold the value ``-0.0`` and the :attr:`PAD_SENTINEL`
-        column that resolves to a ``+0.0`` operand slot, so every pad
-        contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
+        column, which each user points at a ``+0.0`` operand slot, so every
+        pad contributes the product ``-0.0 * +0.0 == -0.0`` — and IEEE-754
         addition of ``-0.0`` is the identity for every float (signed zeros,
-        infinities and NaNs included).  Accumulated column by column, a
-        padded row therefore sums bitwise like the packed kernel's strict
-        left-to-right row sum, while every row set shares one rectangular
-        shape.  An *empty* row is the exception: the packed kernel writes
-        it as ``+0.0`` while an all-pad row would sum to ``-0.0``, so empty
-        rows get ``+0.0`` as their first pad.  Rows wider than the packed
-        kernel's panel cap are summed by ``reduceat`` (a different order),
-        so such a system gets ``False`` (no panels).
+        infinities and NaNs included).  Summed entry by entry from ``-0.0``
+        (:func:`repro.perf.program._panel_product`), a padded row therefore
+        sums bitwise like the packed kernel's strict left-to-right row sum,
+        while every row set shares one rectangular shape.  An *empty* row
+        is the exception: the packed kernel writes it as ``+0.0`` while an
+        all-pad row would sum to ``-0.0``, so empty rows get ``+0.0`` as
+        their first pad.  Rows wider than the packed kernel's panel cap are
+        summed by ``reduceat`` (a different order), so such a system gets
+        ``False`` (no panels).
 
-        Each row sits at its :attr:`slots` place, so the panels come out
-        ``(W, nslots, width)``; the pad rows that end a block's last slot
-        hold only pads.
+        The panels are row-major: each row's ``W`` entries are contiguous
+        and the row sits at its :attr:`slots` place, so they come out
+        ``(nslots, width, W)`` — any run of rows is a CSR matrix with the
+        row pointer ``arange(0, m · W + 1, W)``.  The pad rows that end a
+        block's last slot hold only pads.
         """
         if not self.fits_panels(part):
             return False
@@ -396,14 +399,14 @@ class SweepPlan:
         indices = part.indices
         if local:
             indices = indices - self.view.boundaries[:-1][self.block_of_row[rows]]
-        shape = (W, int(first[-1]) * width)
+        shape = (int(first[-1]) * width, W)
         cols = np.full(shape, self.PAD_SENTINEL, dtype=np.int64)
         data = np.full(shape, -0.0)
         at = rows if isinstance(prefix, slice) else slot[rows]
-        cols[lane, at] = indices
-        data[lane, at] = part.data
-        data[0, slot[lengths == 0]] = 0.0
-        shape = (W, int(first[-1]), width)
+        cols[at, lane] = indices
+        data[at, lane] = part.data
+        data[slot[lengths == 0], 0] = 0.0
+        shape = (int(first[-1]), width, W)
         return cols.reshape(shape), data.reshape(shape)
 
     @property
@@ -428,7 +431,7 @@ class SweepPlan:
     def row_panels(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The local panels in row order with absolute columns, and the diagonal (cached).
 
-        ``(cols, data, diag)``: ``(W, n)`` panels and the ``(n,)``
+        ``(cols, data, diag)``: ``(n, W)`` panels and the ``(n,)``
         diagonal, what a sweep run as one level of all blocks gathers,
         with no slot layout in between.  A pad's column is ``n``, the
         operand's trailing ``+0.0`` slot.
@@ -437,7 +440,7 @@ class SweepPlan:
             view = self.view
             cols, data = self.panel_rows(np.arange(view.n), external=False)
             pad = cols == self.PAD_SENTINEL
-            cols += view.boundaries[:-1][self.block_of_row]
+            cols += view.boundaries[:-1][self.block_of_row][:, None]
             cols[pad] = view.n
             self._row_panels = (cols, data, self.diag)
         return self._row_panels
@@ -446,7 +449,7 @@ class SweepPlan:
     def block_external(self) -> Tuple[np.ndarray, np.ndarray]:
         """The external panels block-major, columns as slot places (cached).
 
-        ``(cols, data)``, both ``(W, nslots, width)``: a real entry's
+        ``(cols, data)``, both ``(nslots, width, W)``: a real entry's
         column is the :attr:`slots` place of its global column, a pad
         keeps :attr:`PAD_SENTINEL`.  Where the slots are the rows the
         columns are the global ones and the arrays are the stored panels.

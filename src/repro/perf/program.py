@@ -22,14 +22,15 @@ sweeps in any orders, into dependency levels of independent updates:
 
 The result is bitwise the per-block loop: every row is updated by the
 same IEEE operations, summed in the same strict left-to-right order
-(:func:`_row_sums`), on the same operand values.
+(:func:`_panel_product`), on the same operand values.
 
 :class:`repro.krylov.AsyncSweepPreconditioner` runs one whole application
 (``sweeps`` forward plus ``sweeps`` reverse) as one program, cached on the
 plan (:meth:`repro.perf.SweepPlan.level_program`).  The module also holds
 the kernels it shares with :class:`repro.perf.LevelSweepExecutor`: the
-lane fold :func:`_row_sums`, the level relaxation :func:`_longest_paths`
-and the local Jacobi sweeps :func:`_jacobi_sweeps`.
+panel product :func:`_panel_product` (one compiled SciPy ``csr_matvec``
+call per product), the level relaxation :func:`_longest_paths` and the
+local Jacobi sweeps :func:`_jacobi_sweeps`.
 """
 
 from __future__ import annotations
@@ -37,27 +38,39 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from .._util import cumulative_segments
 
 __all__ = ["LevelProgram"]
 
 
-def _row_sums(vals: np.ndarray) -> np.ndarray:
-    """Strict left-to-right sum over the lanes of a ``(W, m)`` panel product.
+def _panel_product(indptr, cols, data, x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``out[i] = Σ_j data[i, j] · x[cols[i, j]]`` over a row-major padded panel, left to right.
 
-    The packed ELL kernel's order, one addition at a time; accumulates
-    into ``vals[0]``, which it returns.
-
-    ``np.add.reduce(vals, axis=0)`` is not a drop-in replacement: NumPy
-    does not promise a summation order for reductions, and on NumPy 2.4.6
-    it sums in a different order for ``m = 1``, and for Fortran-ordered
-    panels once ``W >= 8`` — which changes the last bits of the result.
+    *cols* and *data* hold ``out.size`` rows of ``W`` entries each (any
+    leading shape); *indptr* is ``arange(0, m · W + 1, W)`` for some
+    ``m ≥ out.size``, of which the kernel reads the first ``out.size + 1``
+    entries, so one array serves every row count of a width.  The panel is
+    then a CSR matrix, and SciPy's compiled ``csr_matvec`` — the
+    accumulating ``y += A · x`` loop, one entry at a time in row order —
+    is the packed ELL kernel's strict left-to-right row sum once *out*
+    starts at ``-0.0``, the IEEE additive identity.  (Which NaN comes out
+    where two NaNs meet is the one bit pattern IEEE 754 leaves open, and
+    NumPy's own loops differ on it too.)  It checks no bounds and copies
+    an operand of the wrong type, so every column must index *x*, and
+    every operand must be C-contiguous, indices int64 and values float64
+    (``tests/perf/test_panel_kernel.py`` pins order and layout).  Returns
+    *out*.
     """
-    acc = vals[0]
-    for row in vals[1:]:
-        acc += row
-    return acc
+    out.fill(-0.0)
+    csr_matvec(out.size, x.size, indptr, cols, data, x, out)
+    return out
+
+
+def _row_starts(rows: int, width: int) -> np.ndarray:
+    """The CSR row pointer of *rows* panel rows of *width* entries."""
+    return np.arange(0, rows * width + 1, width, dtype=np.int64)
 
 
 def _longest_paths(nnodes: int, src: list, dst: list, w: list) -> np.ndarray:
@@ -82,28 +95,28 @@ def _longest_paths(nnodes: int, src: list, dst: list, w: list) -> np.ndarray:
     return lv
 
 
-def _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, vals, vrows, k: int, omega: float) -> np.ndarray:
-    """*k* Jacobi sweeps ``z ← (s − L z) / d`` over padded-ELL panels, in place.
+def _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, indptr, acc, k: int, omega: float) -> np.ndarray:
+    """*k* Jacobi sweeps ``z ← (s − L z) / d`` over a row-major padded panel, in place.
 
     *zbuf* holds the iterate ``z`` — a view of some of its slots, shaped
-    like *s* and *d* — and the pads' ``+0.0`` in its last slot, which
-    every pad of *lcols* reaches (directly or clipped).  *vals* is the
-    *lcols*-shaped product buffer and *vrows* its lanes — *vals* itself,
-    or a prepared list of its row views.  Every step is one IEEE
-    operation in the order of the reference loop's block update
+    like *s* and *d* — and the pads' ``+0.0`` in its last place, which
+    every pad column of *lcols* indexes.  *acc* is a C-contiguous buffer
+    shaped like *z* and *indptr* the panel's row pointer (see
+    :func:`_panel_product`).  Per iteration: fill and kernel
+    (:func:`_panel_product`), subtract, divide — each one IEEE operation
+    per row in the order of the reference loop's block update
     (:class:`repro.perf.ReferenceSweepExecutor`): ``z ← (s − L z) / d``,
-    then ``(1 − ω) z + ω z_new`` for ω ≠ 1.  *lcols* ``None`` marks
-    panels of one all-pad lane (no local entries): their product is
-    ``+0.0 × ldata[0]`` whatever the iterate, and *ldata* is that product.
-    Returns ``z``.
+    then ``(1 − ω) z + ω z_new`` for ω ≠ 1.  *lcols* ``None`` marks a
+    panel of one all-pad lane (no local entries): its product is
+    ``-0.0 + (+0.0 × ldata[:, 0])`` whatever the iterate, and *ldata* is
+    that product, subtracted without a kernel call.  Returns ``z``.
     """
     for _ in range(k):
         if lcols is None:
-            acc = np.subtract(s, ldata, out=vrows[0])
+            np.subtract(s, ldata, out=acc)
         else:
-            zbuf.take(lcols, out=vals, mode="clip")
-            vals *= ldata
-            acc = np.subtract(s, _row_sums(vrows), out=vrows[0])
+            _panel_product(indptr, lcols, ldata, zbuf, acc)
+            np.subtract(s, acc, out=acc)
         if omega != 1.0:
             acc /= d
             acc *= omega
@@ -140,8 +153,12 @@ class LevelProgram:
         Number of dependency levels — what one :meth:`run` pays the
         per-level overhead for.
 
-    A program owns its work buffers (one per level size), so one program
-    runs one application at a time.
+    Each level's operands are row-major panel slices, and :meth:`run`
+    spends per level one external and *k* local :func:`_panel_product`
+    calls plus a few elementwise operations — no per-lane dispatch.  A
+    program owns its work buffers (one per level size) and one row
+    pointer per panel width, so one program runs one application at a
+    time.
     """
 
     def __init__(
@@ -169,15 +186,19 @@ class LevelProgram:
         sets = [tuple(blk[by_level[a:b]].tolist()) for a, b in zip(cut[:-1], cut[1:])]
         operands = self._operands(plan, list(dict.fromkeys(sets)), n, starts, sizes)
         self._work = np.zeros(n + 1)
+        # One row pointer per panel width serves every level (no level has
+        # more than n rows).
+        _, lcols, _, _, ecols, _ = next(iter(operands.values()))
+        self._lptr = _row_starts(n, lcols.shape[1])
+        self._eptr = _row_starts(n, ecols.shape[1])
         buffers = {}
         self._levels = []
         for key in sets:
             rows, lcols, ldata, d, ecols, edata = operands[key]
             m = len(d)
             if m not in buffers:
-                vals, evals, zbuf = np.empty(lcols.shape), np.empty(ecols.shape), np.zeros(m + 1)
-                # The panel buffers' row views are listed once, for the folds.
-                buffers[m] = (vals, list(vals), evals, list(evals), zbuf, zbuf[:m], np.empty(m))
+                zbuf = np.zeros(m + 1)
+                buffers[m] = (zbuf, zbuf[:m], np.empty(m), np.empty(m))
             self._levels.append(
                 (rows, isinstance(rows, slice), lcols, ldata, d, ecols, edata) + buffers[m]
             )
@@ -227,7 +248,8 @@ class LevelProgram:
         One gather of the plan's panels serves all sets: rows in set
         order, local columns rebased to the set's concatenated rows.  Pads
         point at the exact ``+0.0`` slot of their operand — the set's local
-        work vector, or the work vector — so the gathers need no clipping.
+        work vector, or the work vector — so every column is in range for
+        :func:`_panel_product`.
         """
         gb = np.array([b for blocks in sets for b in blocks], dtype=np.int64)
         nset = np.array([len(blocks) for blocks in sets], dtype=np.int64)
@@ -241,8 +263,8 @@ class LevelProgram:
         g_lcols, g_ldata = plan.panel_rows(rows, external=False)
         g_ecols, g_edata = plan.panel_rows(rows, external=True)
         pad = g_lcols == plan.PAD_SENTINEL
-        g_lcols += np.repeat(within, gsz)
-        np.copyto(g_lcols, np.repeat(np.diff(bounds), np.diff(bounds)), where=pad)
+        g_lcols += np.repeat(within, gsz)[:, None]
+        np.copyto(g_lcols, np.repeat(np.diff(bounds), np.diff(bounds))[:, None], where=pad)
         np.copyto(g_ecols, n, where=g_ecols == plan.PAD_SENTINEL)
         g_diag = plan.diag[rows]
         out = {}
@@ -251,28 +273,25 @@ class LevelProgram:
                 r = slice(int(starts[blocks[0]]), int(starts[blocks[0]]) + int(b - a))
             else:
                 r = rows[a:b]
-            out[blocks] = (r, g_lcols[:, a:b], g_ldata[:, a:b], g_diag[a:b], g_ecols[:, a:b], g_edata[:, a:b])
+            out[blocks] = (r, g_lcols[a:b], g_ldata[a:b], g_diag[a:b], g_ecols[a:b], g_edata[a:b])
         return out
 
     def run(self, x: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Run the program on iterate *x* (in place) with right-hand side *b*."""
         n, k, omega = self.n, self.k, self.omega
+        lptr, eptr = self._lptr, self._eptr
         XW = self._work
         XW[:n] = x
-        # Every gather index is in range; "wrap" is the mode that then
-        # writes *out* directly (the default "raise" buffers it).
         for level in self._levels:
-            rows, contiguous, lcols, ldata, d, ecols, edata, vals, vrows, evals, erows, zbuf, z, s = level
-            XW.take(ecols, out=evals, mode="wrap")
-            evals *= edata
-            ext = _row_sums(erows)
+            rows, contiguous, lcols, ldata, d, ecols, edata, zbuf, z, s, acc = level
             if contiguous:
-                np.subtract(b[rows], ext, out=s)
+                np.subtract(b[rows], _panel_product(eptr, ecols, edata, XW, s), out=s)
                 z[...] = XW[rows]
             else:
+                _panel_product(eptr, ecols, edata, XW, acc)
                 b.take(rows, out=s)
-                s -= ext
+                s -= acc
                 XW.take(rows, out=z)
-            XW[rows] = _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, vals, vrows, k, omega)
+            XW[rows] = _jacobi_sweeps(s, zbuf, z, lcols, ldata, d, lptr, acc, k, omega)
         x[...] = XW[:n]
         return x

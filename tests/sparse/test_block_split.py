@@ -86,7 +86,7 @@ def _reference_stats(A, boundaries, overlap):
 
 
 def _reference_pad(parts, n, starts_of_row, sentinel):
-    """Lane-major padded-ELL panels of per-block parts (``starts_of_row`` rebases)."""
+    """Row-major padded-ELL panels of per-block parts (``starts_of_row`` rebases)."""
     lengths = np.concatenate([np.diff(p.indptr) for p in parts])
     W = max(1, int(lengths.max(initial=0)))
     rows = np.repeat(np.arange(n, dtype=np.int64), lengths)
@@ -95,11 +95,11 @@ def _reference_pad(parts, n, starts_of_row, sentinel):
     indices = np.concatenate([p.indices for p in parts])
     if starts_of_row is not None:
         indices = indices - starts_of_row[rows]
-    cols = np.full((W, n), sentinel, dtype=np.int64)
-    data = np.full((W, n), -0.0)
-    cols[slot, rows] = indices
-    data[slot, rows] = np.concatenate([p.data for p in parts])
-    data[0, lengths == 0] = 0.0
+    cols = np.full((n, W), sentinel, dtype=np.int64)
+    data = np.full((n, W), -0.0)
+    cols[rows, slot] = indices
+    data[rows, slot] = np.concatenate([p.data for p in parts])
+    data[lengths == 0, 0] = 0.0
     return cols, data
 
 
@@ -162,7 +162,7 @@ def _check_view(view):
         if rebase is None:  # external columns are slot places
             real = cols != plan.PAD_SENTINEL
             cols[real] = slot[cols[real]]
-        got_cols, got_data = (a.reshape(len(a), -1)[:, slot] for a in got)
+        got_cols, got_data = (a.reshape(-1, a.shape[-1])[slot] for a in got)
         assert np.array_equal(got_cols, cols)
         assert _same_floats(got_data, data)
     assert _same_floats(panels.diag.reshape(-1)[slot], view.diagonal_vector())
